@@ -13,19 +13,20 @@ occur at most once; no user frequency threshold is involved.  (Episodes
 with f <= 2 score at most -3 and are never selected, so keeping the f = 2
 branches only widens the reported candidate set, never the selection.)
 
-Extension joins always use distinct starts; in non-overlapped mode the
-stored list, frequency, and score are recomputed per node from the
-greedily filtered list.
+Extension joins always use distinct starts.  A node carries one sorted list
+of start times on a global time axis (see ``_DataIndex``); in
+non-overlapped mode its frequency is the greedily filtered count of that
+list.  Occurrence lists and candidates are built only for emitted episodes.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .events import EventDataset, FixedIntervalEpisode
-from .mdl import score
+from .mdl import row_gain, score
 from .occurrences import FrequencyMode, OccurrenceList, find_no_occurrences
 
 _PRUNE_FREQUENCY = 1
@@ -59,129 +60,56 @@ class CandidateSet:
 
 
 class _DataIndex:
-    """Per-sequence lookup tables used by the DFS joins."""
+    """All sequences on one global time axis, with the lookups of the joins.
 
-    def __init__(self, data: EventDataset):
-        self.data = data
-        self.alphabet = data.alphabet
-        # symbol id -> per-sequence sorted distinct event times
-        self.times_by_type: dict[int, list[list[int]]] = {}
-        # per-sequence: time -> set of symbol ids present at that time
-        self.types_at_time: list[dict[int, set[int]]] = []
-        for seq_idx, seq in enumerate(data.sequences):
-            at_time: dict[int, set[int]] = {}
-            for ev in seq:
-                at_time.setdefault(ev.time, set()).add(ev.event_type)
-                per_seq = self.times_by_type.setdefault(
-                    ev.event_type, [[] for _ in range(data.n_sequences)]
-                )
-                times = per_seq[seq_idx]
-                if not times or times[-1] != ev.time:
-                    times.append(ev.time)
-            self.types_at_time.append(at_time)
-
-    def present_symbols(self) -> list[int]:
-        return sorted(self.times_by_type)
-
-
-class _PathBest:
-    """Running best episode on the current root-to-node path.
-
-    Ties prefer the longer episode, then the lexicographically smaller
-    canonical string, so DFS output is deterministic.
+    Sequence k is shifted so that its first event falls more than
+    ``max_gap`` after the last event of sequence k-1.  A join looks at most
+    ``max_gap`` past an occurrence's end, and the non-overlap test keeps a
+    start later than the previous occurrence's end, so neither ever crosses
+    a sequence boundary: one sorted list of global times holds an episode's
+    starts in every sequence.
     """
 
-    __slots__ = ("candidate",)
-
-    def __init__(self, candidate: Candidate | None = None) -> None:
-        self.candidate = candidate
-
-    def consider(self, cand: Candidate) -> "_PathBest":
-        best = self.candidate
-        if best is None:
-            return _PathBest(cand)
-        cand_rank = (cand.score, cand.episode.length)
-        best_rank = (best.score, best.episode.length)
-        if cand_rank > best_rank or (cand_rank == best_rank and cand.key < best.key):
-            return _PathBest(cand)
-        return self
-
-
-def _dfs_root(
-    index: _DataIndex, root_type: int, max_gap: int, mode: FrequencyMode
-) -> dict[str, Candidate]:
-    """Explore one root's subtree and collect the best episode per path."""
-    alphabet = index.alphabet
-    emitted: dict[str, Candidate] = {}
-
-    def visit(
-        symbols: tuple[str, ...],
-        type_ids: tuple[int, ...],
-        ep_span: int,
-        distinct: tuple[tuple[int, ...], ...],
-        gaps: tuple[int, ...],
-        best: _PathBest,
-    ) -> None:
-        episode = FixedIntervalEpisode(symbols, gaps)
-        occ = OccurrenceList(episode, distinct)
-        if mode is FrequencyMode.NON_OVERLAPPED:
-            occ = find_no_occurrences(occ)
-        f = occ.total
-        best = best.consider(Candidate(episode, occ, f, score(episode, f)))
-
-        children: dict[tuple[int, int], list[list[int]]] = {}
-        if f > _PRUNE_FREQUENCY and len(symbols) < alphabet.size:
-            used = set(type_ids)
-            # Gather extensions from events actually present at reachable
-            # offsets instead of probing the whole alphabet blindly.
-            for seq_idx, seq_starts in enumerate(distinct):
-                at_time = index.types_at_time[seq_idx]
-                for t in seq_starts:
-                    end = t + ep_span
-                    for delta in range(1, max_gap + 1):
-                        for sym_id in at_time.get(end + delta, ()):
-                            if sym_id in used:
-                                continue
-                            per_seq = children.setdefault(
-                                (sym_id, delta),
-                                [[] for _ in range(len(distinct))],
-                            )
-                            per_seq[seq_idx].append(t)
-
-        explored = False
-        for sym_id, delta in sorted(
-            children, key=lambda c: (alphabet.name(c[0]), c[1])
-        ):
-            child_distinct = tuple(tuple(s) for s in children[(sym_id, delta)])
-            child_gaps = gaps + (delta,)
-            child_symbols = symbols + (alphabet.name(sym_id),)
-            child_occ = OccurrenceList(
-                FixedIntervalEpisode(child_symbols, child_gaps), child_distinct
-            )
-            child_f = (
-                find_no_occurrences(child_occ).total
-                if mode is FrequencyMode.NON_OVERLAPPED
-                else child_occ.total
-            )
-            if child_f <= _PRUNE_FREQUENCY:
+    def __init__(self, data: EventDataset, max_gap: int):
+        self.n_sequences = data.n_sequences
+        # symbol id -> sorted distinct global times of its events
+        self.times_by_type: dict[int, list[int]] = {}
+        # global time -> symbol ids present at that time
+        self.types_at_time: dict[int, set[int]] = {}
+        # (first global time, shift, sequence index) per non-empty sequence
+        self.shifts: list[tuple[int, int, int]] = []
+        end = None
+        for seq_idx, seq in enumerate(data.sequences):
+            if not seq:
                 continue
-            explored = True
-            visit(
-                child_symbols,
-                type_ids + (sym_id,),
-                ep_span + delta,
-                child_distinct,
-                child_gaps,
-                best,
-            )
-        if not explored:
-            # Leaf of the explored tree: emit this path's best episode.
-            assert best.candidate is not None
-            emitted.setdefault(best.candidate.key, best.candidate)
+            base = 0 if end is None else end + max_gap + 1 - seq[0].time
+            self.shifts.append((seq[0].time + base, base, seq_idx))
+            for ev in seq:
+                g = ev.time + base
+                self.types_at_time.setdefault(g, set()).add(ev.event_type)
+                times = self.times_by_type.setdefault(ev.event_type, [])
+                if not times or times[-1] != g:
+                    times.append(g)
+            end = seq[-1].time + base
 
-    root_starts = tuple(tuple(times) for times in index.times_by_type[root_type])
-    visit((alphabet.name(root_type),), (root_type,), 0, root_starts, (), _PathBest())
-    return emitted
+    def per_sequence(self, starts: list[int]) -> tuple[tuple[int, ...], ...]:
+        """Map global start times back to per-sequence start times."""
+        out: list[list[int]] = [[] for _ in range(self.n_sequences)]
+        for g in starts:
+            k = bisect_right(self.shifts, g, key=itemgetter(0)) - 1
+            _, base, seq_idx = self.shifts[k]
+            out[seq_idx].append(g - base)
+        return tuple(tuple(seq_starts) for seq_starts in out)
+
+
+def _non_overlapped_count(starts: list[int], ep_span: int) -> int:
+    """Size of the greedy non-overlapped subset of sorted, non-empty starts."""
+    count, last = 1, starts[0]
+    for g in starts:
+        if g > last + ep_span:
+            count += 1
+            last = g
+    return count
 
 
 def generate_candidates(
@@ -191,27 +119,71 @@ def generate_candidates(
 ) -> CandidateSet:
     """DFS the episode lattice and return the per-path best episodes.
 
-    Subtrees rooted at different symbols are independent; when the
-    EPISODESEQ_THREADS environment variable allows more than one worker
-    they run in a thread pool, and results are merged in canonical order
-    either way.
+    Along a path the best episode has the highest score, and ties go to the
+    longer episode.  Lengths grow strictly along a path, so a node replaces
+    the path's best whenever its score is at least as high.
     """
     if max_gap < 1:
         raise ValueError("max_gap must be >= 1")
-    index = _DataIndex(data)
-    roots = index.present_symbols()
-    merged: dict[str, Candidate] = {}
-    workers = int(os.environ.get("EPISODESEQ_THREADS", "1") or "1")
-    if workers > 1 and len(roots) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for emitted in pool.map(
-                lambda r: _dfs_root(index, r, max_gap, mode), roots
-            ):
-                for key, cand in emitted.items():
-                    merged.setdefault(key, cand)
-    else:
-        for root_type in roots:
-            for key, cand in _dfs_root(index, root_type, max_gap, mode).items():
-                merged.setdefault(key, cand)
-    ordered = tuple(merged[key] for key in sorted(merged))
-    return CandidateSet(ordered, max_gap, mode)
+    index = _DataIndex(data, max_gap)
+    at_time = index.types_at_time
+    non_overlapped = mode is FrequencyMode.NON_OVERLAPPED
+    # (type ids, gaps) of each emitted episode -> its global distinct starts
+    emitted: dict[tuple[tuple[int, ...], tuple[int, ...]], list[int]] = {}
+
+    def visit(
+        type_ids: tuple[int, ...],
+        gaps: tuple[int, ...],
+        ep_span: int,
+        starts: list[int],
+        f: int,
+        best: tuple | None,  # (score, type ids, gaps, starts) of the path's best
+    ) -> None:
+        node_score = row_gain(len(type_ids), f)
+        if best is None or node_score >= best[0]:
+            best = (node_score, type_ids, gaps, starts)
+
+        children: dict[tuple[int, int], list[int]] = {}
+        if f > _PRUNE_FREQUENCY:
+            # Gather extensions from events actually present at reachable
+            # offsets instead of probing the whole alphabet blindly.
+            for t in starts:
+                end = t + ep_span
+                for delta in range(1, max_gap + 1):
+                    for sym_id in at_time.get(end + delta, ()):
+                        if sym_id not in type_ids:
+                            children.setdefault((sym_id, delta), []).append(t)
+
+        explored = False
+        for (sym_id, delta), child in children.items():
+            child_span = ep_span + delta
+            child_f = (
+                _non_overlapped_count(child, child_span)
+                if non_overlapped
+                else len(child)
+            )
+            if child_f <= _PRUNE_FREQUENCY:
+                continue
+            explored = True
+            visit(
+                type_ids + (sym_id,), gaps + (delta,), child_span, child, child_f, best
+            )
+        if not explored:
+            # Leaf of the explored tree: emit this path's best episode.
+            emitted.setdefault((best[1], best[2]), best[3])
+
+    for root_type, root_starts in index.times_by_type.items():
+        visit((root_type,), (), 0, root_starts, len(root_starts), None)
+    candidates = []
+    for (type_ids, gaps), starts in emitted.items():
+        episode = FixedIntervalEpisode(
+            tuple(data.alphabet.name(i) for i in type_ids), gaps
+        )
+        occ = OccurrenceList(episode, index.per_sequence(starts))
+        if non_overlapped:
+            occ = find_no_occurrences(occ)
+        candidates.append(
+            Candidate(episode, occ, occ.total, score(episode, occ.total))
+        )
+    candidates.sort(key=lambda cand: cand.key)
+    return CandidateSet(tuple(candidates), max_gap, mode)

@@ -291,7 +291,7 @@ def load_events(handle: IO[str]) -> EventDataset:
             t = int(fields[0])
         except ValueError:
             raise DataValidationError(f"line {lineno}: bad timestamp {fields[0]!r}")
-        sequences.append(sequences.pop() + [(t, fields[1])])
+        sequences[-1].append((t, fields[1]))
     if sequences and not sequences[-1]:
         sequences.pop()
     return EventDataset.from_tuples(sequences)

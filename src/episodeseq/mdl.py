@@ -33,6 +33,7 @@ from .occurrences import (
     CoverSet,
     FrequencyMode,
     cover,
+    lowest_positions,
     occurrences_for_mode,
     overlap_count,
 )
@@ -48,8 +49,12 @@ def score(episode: FixedIntervalEpisode, frequency: int) -> int:
     Positive means the episode row is cheaper than coding its covered
     events with 1-node episodes.
     """
-    n = episode.length
-    return frequency * n - (2 * n + 1 + frequency)
+    return row_gain(episode.length, frequency)
+
+
+def row_gain(n: int, f: int) -> int:
+    """:func:`score` of an n-node episode with frequency f."""
+    return f * n - (2 * n + 1 + f)
 
 
 def overlap_score(
@@ -153,10 +158,11 @@ def select(
         # Candidate covers, mapped back to original event positions.
         # Non-positive scores can never yield a positive overlap-score.
         entries: list[list] = []
+        lowest = [lowest_positions(seq) for seq in res_data.sequences]
         for cand in candidates:
             if cand.score <= 0:
                 continue
-            cov = cover(res_data, cand.episode, cand.occurrences.starts)
+            cov = cover(res_data, cand.episode, cand.occurrences.starts, lowest)
             orig = frozenset(
                 (seq_idx, posmap[seq_idx][pos]) for seq_idx, pos in cov.positions
             )
@@ -194,9 +200,7 @@ def select(
                     covered,
                 )
             )
-        removed: set[tuple[int, int]] = set()
-        for _, covered, _ in round_picks:
-            removed |= covered
+        removed = set().union(*(covered for _, covered, _ in round_picks))
         residual = [
             [(ev, orig) for ev, orig in seq if (seq_idx, orig) not in removed]
             for seq_idx, seq in enumerate(residual)
@@ -344,7 +348,8 @@ def save_table(table: EncodingTable, handle: IO[str]) -> None:
 
     Start lists are ``;``-separated ``seq:time`` pairs.  When the coded
     data held duplicate events, their multiplicities follow the header as
-    one ``#mult`` comment line.
+    one ``#mult`` comment line.  A ``#sequences N`` comment line follows
+    when the data has sequences after the last one any row refers to.
     """
     writer = csv.writer(handle, lineterminator="\n")
     writer.writerow(TABLE_HEADER)
@@ -354,6 +359,9 @@ def save_table(table: EncodingTable, handle: IO[str]) -> None:
             for (seq, t, sym), m in sorted(table.multiplicities.items())
         ]
         handle.write("#mult " + ";".join(parts) + "\n")
+    used = max((seq for row in table.rows for seq, _ in row.starts), default=-1) + 1
+    if table.n_sequences is not None and table.n_sequences != used:
+        handle.write(f"#sequences {table.n_sequences}\n")
     for row in table.rows:
         starts = ";".join(f"{seq}:{t}" for seq, t in row.starts)
         writer.writerow(
@@ -371,13 +379,17 @@ def load_table(handle: IO[str]) -> EncodingTable:
     if not lines or lines[0].split(",") != TABLE_HEADER:
         raise TableFormatError("missing table header line")
     multiplicities: dict[tuple[int, int, str], int] = {}
+    declared: int | None = None
     body_start = 1
-    if len(lines) > 1 and lines[1].startswith("#mult "):
-        body_start = 2
-        for part in lines[1][len("#mult ") :].split(";"):
-            loc, _, m = part.partition("=")
+    if len(lines) > body_start and lines[body_start].startswith("#mult "):
+        for part in lines[body_start][len("#mult ") :].split(";"):
+            loc, _, m = part.rpartition("=")
             seq, t, sym = loc.split(":", 2)
             multiplicities[(int(seq), int(t), sym)] = int(m)
+        body_start += 1
+    if len(lines) > body_start and lines[body_start].startswith("#sequences "):
+        declared = int(lines[body_start][len("#sequences ") :])
+        body_start += 1
     rows: list[TableRow] = []
     max_seq = -1
     for record in csv.reader(lines[body_start:]):
@@ -406,4 +418,9 @@ def load_table(handle: IO[str]) -> EncodingTable:
         rows.append(
             TableRow(episode, tuple(starts), residual=episode.length == 1)
         )
-    return EncodingTable(tuple(rows), multiplicities, max_seq + 1)
+    if declared is not None and declared <= max_seq:
+        raise TableFormatError(
+            f"#sequences {declared} but a start refers to sequence {max_seq}"
+        )
+    n_sequences = max_seq + 1 if declared is None else declared
+    return EncodingTable(tuple(rows), multiplicities, n_sequences)

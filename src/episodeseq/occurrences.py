@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .events import EventDataset, FixedIntervalEpisode, SerialEpisode, span
+from .events import Event, EventDataset, FixedIntervalEpisode, SerialEpisode, span
 
 
 class CoverIntegrityError(ValueError):
@@ -144,15 +144,26 @@ def count_no_general(data: EventDataset, episode: SerialEpisode) -> int:
     return count
 
 
+def lowest_positions(seq: tuple[Event, ...]) -> dict[tuple[int, int], int]:
+    """(type, time) -> position of the lowest-index such event in ``seq``."""
+    lowest: dict[tuple[int, int], int] = {}
+    for pos, ev in enumerate(seq):
+        lowest.setdefault((ev.event_type, ev.time), pos)
+    return lowest
+
+
 def cover(
     data: EventDataset,
     episode: FixedIntervalEpisode,
     starts: tuple[tuple[int, ...], ...],
+    lowest: list[dict[tuple[int, int], int]] | None = None,
 ) -> CoverSet:
     """Event positions coded by the given occurrence starts.
 
     Each node binds to the lowest-index event with the required
-    (type, time) in its sequence.
+    (type, time) in its sequence.  ``lowest`` holds
+    :func:`lowest_positions` of every sequence of ``data``; callers that
+    cover many episodes on the same data pass it to build it only once.
     """
     type_ids = [data.alphabet.index(sym) for sym in episode.event_types]
     offsets = episode.offsets()
@@ -160,12 +171,10 @@ def cover(
     for seq_idx, seq_starts in enumerate(starts):
         if not seq_starts:
             continue
-        lowest: dict[tuple[int, int], int] = {}
-        for pos, ev in enumerate(data.sequences[seq_idx]):
-            lowest.setdefault((ev.event_type, ev.time), pos)
+        at = lowest[seq_idx] if lowest else lowest_positions(data.sequences[seq_idx])
         for t in seq_starts:
             for tid, off in zip(type_ids, offsets):
-                pos = lowest.get((tid, t + off))
+                pos = at.get((tid, t + off))
                 if pos is None:
                     raise CoverIntegrityError(
                         f"no event of type {data.alphabet.name(tid)} at time "

@@ -299,6 +299,7 @@ def test_criterion_09_planted_episode_recovery():
 
 
 def test_criterion_10_dictionary_reduction():
+    started = time.monotonic()
     train, test = make_two_class_corpus()
     assert train.n_documents >= 200
     dict_one = build_dictionary_I(train)
@@ -313,9 +314,11 @@ def test_criterion_10_dictionary_reduction():
         )
         accuracies[dictionary.provenance] = metrics["accuracy"]
     assert abs(accuracies["I"] - accuracies["II"]) <= 0.03
+    elapsed = time.monotonic() - started
+    assert elapsed < 60.0
     report(
         f"10. dictionary {len(dict_one)} -> {len(dict_two)} words; NB accuracy "
-        f"I={accuracies['I']:.3f} vs II={accuracies['II']:.3f}"
+        f"I={accuracies['I']:.3f} vs II={accuracies['II']:.3f} ({elapsed:.1f}s)"
     )
 
 

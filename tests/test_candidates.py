@@ -3,6 +3,7 @@ import random
 import pytest
 
 from episodeseq import (
+    Alphabet,
     EventDataset,
     FrequencyMode,
     find_distinct_starts,
@@ -61,11 +62,33 @@ def test_prune_rule_is_score_barren(n, f):
     assert score(ep, f) <= -3
 
 
+def _multi_sequence_dataset(rng):
+    """Planted sequences around empty ones, on negative and shared times.
+
+    Empty sequences sit at the start, in the middle and at the end; the
+    first and last planted sequences cover the same times; the middle one
+    is shifted to negative times; each carries duplicate (time, type)
+    events.
+    """
+    planted = []
+    for shift in (0, -25, 0):
+        data, _ = random_planted_dataset(rng)
+        seq = [(t + shift, name) for t, name in data.named_sequences()[0]]
+        planted.append(seq + rng.sample(seq, 2))
+    return EventDataset.from_tuples(
+        [[], planted[0], [], planted[1], planted[2], []], Alphabet(tuple("ABCDE"))
+    )
+
+
 def test_candidate_occurrences_verify_against_recomputation():
     rng = random.Random(9)
     for mode in FrequencyMode:
-        for _ in range(10):
-            data, _ = random_planted_dataset(rng)
+        for k in range(20):
+            data = (
+                random_planted_dataset(rng)[0]
+                if k % 2
+                else _multi_sequence_dataset(rng)
+            )
             for cand in generate_candidates(data, 2, mode):
                 occ = find_distinct_starts(data, cand.episode)
                 if mode is FrequencyMode.NON_OVERLAPPED:
@@ -75,17 +98,23 @@ def test_candidate_occurrences_verify_against_recomputation():
                 assert cand.score == score(cand.episode, occ.total)
 
 
-def test_candidates_deterministic_and_thread_invariant(monkeypatch):
+@pytest.mark.parametrize("mode", list(FrequencyMode))
+def test_no_occurrence_across_sequence_boundary(mode):
+    # sequence 0 ends with A at 5, sequence 1 starts with B at 6; read as
+    # one sequence, A -1-> B would occur twice
+    data = EventDataset.from_tuples([[(5, "A")], [(6, "B"), (20, "A")], [(21, "B")]])
+    by_key = {c.key: c for c in generate_candidates(data, 1, mode)}
+    assert "A -1-> B" not in by_key
+    assert by_key["A"].occurrences.starts == ((5,), (20,), ())
+    assert by_key["B"].occurrences.starts == ((), (6,), (21,))
+
+
+def test_candidates_deterministic():
     rng = random.Random(13)
     data, _ = random_planted_dataset(rng, n_repetitions=8)
     first = generate_candidates(data, 2)
     second = generate_candidates(data, 2)
     assert [c.key for c in first] == [c.key for c in second]
-    monkeypatch.setenv("EPISODESEQ_THREADS", "4")
-    threaded = generate_candidates(data, 2)
-    assert [(c.key, c.frequency, c.score) for c in threaded] == [
-        (c.key, c.frequency, c.score) for c in first
-    ]
 
 
 def test_best_per_path_suppresses_dominated_prefixes():

@@ -155,6 +155,20 @@ def test_event_file_multi_sequence():
     assert out.getvalue() == text
 
 
+def test_event_file_blank_line_runs():
+    # leading, repeated and trailing blank lines never make empty sequences
+    text = "\n\n1\tA\n2\tB\n\n\n\n-3\tA\n-3\tA\n\n5\tC\n\n\n"
+    data = load_events(io.StringIO(text))
+    assert data.named_sequences() == (
+        ((1, "A"), (2, "B")),
+        ((-3, "A"), (-3, "A")),
+        ((5, "C"),),
+    )
+    out = io.StringIO()
+    dump_events(data, out)
+    assert out.getvalue() == "1\tA\n2\tB\n\n-3\tA\n-3\tA\n\n5\tC\n"
+
+
 def test_event_file_rejects_bad_lines():
     with pytest.raises(DataValidationError):
         load_events(io.StringIO("1 A\n"))

@@ -252,6 +252,52 @@ def test_table_csv_with_duplicates():
     assert again.getvalue() == text
 
 
+def test_table_csv_keeps_trailing_empty_sequences():
+    data = EventDataset.from_tuples([[(1, "A"), (2, "B")], []])
+    table = encode(data, forced_selection(data, []))
+    out = io.StringIO()
+    save_table(table, out)
+    text = out.getvalue()
+    assert "#sequences 2\n" in text
+    loaded = load_table(io.StringIO(text))
+    assert loaded.n_sequences == 2
+    assert decode(loaded) == data
+    again = io.StringIO()
+    save_table(loaded, again)
+    assert again.getvalue() == text
+    # only-empty data keeps its sequence count as well
+    empty = EventDataset(((), ()), data.alphabet)
+    out = io.StringIO()
+    save_table(encode(empty, forced_selection(empty, [])), out)
+    assert decode(load_table(io.StringIO(out.getvalue()))) == empty
+
+
+def test_table_csv_writes_sequence_count_only_when_needed():
+    # interior empty sequences are implied by the rows: no comment line
+    data = EventDataset.from_tuples([[(1, "A")], [], [(2, "B")]])
+    out = io.StringIO()
+    save_table(encode(data, forced_selection(data, [])), out)
+    assert "#sequences" not in out.getvalue()
+    assert decode(load_table(io.StringIO(out.getvalue()))) == data
+    with pytest.raises(TableFormatError):
+        load_table(io.StringIO("size,episode,freq,starts\n#sequences 1\n1,A,1,1:4\n"))
+
+
+def test_table_csv_multiplicity_of_symbol_with_equals_sign():
+    data = EventDataset.from_tuples([[(1, "a=b"), (1, "a=b"), (2, "c")]])
+    table = encode(data, forced_selection(data, []))
+    out = io.StringIO()
+    save_table(table, out)
+    text = out.getvalue()
+    assert "#mult 0:1:a=b=2" in text
+    loaded = load_table(io.StringIO(text))
+    assert loaded.multiplicities == {(0, 1, "a=b"): 2}
+    assert decode(loaded) == data
+    again = io.StringIO()
+    save_table(loaded, again)
+    assert again.getvalue() == text
+
+
 def test_load_table_rejects_malformed():
     with pytest.raises(TableFormatError):
         load_table(io.StringIO("bogus\n"))
