@@ -22,12 +22,18 @@ list.  Occurrence lists and candidates are built only for emitted episodes.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 from operator import itemgetter
 
 from .events import EventDataset, FixedIntervalEpisode
 from .mdl import row_gain, score
-from .occurrences import FrequencyMode, OccurrenceList, find_no_occurrences
+from .occurrences import (
+    FrequencyMode,
+    OccurrenceList,
+    find_no_occurrences,
+    non_overlapped,
+)
 
 _PRUNE_FREQUENCY = 1
 
@@ -85,7 +91,8 @@ class _DataIndex:
             base = 0 if end is None else end + max_gap + 1 - seq[0].time
             self.shifts.append((seq[0].time + base, base, seq_idx))
             for ev in seq:
-                g = ev.time + base
+                # unshifted times keep the events' own int objects
+                g = ev.time + base if base else ev.time
                 self.types_at_time.setdefault(g, set()).add(ev.event_type)
                 times = self.times_by_type.setdefault(ev.event_type, [])
                 if not times or times[-1] != g:
@@ -98,18 +105,8 @@ class _DataIndex:
         for g in starts:
             k = bisect_right(self.shifts, g, key=itemgetter(0)) - 1
             _, base, seq_idx = self.shifts[k]
-            out[seq_idx].append(g - base)
-        return tuple(tuple(seq_starts) for seq_starts in out)
-
-
-def _non_overlapped_count(starts: list[int], ep_span: int) -> int:
-    """Size of the greedy non-overlapped subset of sorted, non-empty starts."""
-    count, last = 1, starts[0]
-    for g in starts:
-        if g > last + ep_span:
-            count += 1
-            last = g
-    return count
+            out[seq_idx].append(g - base if base else g)
+        return tuple(map(tuple, out))
 
 
 def generate_candidates(
@@ -127,63 +124,54 @@ def generate_candidates(
         raise ValueError("max_gap must be >= 1")
     index = _DataIndex(data, max_gap)
     at_time = index.types_at_time
-    non_overlapped = mode is FrequencyMode.NON_OVERLAPPED
-    # (type ids, gaps) of each emitted episode -> its global distinct starts
-    emitted: dict[tuple[tuple[int, ...], tuple[int, ...]], list[int]] = {}
-
-    def visit(
-        type_ids: tuple[int, ...],
-        gaps: tuple[int, ...],
-        ep_span: int,
-        starts: list[int],
-        f: int,
-        best: tuple | None,  # (score, type ids, gaps, starts) of the path's best
-    ) -> None:
+    no_mode = mode is FrequencyMode.NON_OVERLAPPED
+    deltas = range(1, max_gap + 1)
+    # (type ids, gaps) of each emitted episode -> its candidate
+    emitted: dict[tuple[tuple[int, ...], tuple[int, ...]], Candidate] = {}
+    # Nodes to visit: (type ids, gaps, span, distinct starts, frequency,
+    # the path's best so far as (score, type ids, gaps, starts) or None).
+    stack: list[tuple] = [
+        ((root_type,), (), 0, starts, len(starts), None)
+        for root_type, starts in index.times_by_type.items()
+    ]
+    while stack:
+        type_ids, gaps, ep_span, starts, f, best = stack.pop()
         node_score = row_gain(len(type_ids), f)
         if best is None or node_score >= best[0]:
             best = (node_score, type_ids, gaps, starts)
 
-        children: dict[tuple[int, int], list[int]] = {}
+        children: dict[tuple[int, int], list[int]] = defaultdict(list)
         if f > _PRUNE_FREQUENCY:
             # Gather extensions from events actually present at reachable
             # offsets instead of probing the whole alphabet blindly.
             for t in starts:
                 end = t + ep_span
-                for delta in range(1, max_gap + 1):
-                    for sym_id in at_time.get(end + delta, ()):
-                        if sym_id not in type_ids:
-                            children.setdefault((sym_id, delta), []).append(t)
+                for delta in deltas:
+                    for sym in at_time.get(end + delta, ()):
+                        if sym not in type_ids:
+                            children[sym, delta].append(t)
 
         explored = False
-        for (sym_id, delta), child in children.items():
+        for (sym, delta), child in children.items():
             child_span = ep_span + delta
-            child_f = (
-                _non_overlapped_count(child, child_span)
-                if non_overlapped
-                else len(child)
-            )
+            child_f = len(non_overlapped(child, child_span) if no_mode else child)
             if child_f <= _PRUNE_FREQUENCY:
                 continue
             explored = True
-            visit(
-                type_ids + (sym_id,), gaps + (delta,), child_span, child, child_f, best
+            stack.append(
+                (type_ids + (sym,), gaps + (delta,), child_span, child, child_f, best)
             )
-        if not explored:
+        if not explored and (best[1], best[2]) not in emitted:
             # Leaf of the explored tree: emit this path's best episode.
-            emitted.setdefault((best[1], best[2]), best[3])
-
-    for root_type, root_starts in index.times_by_type.items():
-        visit((root_type,), (), 0, root_starts, len(root_starts), None)
-    candidates = []
-    for (type_ids, gaps), starts in emitted.items():
-        episode = FixedIntervalEpisode(
-            tuple(data.alphabet.name(i) for i in type_ids), gaps
-        )
-        occ = OccurrenceList(episode, index.per_sequence(starts))
-        if non_overlapped:
-            occ = find_no_occurrences(occ)
-        candidates.append(
-            Candidate(episode, occ, occ.total, score(episode, occ.total))
-        )
-    candidates.sort(key=lambda cand: cand.key)
+            _, best_ids, best_gaps, best_starts = best
+            episode = FixedIntervalEpisode(
+                tuple(data.alphabet.name(i) for i in best_ids), best_gaps
+            )
+            occ = OccurrenceList(episode, index.per_sequence(best_starts))
+            if no_mode:
+                occ = find_no_occurrences(occ)
+            emitted[best_ids, best_gaps] = Candidate(
+                episode, occ, occ.total, score(episode, occ.total)
+            )
+    candidates = sorted(emitted.values(), key=lambda cand: cand.key)
     return CandidateSet(tuple(candidates), max_gap, mode)

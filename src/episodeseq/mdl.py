@@ -167,6 +167,7 @@ def select(
                 (seq_idx, posmap[seq_idx][pos]) for seq_idx, pos in cov.positions
             )
             entries.append([cand, orig, 0])  # [candidate, cover, overlap penalty]
+        del lowest  # not needed during the next round's candidate search
 
         round_picks: list[list] = []
         while entries and (

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import lt
+from typing import Iterable
 
 from .events import Event, EventDataset, FixedIntervalEpisode, SerialEpisode, span
 
@@ -41,13 +43,13 @@ class OccurrenceList:
 
     def __post_init__(self) -> None:
         for seq_starts in self.starts:
-            if any(b <= a for a, b in zip(seq_starts, seq_starts[1:])):
+            if seq_starts and not all(map(lt, seq_starts, seq_starts[1:])):
                 raise ValueError("starts must be strictly increasing per sequence")
 
     @property
     def total(self) -> int:
         """Occurrence count across all sequences (the episode frequency)."""
-        return sum(len(s) for s in self.starts)
+        return sum(map(len, self.starts))
 
 
 @dataclass(frozen=True)
@@ -86,21 +88,26 @@ def find_distinct_starts(
     return OccurrenceList(episode, tuple(per_seq))
 
 
-def find_no_occurrences(occ: OccurrenceList) -> OccurrenceList:
-    """Greedy maximal non-overlapped subset of a distinct-occurrence list.
+def non_overlapped(starts: Iterable[int], ep_span: int) -> list[int]:
+    """Greedy maximal non-overlapped subset of sorted distinct starts.
 
     Keeps the earliest start, then repeatedly the next start strictly
-    greater than the last-kept start plus the episode span.  The result is
-    a maximal non-overlapped set of occurrences.
+    greater than the last-kept start plus the episode span.
+    """
+    kept: list[int] = []
+    for t in starts:
+        if not kept or t > kept[-1] + ep_span:
+            kept.append(t)
+    return kept
+
+
+def find_no_occurrences(occ: OccurrenceList) -> OccurrenceList:
+    """Maximal non-overlapped subset of a distinct-occurrence list.
+
+    Applies :func:`non_overlapped` to each sequence's starts.
     """
     ep_span = span(occ.episode)
-    filtered: list[tuple[int, ...]] = []
-    for seq_starts in occ.starts:
-        kept: list[int] = []
-        for t in seq_starts:
-            if not kept or t > kept[-1] + ep_span:
-                kept.append(t)
-        filtered.append(tuple(kept))
+    filtered = (tuple(non_overlapped(s, ep_span)) if s else s for s in occ.starts)
     return OccurrenceList(occ.episode, tuple(filtered))
 
 
