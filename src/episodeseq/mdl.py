@@ -201,7 +201,9 @@ def select(
                     covered,
                 )
             )
-        removed = set().union(*(covered for _, covered, _ in round_picks))
+        removed: set[tuple[int, int]] = set()
+        for _, covered, _ in round_picks:
+            removed |= covered
         residual = [
             [(ev, orig) for ev, orig in seq if (seq_idx, orig) not in removed]
             for seq_idx, seq in enumerate(residual)
