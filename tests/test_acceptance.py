@@ -322,13 +322,13 @@ def test_criterion_10_dictionary_reduction():
     )
 
 
-def _run_cli(args: list[str], tmp_path) -> bytes:
+def _run_python(args: list[str], tmp_path) -> bytes:
     # Hand the subprocess the package this process imported: a relative
     # PYTHONPATH (such as ``src``) does not resolve under cwd=tmp_path.
     package_root = str(Path(episodeseq.__file__).resolve().parent.parent)
     inherited = os.environ.get("PYTHONPATH")
     pythonpath = package_root + (os.pathsep + inherited if inherited else "")
-    argv = [sys.executable, "-m", "episodeseq.cli", *args]
+    argv = [sys.executable, *args]
     result = subprocess.run(
         argv,
         capture_output=True,
@@ -340,6 +340,10 @@ def _run_cli(args: list[str], tmp_path) -> bytes:
         f"{result.stderr.decode()}"
     )
     return result.stdout
+
+
+def _run_cli(args: list[str], tmp_path) -> bytes:
+    return _run_python(["-m", "episodeseq.cli", *args], tmp_path)
 
 
 def test_criterion_11_byte_identical_reruns(tmp_path):
@@ -376,3 +380,16 @@ def test_criterion_11_byte_identical_reruns(tmp_path):
         assert first == second, f"{name} output differs between runs"
         assert first
     report("11. mine, hmm-sim, and classify are byte-identical across reruns")
+
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+
+
+@pytest.mark.parametrize("demo", sorted(path.stem for path in DEMOS.glob("*.py")))
+def test_demo_prints_its_golden_output(demo, tmp_path):
+    # The golden files were written with
+    #   PYTHONPATH=src python demos/<demo>.py > tests/golden/demos/<demo>.out
+    expected = (Path(__file__).parent / "golden" / "demos" / f"{demo}.out").read_bytes()
+    assert _run_python([str(DEMOS / f"{demo}.py")], tmp_path) == expected, (
+        f"demos/{demo}.py printed something other than its golden output"
+    )

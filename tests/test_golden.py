@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import contextlib
 import io
+import random
 import sys
 from pathlib import Path
 
 import pytest
 
-from episodeseq import corpus_to_events, dump_events, hmm
+from episodeseq import EventDataset, corpus_to_events, dump_events, hmm
 from episodeseq.cli import main
 from episodeseq.datasets import (
     make_planted_corpus,
@@ -49,6 +50,21 @@ def _trajectory_text() -> str:
     return _events_text(hmm.trajectory_dataset(model, hmm.simulate(model, 2000, 5)))
 
 
+def _duplicates_text() -> str:
+    # Three sequences of A/B/C events at times 1-12, so many (time, type)
+    # pairs occur twice.  Under ``--max-gap 2``, round 0 codes the first copy
+    # of such a pair and round 1 the second one.
+    rng = random.Random(2506)
+    return _events_text(
+        EventDataset.from_tuples(
+            [
+                [(rng.randint(1, 12), rng.choice("ABC")) for _ in range(rng.randint(10, 30))]
+                for _ in range(rng.randint(2, 3))
+            ]
+        )
+    )
+
+
 def _corpus_text() -> str:
     handle = io.StringIO()
     save_corpus(_two_class_train(), handle)
@@ -78,6 +94,7 @@ CASES = {
         ["mine", "--max-gap", "5", "--freq-mode", "distinct", "--dump-candidates"],
     ),
     "two_class_60.dict.txt": (_corpus_text, ["dict", "--max-gap", "5"]),
+    "duplicates.table.csv": (_duplicates_text, ["mine", "--max-gap", "2"]),
 }
 
 

@@ -5,6 +5,8 @@ from itertools import combinations
 import pytest
 
 from episodeseq import (
+    Alphabet,
+    Event,
     EventDataset,
     FrequencyMode,
     TableFormatError,
@@ -224,6 +226,51 @@ def test_select_deterministic():
         (str(s.episode), s.starts, s.frequency, s.round_index)
         for s in second.selected
     ]
+
+
+def _rounds_dataset(rng: random.Random) -> EventDataset:
+    """1-4 sequences over A/B/C, times -4..12, some empty, with duplicates."""
+    sequences = []
+    for _ in range(rng.randint(1, 4)):
+        size = 0 if rng.random() < 0.2 else rng.randint(8, 40)
+        seq = [(rng.randint(-4, 12), rng.choice("ABC")) for _ in range(size)]
+        seq += [rng.choice(seq) for _ in range(rng.randint(0, 4))] if seq else []
+        sequences.append(seq)
+    return EventDataset.from_tuples(sequences, Alphabet(("A", "B", "C")))
+
+
+def test_select_covers_bind_lowest_events_left_by_earlier_rounds():
+    rng = random.Random(31)
+    for k in range(300):
+        data = _rounds_dataset(rng)
+        mode = FrequencyMode.DISTINCT if k % 2 else FrequencyMode.NON_OVERLAPPED
+        state = select(data, 2, mode=mode)
+        by_round: dict[int, set] = {}
+        for sel in state.selected:
+            by_round.setdefault(sel.round_index, set()).update(sel.covered)
+        # covers from different rounds are disjoint
+        assert sum(map(len, by_round.values())) == len(state.covered_positions)
+        for sel in state.selected:
+            earlier = set().union(
+                *(cov for r, cov in by_round.items() if r < sel.round_index)
+            )
+            offsets = sel.episode.offsets()
+            type_ids = [data.alphabet.index(sym) for sym in sel.episode.event_types]
+            expected = set()
+            for seq_idx, seq_starts in enumerate(sel.starts):
+                seq = data.sequences[seq_idx]
+                for t in seq_starts:
+                    for tid, off in zip(type_ids, offsets):
+                        # positions holding the event this node needs that no
+                        # earlier round covered; the node binds the lowest
+                        free = [
+                            p
+                            for p, ev in enumerate(seq)
+                            if ev == Event(tid, t + off) and (seq_idx, p) not in earlier
+                        ]
+                        assert free, (str(sel.episode), seq_idx, t)
+                        expected.add((seq_idx, free[0]))
+            assert sel.covered == expected
 
 
 def test_table_csv_roundtrip(sample_data, sample_episodes):
