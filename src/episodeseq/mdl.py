@@ -30,12 +30,10 @@ from .events import (
     parse_episode,
 )
 from .occurrences import (
-    CoverSet,
     FrequencyMode,
     cover,
     lowest_positions,
     occurrences_for_mode,
-    overlap_count,
 )
 
 
@@ -65,16 +63,12 @@ def overlap_score(
 ) -> int:
     """Score minus the events already coded by each selected episode.
 
-    Occurrence lists and covers are evaluated on ``data`` under ``mode``
-    for the candidate and every episode in ``selected``.
+    Frequencies and covers come from :func:`forced_selection` of the
+    candidate and ``selected`` on ``data`` under ``mode``.
     """
-    occ = occurrences_for_mode(data, episode, mode)
-    ep_cover = cover(data, episode, occ.starts)
-    penalty = 0
-    for other in selected:
-        other_occ = occurrences_for_mode(data, other, mode)
-        penalty += overlap_count(ep_cover, cover(data, other, other_occ.starts))
-    return score(episode, occ.total) - penalty
+    own, *others = forced_selection(data, [episode, *selected], mode).selected
+    penalty = sum(len(own.covered & other.covered) for other in others)
+    return score(episode, own.frequency) - penalty
 
 
 @dataclass(frozen=True)
@@ -82,8 +76,8 @@ class SelectedEpisode:
     """One selection decision, with the evidence it was based on.
 
     ``starts`` are the occurrence start times found in the round's residual
-    data; ``covered`` holds the positions of the original data events those
-    occurrences code for.
+    data; ``covered`` holds the positions, in the input data, of the events
+    those occurrences code for.
     """
 
     episode: FixedIntervalEpisode
@@ -113,16 +107,6 @@ class SelectionState:
         return tuple(sel.episode for sel in self.selected)
 
 
-def _residual_dataset(
-    data: EventDataset,
-    residual: list[list[tuple[Event, int]]],
-) -> tuple[EventDataset, list[list[int]]]:
-    """Dataset over the remaining events plus a map back to original positions."""
-    seqs = tuple(tuple(ev for ev, _ in seq) for seq in residual)
-    posmap = [[orig for _, orig in seq] for seq in residual]
-    return EventDataset(seqs, data.alphabet), posmap
-
-
 def select(
     data: EventDataset,
     max_gap: int,
@@ -145,28 +129,31 @@ def select(
     if max_episodes is not None and max_episodes < 1:
         raise ValueError("max_episodes must be >= 1 when given")
 
-    residual: list[list[tuple[Event, int]]] = [
-        [(ev, pos) for pos, ev in enumerate(seq)] for seq in data.sequences
-    ]
+    removed: set[tuple[int, int]] = set()  # (sequence, position) coded so far
     selected: list[SelectedEpisode] = []
     round_index = 0
     while max_episodes is None or len(selected) < max_episodes:
-        res_data, posmap = _residual_dataset(data, residual)
+        left = [
+            [(pos, ev) for pos, ev in enumerate(seq) if (seq_idx, pos) not in removed]
+            for seq_idx, seq in enumerate(data.sequences)
+        ]
+        res_data = EventDataset(
+            tuple(tuple(ev for _, ev in seq) for seq in left), data.alphabet
+        )
         if res_data.n_events == 0:
             break
         candidates = generate_candidates(res_data, max_gap, mode)
-        # Candidate covers, mapped back to original event positions.
+        # Candidate covers, in positions of ``data``: each node binds the
+        # lowest-index event with its (type, time) that is still left.
         # Non-positive scores can never yield a positive overlap-score.
         entries: list[list] = []
-        lowest = [lowest_positions(seq) for seq in res_data.sequences]
+        lowest = [lowest_positions(seq) for seq in left]
+        del left
         for cand in candidates:
             if cand.score <= 0:
                 continue
             cov = cover(res_data, cand.episode, cand.occurrences.starts, lowest)
-            orig = frozenset(
-                (seq_idx, posmap[seq_idx][pos]) for seq_idx, pos in cov.positions
-            )
-            entries.append([cand, orig, 0])  # [candidate, cover, overlap penalty]
+            entries.append([cand, cov.positions, 0])  # [candidate, cover, penalty]
         del lowest  # not needed during the next round's candidate search
 
         round_picks: list[list] = []
@@ -201,13 +188,7 @@ def select(
                     covered,
                 )
             )
-        removed: set[tuple[int, int]] = set()
-        for _, covered, _ in round_picks:
             removed |= covered
-        residual = [
-            [(ev, orig) for ev, orig in seq if (seq_idx, orig) not in removed]
-            for seq_idx, seq in enumerate(residual)
-        ]
         round_index += 1
     return SelectionState(data, mode, tuple(selected), round_index)
 

@@ -151,10 +151,15 @@ def count_no_general(data: EventDataset, episode: SerialEpisode) -> int:
     return count
 
 
-def lowest_positions(seq: tuple[Event, ...]) -> dict[tuple[int, int], int]:
-    """(type, time) -> position of the lowest-index such event in ``seq``."""
+def lowest_positions(
+    events: Iterable[tuple[int, Event]],
+) -> dict[tuple[int, int], int]:
+    """(type, time) -> lowest position among ``(position, event)`` pairs.
+
+    The pairs come in increasing position order.
+    """
     lowest: dict[tuple[int, int], int] = {}
-    for pos, ev in enumerate(seq):
+    for pos, ev in events:
         lowest.setdefault((ev.event_type, ev.time), pos)
     return lowest
 
@@ -169,8 +174,9 @@ def cover(
 
     Each node binds to the lowest-index event with the required
     (type, time) in its sequence.  ``lowest`` holds
-    :func:`lowest_positions` of every sequence of ``data``; callers that
-    cover many episodes on the same data pass it to build it only once.
+    :func:`lowest_positions` of every sequence, and the returned positions
+    are the ones it holds; callers that cover many episodes on the same
+    data pass it to build it only once.
     """
     type_ids = [data.alphabet.index(sym) for sym in episode.event_types]
     offsets = episode.offsets()
@@ -178,7 +184,11 @@ def cover(
     for seq_idx, seq_starts in enumerate(starts):
         if not seq_starts:
             continue
-        at = lowest[seq_idx] if lowest else lowest_positions(data.sequences[seq_idx])
+        at = (
+            lowest[seq_idx]
+            if lowest
+            else lowest_positions(enumerate(data.sequences[seq_idx]))
+        )
         for t in seq_starts:
             for tid, off in zip(type_ids, offsets):
                 pos = at.get((tid, t + off))
