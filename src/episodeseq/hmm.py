@@ -63,6 +63,8 @@ class StateId:
         """Canonical dense index: N0, then S1, S2, N1, N2 blocks."""
         if self.kind is StateKind.NOISE0:
             return 0
+        if not (1 <= self.i <= n_nodes and 1 <= self.j <= n_nodes):
+            raise ValueError(f"state {self.label()} out of range for N={n_nodes}")
         block = {
             StateKind.EP1: 0,
             StateKind.EP2: 1,

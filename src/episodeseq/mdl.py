@@ -254,18 +254,12 @@ def _flat_starts(starts: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, int], 
     )
 
 
-def encode(
-    data: EventDataset,
-    selection: SelectionState,
-    mode: FrequencyMode | None = None,
-) -> EncodingTable:
+def encode(data: EventDataset, selection: SelectionState) -> EncodingTable:
     """Build the encoding table for a dataset under a selection.
 
     One row per selected episode, in selection order, followed by one
     1-node row per event type still uncovered, in symbol order.
     """
-    if mode is None:
-        mode = selection.mode
     covered = selection.covered_positions
     rows = [
         TableRow(sel.episode, _flat_starts(sel.starts), residual=False)
@@ -334,7 +328,18 @@ def save_table(table: EncodingTable, handle: IO[str]) -> None:
     data held duplicate events, their multiplicities follow the header as
     one ``#mult`` comment line.  A ``#sequences N`` comment line follows
     when the data has sequences after the last one any row refers to.
+
+    Raises :class:`TableFormatError`, before writing anything, when a row
+    symbol holds whitespace or a ``#mult`` symbol holds ``;``: the table
+    could not be read back.
     """
+    for row in table.rows:
+        for sym in row.episode.event_types:
+            if any(map(str.isspace, sym)):
+                raise TableFormatError(f"symbol {sym!r} holds whitespace")
+    for _, _, sym in table.multiplicities:
+        if ";" in sym:
+            raise TableFormatError(f"duplicated symbol {sym!r} holds ';'")
     writer = csv.writer(handle, lineterminator="\n")
     writer.writerow(TABLE_HEADER)
     if table.multiplicities:

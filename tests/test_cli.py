@@ -164,6 +164,15 @@ def test_hmm_score_on_simulated_trajectory(tmp_path, capsys):
     assert best >= joint
 
 
+@pytest.mark.parametrize("label", ["S1(9,9)", "S1(0,2)"])
+def test_hmm_score_rejects_state_out_of_range(label, tmp_path, capsys):
+    traj = tmp_path / "traj.txt"
+    traj.write_text(f"N0 {label}\nA B\n", "utf-8")
+    pair = ["--alpha", "A -> B", "--beta", "C -> D", "--alphabet-size", "6", "--eta", "0.4"]
+    assert main(["hmm-score", *pair, str(traj)]) == 3
+    assert f"state {label} out of range for N=2" in capsys.readouterr().err
+
+
 def test_hmm_compare_output(capsys):
     assert (
         main(
@@ -226,6 +235,16 @@ def test_exit_code_validation_error(sample_file, tmp_path, capsys):
     status = main(["mine", str(sample_file), "--force-episodes", str(bad)])
     assert status == 3
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("events", ["1\ta b\n2\tc\n", "1\ta;b\n1\ta;b\n2\tc\n"])
+def test_mine_rejects_symbols_a_table_cannot_carry(events, tmp_path, capsys):
+    path = tmp_path / "seq.tsv"
+    path.write_text(events, "utf-8")
+    assert main(["mine", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
 
 
 def test_exit_code_io_error(tmp_path, capsys):

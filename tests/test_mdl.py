@@ -3,6 +3,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from episodeseq import (
     Alphabet,
@@ -343,6 +345,49 @@ def test_table_csv_multiplicity_of_symbol_with_equals_sign():
     again = io.StringIO()
     save_table(loaded, again)
     assert again.getvalue() == text
+
+
+@pytest.mark.parametrize(
+    "events",
+    [
+        [(1, "a;b"), (1, "a;b"), (2, "c")],
+        [(1, "a b"), (2, "c")],
+        [(1, "a\x1cb"), (2, "c")],
+        [(1, "x y"), (1, "x y")],
+    ],
+)
+def test_save_table_refuses_symbols_the_format_cannot_carry(events):
+    data = EventDataset.from_tuples([events])
+    out = io.StringIO()
+    with pytest.raises(TableFormatError):
+        save_table(encode(data, forced_selection(data, [])), out)
+    assert out.getvalue() == ""
+
+
+_SYMBOL = st.one_of(
+    st.text(st.sampled_from(" ,;:=#\"-\t\n\x1c\x85ab1>"), min_size=1, max_size=4),
+    st.text(min_size=1, max_size=3),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    symbols=st.lists(_SYMBOL, min_size=1, max_size=4, unique=True),
+    data=st.data(),
+)
+def test_table_round_trips_or_save_refuses(symbols, data):
+    event = st.tuples(st.integers(-3, 8), st.sampled_from(symbols))
+    dataset = EventDataset.from_tuples(
+        data.draw(st.lists(st.lists(event, max_size=12), min_size=1, max_size=3))
+    )
+    table = encode(dataset, select(dataset, 2))
+    out = io.StringIO()
+    try:
+        save_table(table, out)
+    except TableFormatError:
+        assert out.getvalue() == ""
+        return
+    assert decode(load_table(io.StringIO(out.getvalue()))) == dataset
 
 
 def test_load_table_rejects_malformed():
