@@ -236,7 +236,8 @@ def _rounds_dataset(rng: random.Random) -> EventDataset:
     for _ in range(rng.randint(1, 4)):
         size = 0 if rng.random() < 0.2 else rng.randint(8, 40)
         seq = [(rng.randint(-4, 12), rng.choice("ABC")) for _ in range(size)]
-        seq += [rng.choice(seq) for _ in range(rng.randint(0, 4))] if seq else []
+        if seq:
+            seq += [rng.choice(seq) for _ in range(rng.randint(0, 4))]
         sequences.append(seq)
     return EventDataset.from_tuples(sequences, Alphabet(("A", "B", "C")))
 
