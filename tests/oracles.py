@@ -11,6 +11,8 @@ import random
 from functools import lru_cache
 from itertools import permutations, product
 
+import numpy as np
+
 from episodeseq import (
     Alphabet,
     Event,
@@ -187,3 +189,32 @@ def random_planted_dataset(
         [[(tm, sym) for tm, sym in events]], alphabet
     )
     return data, episode
+
+
+def dense_viterbi(model, outputs) -> tuple[int, ...]:
+    """Viterbi path by the dense O(T·S²) max-product over every state pair.
+
+    Ties resolve to the lowest canonical state index, as ``np.argmax``
+    picks the first maximum.
+    """
+    if len(outputs) == 0:
+        raise ValueError("output sequence must be non-empty")
+    m = model.alphabet_size
+    if any(not 0 <= o < m for o in outputs):
+        raise ValueError("output symbol outside the alphabet")
+    with np.errstate(divide="ignore"):
+        log_trans = np.log(model.transitions)
+        log_init = np.log(model.initial)
+        log_emit = np.log(model.emissions)
+    t_max = len(outputs)
+    n_states = model.n_states
+    delta = log_init + log_emit[:, outputs[0]]
+    pointers = np.empty((t_max, n_states), dtype=np.int64)
+    for t in range(1, t_max):
+        scores = delta[:, None] + log_trans
+        pointers[t] = np.argmax(scores, axis=0)
+        delta = scores[pointers[t], np.arange(n_states)] + log_emit[:, outputs[t]]
+    path = [int(np.argmax(delta))]
+    for t in range(t_max - 1, 0, -1):
+        path.append(int(pointers[t, path[-1]]))
+    return tuple(reversed(path))

@@ -1,4 +1,5 @@
-"""Frozen CLI outputs: ``mine`` tables, candidate dumps and a ``dict`` run.
+"""Frozen CLI outputs: ``mine`` tables, candidate dumps, a ``dict`` run and
+``hmm-score --viterbi`` paths.
 
 Each case builds its input from the bundled sample or a seeded generator,
 runs the CLI in-process and compares stdout byte for byte with the file in
@@ -65,6 +66,20 @@ def _duplicates_text() -> str:
     )
 
 
+def _pair_trajectory_case(alpha: str, beta: str, size: int, length: int, seed: int):
+    """A ``hmm-score --viterbi`` case on a simulated states-and-symbols file."""
+
+    def text() -> str:
+        a, b = parse_serial_episode(alpha), parse_serial_episode(beta)
+        model = hmm.build_model(a, b, hmm.default_pair_alphabet(a, b, size), 0.25)
+        traj = hmm.simulate(model, length, seed)
+        states = " ".join(model.state(idx).label() for idx in traj.states)
+        return states + "\n" + " ".join(map(model.alphabet.name, traj.outputs)) + "\n"
+
+    flags = ["--alpha", alpha, "--beta", beta, "--alphabet-size", str(size)]
+    return text, ["hmm-score", *flags, "--eta", "0.25", "--viterbi"]
+
+
 def _corpus_text() -> str:
     handle = io.StringIO()
     save_corpus(_two_class_train(), handle)
@@ -95,6 +110,18 @@ CASES = {
     ),
     "two_class_60.dict.txt": (_corpus_text, ["dict", "--max-gap", "5"]),
     "duplicates.table.csv": (_duplicates_text, ["mine", "--max-gap", "2"]),
+    # The benchmark's 257-state pair: two 8-node episodes sharing D.
+    "pair_8node.viterbi.txt": _pair_trajectory_case(
+        "A -> B -> C -> D -> E -> F -> G -> H",
+        "I -> J -> K -> D -> L -> M -> N -> O",
+        20,
+        2000,
+        11,
+    ),
+    # Equal first symbols: the model starts in its shared initial state.
+    "pair_shared_start.viterbi.txt": _pair_trajectory_case(
+        "A -> B -> C", "A -> D -> B", 9, 300, 12
+    ),
 }
 
 

@@ -29,6 +29,7 @@ from episodeseq import (
     trajectory_stats,
     viterbi,
 )
+from oracles import dense_viterbi
 
 
 def pair_model(alpha="A -> B -> C", beta="D -> B -> E", m=7, eta=0.2):
@@ -299,6 +300,38 @@ def test_viterbi_dominates_sampled_paths():
         best = viterbi(model, traj.outputs)
         assert joint_log_likelihood(model, traj.outputs, best) >= joint_log_likelihood(
             model, traj.outputs, traj.states
+        )
+
+
+def test_viterbi_equals_dense_max_product():
+    # Random pairs with N = 1..5 over a small symbol pool, so that episodes
+    # share symbols, sometimes their first one (a shared initial state).
+    # eta = 1/3 makes eta equal (1 - eta)/2, so ties between predecessors
+    # are common and the lowest-index tie-break is exercised.
+    rng = random.Random(905)
+    for case in range(400):
+        n = rng.randint(1, 5)
+        pool = "ABCDEFGHIJ"[: rng.randint(n, min(10, 2 * n + 1))]
+        alpha = rng.sample(pool, n)
+        beta = rng.sample(pool, n)
+        if case % 4 == 0:
+            beta = [alpha[0]] + [sym for sym in beta if sym != alpha[0]][: n - 1]
+        a = parse_serial_episode(" -> ".join(alpha))
+        b = parse_serial_episode(" -> ".join(beta))
+        size = len(set(alpha) | set(beta)) + rng.randint(0, 4)
+        bound = eta_upper_bound(size)
+        if case % 3 == 0 and bound > 1 / 3:
+            eta = 1 / 3
+        else:
+            eta = rng.uniform(0.001, 0.999) * bound
+        model = build_model(a, b, default_pair_alphabet(a, b, size), eta)
+        length = rng.randint(1, 60)
+        if case % 2:
+            outputs = simulate(model, length, seed=rng.randrange(10**6)).outputs
+        else:
+            outputs = [rng.randrange(size) for _ in range(length)]
+        assert viterbi(model, outputs) == dense_viterbi(model, outputs), (
+            f"case {case}: {a} / {b}, M={size}, eta={eta}, outputs={outputs}"
         )
 
 
