@@ -303,9 +303,8 @@ def trajectory_counts(
     model: EpisodePairModel, traj: Trajectory
 ) -> tuple[int, int, int]:
     """(noise, unshared-episode, shared-episode) state counts of a path."""
-    n_noise = sum(
-        1 for idx in traj.states if model.state(idx).kind.is_noise
-    )
+    state_ids = [model.state(idx) for idx in range(model.n_states)]
+    n_noise = sum(1 for idx in traj.states if state_ids[idx].kind.is_noise)
     n_shared = sum(traj.shared)
     return n_noise, len(traj) - n_noise - n_shared, n_shared
 
@@ -441,29 +440,43 @@ def closed_form_case2(
 def viterbi(model: EpisodePairModel, outputs: Sequence[int]) -> tuple[int, ...]:
     """Most likely state sequence for an output sequence.
 
-    Standard log-space max-product dynamic program over all states; ties
-    resolve to the lowest canonical state index.
+    Log-space max-product over predecessor lists (Rabiner 1989, sec. III-B):
+    each step maximizes over the few states with an edge into a state, so a
+    step costs O(S K) for in-degree K, not O(S^2).  Predecessors are taken
+    in ascending index order and the first maximum wins, so ties resolve to
+    the lowest canonical state index.
     """
     if len(outputs) == 0:
         raise ValueError("output sequence must be non-empty")
     m = model.alphabet_size
     if any(not 0 <= o < m for o in outputs):
         raise ValueError("output symbol outside the alphabet")
-    with np.errstate(divide="ignore"):
-        log_trans = np.log(model.transitions)
-        log_init = np.log(model.initial)
-        log_emit = np.log(model.emissions)
-    t_max = len(outputs)
     n_states = model.n_states
-    delta = log_init + log_emit[:, outputs[0]]
-    pointers = np.empty((t_max, n_states), dtype=np.int64)
+    # Row d of ``preds`` lists the sources of the edges into d in ascending
+    # order; spare slots hold source 0 at log-weight -inf.
+    dst, src = np.nonzero(model.transitions.T)
+    in_degree = np.bincount(dst, minlength=n_states)
+    slot = np.arange(dst.size) - (np.cumsum(in_degree) - in_degree)[dst]
+    preds = np.zeros((n_states, in_degree.max()), dtype=np.intp)
+    preds[dst, slot] = src
+    log_w = np.full(preds.shape, -np.inf)
+    log_w[dst, slot] = np.log(model.transitions[src, dst])
+    with np.errstate(divide="ignore"):
+        log_init = np.log(model.initial)
+        log_emit = np.ascontiguousarray(np.log(model.emissions).T)  # (M, S)
+    t_max = len(outputs)
+    rows = np.arange(n_states)
+    delta = log_init + log_emit[outputs[0]]
+    # Back-pointers are slots in ``preds`` rows, so a small int type holds them.
+    back = np.empty((t_max, n_states), np.min_scalar_type(preds.shape[1] - 1))
     for t in range(1, t_max):
-        scores = delta[:, None] + log_trans
-        pointers[t] = np.argmax(scores, axis=0)
-        delta = scores[pointers[t], np.arange(n_states)] + log_emit[:, outputs[t]]
+        scores = delta[preds] + log_w
+        col = scores.argmax(axis=1)
+        back[t] = col
+        delta = scores[rows, col] + log_emit[outputs[t]]
     path = [int(np.argmax(delta))]
     for t in range(t_max - 1, 0, -1):
-        path.append(int(pointers[t, path[-1]]))
+        path.append(int(preds[path[-1], back[t, path[-1]]]))
     return tuple(reversed(path))
 
 
@@ -516,8 +529,9 @@ def trajectory_stats(
     def prev_pos(k: int) -> int:
         return n if k == 1 else k - 1
 
+    state_ids = [model.state(idx) for idx in range(model.n_states)]
     for idx, is_shared in zip(states, shared):
-        state = model.state(idx)
+        state = state_ids[idx]
         if state.kind is StateKind.EP1:
             if state.i == n:
                 f_first += 1
