@@ -9,6 +9,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from contextlib import contextmanager
@@ -66,11 +67,17 @@ EXIT_IO = 4
 
 @contextmanager
 def _open_out(path: str | None):
+    """Stdout, or a buffer written to ``path`` only if the body succeeds.
+
+    A command that fails part-way leaves an existing output file as it was.
+    """
     if path is None or path == "-":
         yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            yield handle
+        return
+    buffer = io.StringIO()
+    yield buffer
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(buffer.getvalue())
 
 
 @contextmanager

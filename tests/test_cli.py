@@ -247,6 +247,20 @@ def test_mine_rejects_symbols_a_table_cannot_carry(events, tmp_path, capsys):
     assert "error:" in captured.err
 
 
+def test_mine_out_file_written_only_on_success(sample_file, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    out.write_bytes(b"previous contents\n")
+    bad = tmp_path / "bad.tsv"
+    bad.write_text("1\ta b\n2\tc\n", "utf-8")
+    assert main(["mine", str(bad), "-o", str(out)]) == 3
+    assert out.read_bytes() == b"previous contents\n"
+    capsys.readouterr()
+    assert main(["mine", str(sample_file)]) == 0
+    printed = capsys.readouterr().out
+    assert main(["mine", str(sample_file), "-o", str(out)]) == 0
+    assert out.read_bytes() == printed.encode("utf-8")
+
+
 def test_exit_code_io_error(tmp_path, capsys):
     status = main(["decode", str(tmp_path / "missing.csv")])
     assert status == 4
