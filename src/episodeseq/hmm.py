@@ -442,9 +442,9 @@ def viterbi(model: EpisodePairModel, outputs: Sequence[int]) -> tuple[int, ...]:
 
     Log-space max-product over predecessor lists (Rabiner 1989, sec. III-B):
     each step maximizes over the few states with an edge into a state, so a
-    step costs O(S K) for in-degree K, not O(S^2).  Predecessors are taken
-    in ascending index order and the first maximum wins, so ties resolve to
-    the lowest canonical state index.
+    step costs O(S K) for the largest in-degree K, not O(S^2).  Predecessors
+    are taken in ascending index order and the first maximum wins, so ties
+    resolve to the lowest canonical state index.
     """
     if len(outputs) == 0:
         raise ValueError("output sequence must be non-empty")
