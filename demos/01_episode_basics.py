@@ -24,12 +24,12 @@ episode = parse_episode("A -2-> B -1-> C")
 print(f"Episode {episode} spans {span(episode)} time units.")
 
 occ = find_distinct_starts(data, episode)
-print(f"Distinct occurrence starts: {occ.starts[0]}  (frequency {occ.total})")
+print(f"Distinct occurrence starts: {tuple(t for _, t in occ.starts)}  (frequency {occ.total})")
 
 # Non-overlapped occurrences: each kept start must clear the previous
 # occurrence's end.  The greedy filter below is provably maximal.
 kept = find_no_occurrences(occ)
-print(f"Non-overlapped starts:      {kept.starts[0]}  (frequency {kept.total})")
+print(f"Non-overlapped starts:      {tuple(t for _, t in kept.starts)}  (frequency {kept.total})")
 print()
 
 # Episodes without fixed gaps are counted with a single left-to-right scan.

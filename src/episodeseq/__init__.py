@@ -23,16 +23,13 @@ from .events import (
 )
 from .occurrences import (
     CoverIntegrityError,
-    CoverSet,
     FrequencyMode,
     OccurrenceList,
     count_no_general,
     cover,
-    dump_occurrences,
     find_distinct_starts,
     find_no_occurrences,
     occurrences_for_mode,
-    overlap_count,
 )
 from .mdl import (
     EncodingTable,

@@ -21,10 +21,8 @@ list.  Occurrence lists and candidates are built only for emitted episodes.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .events import EventDataset, FixedIntervalEpisode
 from .mdl import row_gain, score
@@ -77,36 +75,27 @@ class _DataIndex:
     """
 
     def __init__(self, data: EventDataset, max_gap: int):
-        self.n_sequences = data.n_sequences
         # symbol id -> sorted distinct global times of its events
         self.times_by_type: dict[int, list[int]] = {}
         # global time -> symbol ids present at that time
         self.types_at_time: dict[int, set[int]] = {}
-        # (first global time, shift, sequence index) per non-empty sequence
-        self.shifts: list[tuple[int, int, int]] = []
+        # global time -> (sequence index, time in that sequence)
+        self.pair_at: dict[int, tuple[int, int]] = {}
         end = None
         for seq_idx, seq in enumerate(data.sequences):
             if not seq:
                 continue
             base = 0 if end is None else end + max_gap + 1 - seq[0].time
-            self.shifts.append((seq[0].time + base, base, seq_idx))
             for ev in seq:
                 # unshifted times keep the events' own int objects
                 g = ev.time + base if base else ev.time
+                if g not in self.pair_at:
+                    self.pair_at[g] = (seq_idx, ev.time)
                 self.types_at_time.setdefault(g, set()).add(ev.event_type)
                 times = self.times_by_type.setdefault(ev.event_type, [])
                 if not times or times[-1] != g:
                     times.append(g)
             end = seq[-1].time + base
-
-    def per_sequence(self, starts: list[int]) -> tuple[tuple[int, ...], ...]:
-        """Map global start times back to per-sequence start times."""
-        out: list[list[int]] = [[] for _ in range(self.n_sequences)]
-        for g in starts:
-            k = bisect_right(self.shifts, g, key=itemgetter(0)) - 1
-            _, base, seq_idx = self.shifts[k]
-            out[seq_idx].append(g - base if base else g)
-        return tuple(map(tuple, out))
 
 
 def generate_candidates(
@@ -124,6 +113,7 @@ def generate_candidates(
         raise ValueError("max_gap must be >= 1")
     index = _DataIndex(data, max_gap)
     at_time = index.types_at_time
+    pair_at = index.pair_at
     no_mode = mode is FrequencyMode.NON_OVERLAPPED
     deltas = range(1, max_gap + 1)
     # (type ids, gaps) of each emitted episode -> its candidate
@@ -167,7 +157,7 @@ def generate_candidates(
             episode = FixedIntervalEpisode(
                 tuple(data.alphabet.name(i) for i in best_ids), best_gaps
             )
-            occ = OccurrenceList(episode, index.per_sequence(best_starts))
+            occ = OccurrenceList(episode, tuple(map(pair_at.__getitem__, best_starts)))
             if no_mode:
                 occ = find_no_occurrences(occ)
             emitted[best_ids, best_gaps] = Candidate(

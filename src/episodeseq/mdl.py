@@ -75,13 +75,14 @@ def overlap_score(
 class SelectedEpisode:
     """One selection decision, with the evidence it was based on.
 
-    ``starts`` are the occurrence start times found in the round's residual
-    data; ``covered`` holds the positions, in the input data, of the events
-    those occurrences code for.
+    ``starts`` are the ``(sequence, start time)`` pairs of the occurrences
+    found in the round's residual data; ``covered`` holds the
+    ``(sequence, position)`` pairs, in the input data, of the events those
+    occurrences code for.
     """
 
     episode: FixedIntervalEpisode
-    starts: tuple[tuple[int, ...], ...]
+    starts: tuple[tuple[int, int], ...]
     frequency: int
     round_index: int
     covered: frozenset[tuple[int, int]]
@@ -153,7 +154,7 @@ def select(
             if cand.score <= 0:
                 continue
             cov = cover(res_data, cand.episode, cand.occurrences.starts, lowest)
-            entries.append([cand, cov.positions, 0])  # [candidate, cover, penalty]
+            entries.append([cand, cov, 0])  # [candidate, cover, penalty]
         del lowest  # not needed during the next round's candidate search
 
         round_picks: list[list] = []
@@ -207,9 +208,7 @@ def forced_selection(
     for episode in episodes:
         occ = occurrences_for_mode(data, episode, mode)
         cov = cover(data, episode, occ.starts)
-        selected.append(
-            SelectedEpisode(episode, occ.starts, occ.total, 0, cov.positions)
-        )
+        selected.append(SelectedEpisode(episode, occ.starts, occ.total, 0, cov))
     return SelectionState(data, mode, tuple(selected), 1 if selected else 0)
 
 
@@ -248,12 +247,6 @@ class EncodingTable:
     n_sequences: int | None = None
 
 
-def _flat_starts(starts: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, int], ...]:
-    return tuple(
-        (seq_idx, t) for seq_idx, seq_starts in enumerate(starts) for t in seq_starts
-    )
-
-
 def encode(data: EventDataset, selection: SelectionState) -> EncodingTable:
     """Build the encoding table for a dataset under a selection.
 
@@ -262,7 +255,7 @@ def encode(data: EventDataset, selection: SelectionState) -> EncodingTable:
     """
     covered = selection.covered_positions
     rows = [
-        TableRow(sel.episode, _flat_starts(sel.starts), residual=False)
+        TableRow(sel.episode, sel.starts, residual=False)
         for sel in selection.selected
     ]
     leftovers: dict[str, list[tuple[int, int]]] = {}

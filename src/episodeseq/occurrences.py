@@ -1,11 +1,13 @@
-"""Occurrence detection, non-overlapped filtering, and cover overlap counts.
+"""Occurrence detection, non-overlapped filtering, and covers.
 
 For an injective fixed-interval episode, occurrences starting at different
-times are distinct, so a per-sequence list of start times describes the
-occurrence set completely.  Two occurrences are non-overlapped when the later
-one starts strictly after the earlier one ends (start' > start + span); a
-maximal non-overlapped subset is obtained greedily from the sorted distinct
-starts, keeping each start that clears the previously kept occurrence.
+times are distinct, so a sorted tuple of ``(sequence index, start time)``
+pairs describes the occurrence set completely; encoding-table rows store
+the same pairs.  Two occurrences are non-overlapped when the later one
+starts strictly after the earlier one ends (start' > start + span); a
+maximal non-overlapped subset is obtained greedily from each sequence's
+sorted distinct starts, keeping each start that clears the previously kept
+occurrence.
 
 Covers bind every node of every counted occurrence to a concrete event
 position, so overlap between two episodes' coded events is a plain set
@@ -17,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from operator import lt
+from itertools import groupby
+from operator import itemgetter, lt
 from typing import Iterable
 
 from .events import Event, EventDataset, FixedIntervalEpisode, SerialEpisode, span
@@ -36,56 +39,45 @@ class FrequencyMode(str, Enum):
 
 @dataclass(frozen=True)
 class OccurrenceList:
-    """Per-sequence sorted start times of an episode's occurrences."""
+    """Sorted ``(sequence index, start time)`` pairs of an episode's occurrences."""
 
     episode: FixedIntervalEpisode
-    starts: tuple[tuple[int, ...], ...]
+    starts: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        for seq_starts in self.starts:
-            if seq_starts and not all(map(lt, seq_starts, seq_starts[1:])):
-                raise ValueError("starts must be strictly increasing per sequence")
+        s = self.starts
+        if not all(map(lt, s, s[1:])):
+            raise ValueError("starts must be strictly increasing")
 
     @property
     def total(self) -> int:
         """Occurrence count across all sequences (the episode frequency)."""
-        return sum(map(len, self.starts))
-
-
-@dataclass(frozen=True)
-class CoverSet:
-    """Set of (sequence index, event position) pairs coded by an episode."""
-
-    positions: frozenset[tuple[int, int]]
-
-    def __len__(self) -> int:
-        return len(self.positions)
-
-
-def _type_times(data: EventDataset, type_id: int, seq_idx: int) -> set[int]:
-    return {ev.time for ev in data.sequences[seq_idx] if ev.event_type == type_id}
+        return len(self.starts)
 
 
 def find_distinct_starts(
     data: EventDataset, episode: FixedIntervalEpisode
 ) -> OccurrenceList:
-    """All start times t such that every node's event exists at its offset.
+    """All ``(sequence, t)`` pairs such that every node's event exists at its offset.
 
     Node i must match an event of its type at time t + sum(gaps[:i]) in the
-    same sequence.  Returns an empty list when any symbol is absent.
+    same sequence.  Raises ``KeyError`` when a symbol of the episode is not
+    in the data's alphabet.
     """
     type_ids = [data.alphabet.index(sym) for sym in episode.event_types]
-    offsets = episode.offsets()
-    per_seq: list[tuple[int, ...]] = []
-    for seq_idx in range(data.n_sequences):
-        times = [_type_times(data, tid, seq_idx) for tid in type_ids]
-        starts = sorted(
-            t
-            for t in times[0]
-            if all(t + off in times[i] for i, off in enumerate(offsets))
-        )
-        per_seq.append(tuple(starts))
-    return OccurrenceList(episode, tuple(per_seq))
+    nodes = list(zip(type_ids, episode.offsets()))
+    present = {
+        (seq_idx, ev.time, ev.event_type)
+        for seq_idx, seq in enumerate(data.sequences)
+        for ev in seq
+    }
+    starts = sorted(
+        (seq_idx, t)
+        for seq_idx, t, tid in present
+        if tid == type_ids[0]
+        and all((seq_idx, t + off, k) in present for k, off in nodes)
+    )
+    return OccurrenceList(episode, tuple(starts))
 
 
 def non_overlapped(starts: Iterable[int], ep_span: int) -> list[int]:
@@ -104,11 +96,15 @@ def non_overlapped(starts: Iterable[int], ep_span: int) -> list[int]:
 def find_no_occurrences(occ: OccurrenceList) -> OccurrenceList:
     """Maximal non-overlapped subset of a distinct-occurrence list.
 
-    Applies :func:`non_overlapped` to each sequence's starts.
+    Applies :func:`non_overlapped` to each sequence's run of starts.
     """
     ep_span = span(occ.episode)
-    filtered = (tuple(non_overlapped(s, ep_span)) if s else s for s in occ.starts)
-    return OccurrenceList(occ.episode, tuple(filtered))
+    kept = [
+        (seq_idx, t)
+        for seq_idx, run in groupby(occ.starts, key=itemgetter(0))
+        for t in non_overlapped((t for _, t in run), ep_span)
+    ]
+    return OccurrenceList(occ.episode, tuple(kept))
 
 
 def occurrences_for_mode(
@@ -167,29 +163,28 @@ def lowest_positions(
 def cover(
     data: EventDataset,
     episode: FixedIntervalEpisode,
-    starts: tuple[tuple[int, ...], ...],
+    starts: Iterable[tuple[int, int]],
     lowest: list[dict[tuple[int, int], int]] | None = None,
-) -> CoverSet:
-    """Event positions coded by the given occurrence starts.
+) -> frozenset[tuple[int, int]]:
+    """``(sequence, position)`` pairs of the events coded by the given starts.
 
-    Each node binds to the lowest-index event with the required
-    (type, time) in its sequence.  ``lowest`` holds
-    :func:`lowest_positions` of every sequence, and the returned positions
-    are the ones it holds; callers that cover many episodes on the same
-    data pass it to build it only once.
+    ``starts`` are ``(sequence, start time)`` pairs.  Each node binds to the
+    lowest-index event with the required (type, time) in its sequence.
+    ``lowest`` holds :func:`lowest_positions` of every sequence, and the
+    returned positions are the ones it holds; callers that cover many
+    episodes on the same data pass it to build it only once.  Raises
+    ``KeyError`` when a symbol of the episode is not in the data's alphabet.
     """
     type_ids = [data.alphabet.index(sym) for sym in episode.event_types]
     offsets = episode.offsets()
     positions: set[tuple[int, int]] = set()
-    for seq_idx, seq_starts in enumerate(starts):
-        if not seq_starts:
-            continue
+    for seq_idx, run in groupby(starts, key=itemgetter(0)):
         at = (
             lowest[seq_idx]
             if lowest
             else lowest_positions(enumerate(data.sequences[seq_idx]))
         )
-        for t in seq_starts:
+        for _, t in run:
             for tid, off in zip(type_ids, offsets):
                 pos = at.get((tid, t + off))
                 if pos is None:
@@ -198,20 +193,4 @@ def cover(
                         f"{t + off} in sequence {seq_idx} for start {t}"
                     )
                 positions.add((seq_idx, pos))
-    return CoverSet(frozenset(positions))
-
-
-def overlap_count(c1: CoverSet, c2: CoverSet) -> int:
-    """Number of data events coded by both covers (the OM statistic)."""
-    return len(c1.positions & c2.positions)
-
-
-def dump_occurrences(occ: OccurrenceList) -> str:
-    """Debug dump: one ``<episode>\\t<seq>\\t<start>`` line per occurrence."""
-    ep = str(occ.episode)
-    lines = [
-        f"{ep}\t{seq_idx}\t{t}"
-        for seq_idx, seq_starts in enumerate(occ.starts)
-        for t in seq_starts
-    ]
-    return "\n".join(lines)
+    return frozenset(positions)

@@ -42,6 +42,16 @@ def max_nonoverlap_from_starts(starts: list[int], ep_span: int) -> int:
     return best(0)
 
 
+def per_sequence_starts(
+    starts: tuple[tuple[int, int], ...], n_sequences: int
+) -> tuple[tuple[int, ...], ...]:
+    """Group ``(sequence, time)`` pairs into one tuple of times per sequence."""
+    out: list[list[int]] = [[] for _ in range(n_sequences)]
+    for seq_idx, t in starts:
+        out[seq_idx].append(t)
+    return tuple(map(tuple, out))
+
+
 def fixed_interval_starts(
     events: list[tuple[int, str]], symbols: tuple[str, ...], gaps: tuple[int, ...]
 ) -> list[int]:

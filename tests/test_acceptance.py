@@ -57,6 +57,7 @@ from oracles import (
     all_fixed_interval_episodes,
     max_nonoverlap_from_starts,
     max_nonoverlap_intervals,
+    per_sequence_starts,
     random_dataset,
     random_planted_dataset,
     serial_occurrence_intervals,
@@ -101,7 +102,10 @@ def test_criterion_02_greedy_filter_maximality_oracle():
         episode = parse_episode(text)
         occ = find_distinct_starts(data, episode)
         kept = find_no_occurrences(occ)
-        for starts, filtered in zip(occ.starts, kept.starts):
+        n = data.n_sequences
+        for starts, filtered in zip(
+            per_sequence_starts(occ.starts, n), per_sequence_starts(kept.starts, n)
+        ):
             assert len(filtered) == max_nonoverlap_from_starts(
                 list(starts), span(episode)
             )

@@ -23,7 +23,12 @@ from episodeseq import (
     select,
     total_length,
 )
-from oracles import all_fixed_interval_episodes, random_dataset, random_planted_dataset
+from oracles import (
+    all_fixed_interval_episodes,
+    per_sequence_starts,
+    random_dataset,
+    random_planted_dataset,
+)
 
 
 @pytest.mark.parametrize(
@@ -260,7 +265,8 @@ def test_select_covers_bind_lowest_events_left_by_earlier_rounds():
             offsets = sel.episode.offsets()
             type_ids = [data.alphabet.index(sym) for sym in sel.episode.event_types]
             expected = set()
-            for seq_idx, seq_starts in enumerate(sel.starts):
+            starts = per_sequence_starts(sel.starts, data.n_sequences)
+            for seq_idx, seq_starts in enumerate(starts):
                 seq = data.sequences[seq_idx]
                 for t in seq_starts:
                     for tid, off in zip(type_ids, offsets):

@@ -8,11 +8,9 @@ from episodeseq import (
     OccurrenceList,
     count_no_general,
     cover,
-    dump_occurrences,
     find_distinct_starts,
     find_no_occurrences,
     occurrences_for_mode,
-    overlap_count,
     parse_episode,
     parse_serial_episode,
     span,
@@ -22,6 +20,7 @@ from oracles import (
     fixed_interval_starts,
     max_nonoverlap_from_starts,
     max_nonoverlap_intervals,
+    per_sequence_starts,
     random_dataset,
     raw_events,
     serial_occurrence_intervals,
@@ -29,7 +28,8 @@ from oracles import (
 
 
 def starts_of(data, text):
-    return find_distinct_starts(data, parse_episode(text)).starts[0]
+    occ = find_distinct_starts(data, parse_episode(text))
+    return per_sequence_starts(occ.starts, data.n_sequences)[0]
 
 
 def test_distinct_starts_on_sample(sample_data):
@@ -50,19 +50,26 @@ def test_distinct_starts_match_raw_scan(sample_data):
 
 def test_find_no_occurrences_sample(sample_data):
     occ = find_distinct_starts(sample_data, parse_episode("A -2-> B -1-> C"))
-    assert find_no_occurrences(occ).starts == ((2,),)
+    assert per_sequence_starts(find_no_occurrences(occ).starts, 1) == ((2,),)
 
 
 def test_find_no_occurrences_empty():
     ep = parse_episode("A -1-> B")
-    occ = OccurrenceList(ep, ((),))
-    assert find_no_occurrences(occ).starts == ((),)
+    occ = OccurrenceList(ep, ())
+    assert per_sequence_starts(find_no_occurrences(occ).starts, 1) == ((),)
 
 
 def test_find_no_occurrences_span_four():
     ep = parse_episode("A -4-> B")
-    occ = OccurrenceList(ep, ((1, 5, 10),))
-    assert find_no_occurrences(occ).starts == ((1, 10),)
+    for starts, expected in [
+        (((0, 1), (0, 5), (0, 10)), ((1, 10),)),
+        # the greedy filter restarts in each sequence
+        (((0, 1), (1, 2)), ((1,), (2,))),
+        (((0, 1), (0, 2)), ((1,),)),
+    ]:
+        occ = OccurrenceList(ep, starts)
+        kept = find_no_occurrences(occ).starts
+        assert per_sequence_starts(kept, len(expected)) == expected
 
 
 def test_no_maximality_oracle():
@@ -82,7 +89,10 @@ def test_no_maximality_oracle():
         )
         occ = find_distinct_starts(data, episode)
         kept = find_no_occurrences(occ)
-        for seq_starts, seq_kept in zip(occ.starts, kept.starts):
+        n = data.n_sequences
+        for seq_starts, seq_kept in zip(
+            per_sequence_starts(occ.starts, n), per_sequence_starts(kept.starts, n)
+        ):
             assert len(seq_kept) == max_nonoverlap_from_starts(
                 list(seq_starts), span(episode)
             )
@@ -98,7 +108,10 @@ def test_no_prefix_property():
         episode = parse_episode(f"{ep_symbols[0]} -{rng.randint(1,3)}-> {ep_symbols[1]}")
         occ = find_distinct_starts(data, episode)
         kept = find_no_occurrences(occ)
-        for seq_starts, seq_kept in zip(occ.starts, kept.starts):
+        n = data.n_sequences
+        for seq_starts, seq_kept in zip(
+            per_sequence_starts(occ.starts, n), per_sequence_starts(kept.starts, n)
+        ):
             if not seq_starts:
                 assert not seq_kept
                 continue
@@ -142,16 +155,16 @@ def test_count_no_general_matches_brute_force():
 
 def test_cover_sample_rows(sample_data):
     ep = parse_episode("A -2-> B -1-> C")
-    c = cover(sample_data, ep, ((2, 4),))
+    c = cover(sample_data, ep, ((0, 2), (0, 4)))
     assert len(c) == 6
-    c1 = cover(sample_data, parse_episode("C"), ((3, 8),))
+    c1 = cover(sample_data, parse_episode("C"), ((0, 3), (0, 8)))
     assert len(c1) == 2
-    assert len(cover(sample_data, ep, ((),))) == 0
+    assert len(cover(sample_data, ep, ())) == 0
 
 
 def test_cover_integrity_error(sample_data):
     with pytest.raises(CoverIntegrityError):
-        cover(sample_data, parse_episode("A -2-> B -1-> C"), ((3,),))
+        cover(sample_data, parse_episode("A -2-> B -1-> C"), ((0, 3),))
 
 
 def test_overlap_counts(sample_data):
@@ -159,10 +172,10 @@ def test_overlap_counts(sample_data):
     ep2 = parse_episode("D -2-> E -2-> C")
     c1 = cover(sample_data, ep1, find_distinct_starts(sample_data, ep1).starts)
     c2 = cover(sample_data, ep2, find_distinct_starts(sample_data, ep2).starts)
-    assert overlap_count(c1, c2) == 1  # the event (C,5) is coded by both
-    assert overlap_count(c1, c1) == 6
-    c3 = cover(sample_data, parse_episode("B"), (((6,), ())[:1]))
-    assert overlap_count(c2, c3) == 0
+    assert len(c1 & c2) == 1  # the event (C,5) is coded by both
+    assert len(c1 & c1) == 6
+    c3 = cover(sample_data, parse_episode("B"), ((0, 6),))
+    assert len(c2 & c3) == 0
 
 
 def test_no_covers_are_disjoint_and_full():
@@ -179,10 +192,13 @@ def test_no_covers_are_disjoint_and_full():
 
 def test_duplicate_events_bind_lowest_index():
     data = EventDataset.from_tuples([[(1, "A"), (1, "A"), (2, "B")]])
-    c = cover(data, parse_episode("A -1-> B"), ((1,),))
-    assert (0, 0) in c.positions and (0, 1) not in c.positions
+    c = cover(data, parse_episode("A -1-> B"), ((0, 1),))
+    assert (0, 0) in c and (0, 1) not in c
 
 
-def test_dump_occurrences_format(sample_data):
-    occ = find_distinct_starts(sample_data, parse_episode("A -1-> B"))
-    assert dump_occurrences(occ) == "A -1-> B\t0\t7"
+def test_symbol_outside_the_alphabet_raises_key_error(sample_data):
+    episode = parse_episode("A -1-> Z")
+    with pytest.raises(KeyError):
+        find_distinct_starts(sample_data, episode)
+    with pytest.raises(KeyError):
+        cover(sample_data, episode, ((0, 7),))
