@@ -23,13 +23,16 @@ print()
 episode = parse_episode("A -2-> B -1-> C")
 print(f"Episode {episode} spans {span(episode)} time units.")
 
+# Starts are (sequence, time) pairs; the sample holds one sequence.
 occ = find_distinct_starts(data, episode)
-print(f"Distinct occurrence starts: {tuple(t for _, t in occ.starts)}  (frequency {occ.total})")
+times = tuple(t for _, t in occ.starts)
+print(f"Distinct occurrence starts: {times}  (frequency {occ.total})")
 
 # Non-overlapped occurrences: each kept start must clear the previous
 # occurrence's end.  The greedy filter below is provably maximal.
 kept = find_no_occurrences(occ)
-print(f"Non-overlapped starts:      {tuple(t for _, t in kept.starts)}  (frequency {kept.total})")
+times = tuple(t for _, t in kept.starts)
+print(f"Non-overlapped starts:      {times}  (frequency {kept.total})")
 print()
 
 # Episodes without fixed gaps are counted with a single left-to-right scan.

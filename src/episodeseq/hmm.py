@@ -326,15 +326,22 @@ def simulate(model: EpisodePairModel, length: int, seed: int) -> Trajectory:
     outputs = np.empty(length, dtype=np.int64)
     shared = np.zeros(length, dtype=bool)
 
-    last = model.n_states - 1
-    state = min(int(np.searchsorted(init_cdf, rng.random(), side="right")), last)
+    # Rounding can leave a cumulative sum just below 1; a draw at or above
+    # it goes to the last state with positive probability in that row.
+    init_last = int(np.flatnonzero(model.initial)[-1])
+    trans_last = (
+        model.n_states - 1 - np.argmax(model.transitions[:, ::-1] > 0, axis=1)
+    ).tolist()
+    state = min(
+        int(np.searchsorted(init_cdf, rng.random(), side="right")), init_last
+    )
     shared[0] = state == model.shared_initial_state
     for t in range(length):
         if t > 0:
             prev = state
             state = min(
                 int(np.searchsorted(trans_cdf[prev], rng.random(), side="right")),
-                last,
+                trans_last[prev],
             )
             shared[t] = (prev, state) in model.shared_entry_edges
         states[t] = state

@@ -261,6 +261,20 @@ def test_mine_out_file_written_only_on_success(sample_file, tmp_path, capsys):
     assert out.read_bytes() == printed.encode("utf-8")
 
 
+def test_decode_refuses_a_table_with_an_empty_sequence(tmp_path, capsys):
+    # sequence 1 is empty; an event file cannot hold it, so decode must not
+    # write one that reloads as two sequences
+    table = tmp_path / "t.csv"
+    table.write_text(
+        "size,episode,freq,starts\n#sequences 3\n1,A,1,0:1\n1,B,1,2:4\n", "utf-8"
+    )
+    out = tmp_path / "events.tsv"
+    out.write_bytes(b"previous contents\n")
+    assert main(["decode", str(table), "-o", str(out)]) == 3
+    assert out.read_bytes() == b"previous contents\n"
+    assert "error:" in capsys.readouterr().err
+
+
 def test_exit_code_io_error(tmp_path, capsys):
     status = main(["decode", str(tmp_path / "missing.csv")])
     assert status == 4

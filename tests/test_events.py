@@ -1,7 +1,9 @@
 import io
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from episodeseq import (
@@ -174,3 +176,59 @@ def test_event_file_rejects_bad_lines():
         load_events(io.StringIO("1 A\n"))
     with pytest.raises(DataValidationError):
         load_events(io.StringIO("x\tA\n"))
+
+
+_SYMBOL = st.one_of(
+    st.text(st.sampled_from(" \t\r\n\x1c\u2028ab1"), min_size=1, max_size=4),
+    st.sampled_from(" \t\r\n\x1c\u2028").map(lambda c: f"a{c}b"),
+    st.text(min_size=1, max_size=3),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    symbols=st.lists(_SYMBOL, min_size=1, max_size=4, unique=True),
+    data=st.data(),
+)
+def test_event_file_round_trips_or_dump_refuses(symbols, data):
+    # Drawn datasets hold empty sequences, duplicate events and negative
+    # times; the file is opened with default newline handling.
+    event = st.tuples(st.integers(-3, 8), st.sampled_from(symbols))
+    dataset = EventDataset.from_tuples(
+        data.draw(st.lists(st.lists(event, max_size=6), max_size=3))
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "events.tsv"
+        with open(path, "w", encoding="utf-8") as handle:
+            try:
+                dump_events(dataset, handle)
+            except DataValidationError:
+                refused = True
+            else:
+                refused = False
+        if refused:
+            assert path.read_bytes() == b""
+            return
+        with open(path, encoding="utf-8") as handle:
+            again = load_events(handle)
+    assert again == dataset
+
+
+@pytest.mark.parametrize(
+    "sequences",
+    [
+        [[(1, "A")], []],
+        [[], [(1, "A")]],
+        [[(1, "a ")]],
+        [[(1, " a")]],
+        [[(1, "a\tb")]],
+        [[(1, "a\rb")]],
+        [[(1, "a\nb")]],
+        [[(1, "a\x1c")]],
+    ],
+)
+def test_dump_events_refuses_what_the_file_cannot_carry(sequences):
+    out = io.StringIO()
+    with pytest.raises(DataValidationError):
+        dump_events(EventDataset.from_tuples(sequences), out)
+    assert out.getvalue() == ""

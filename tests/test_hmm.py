@@ -185,6 +185,27 @@ def test_simulate_deterministic_and_delta_emissions():
             assert out == ep_symbol[state]
 
 
+def test_simulate_never_takes_a_zero_probability_state(monkeypatch):
+    # With eta = 0.175 some cumulative rows end just below 1, so a draw of
+    # the largest float below 1 falls past them.
+    class TopDraws:
+        def __init__(self, seed):
+            pass
+
+        def random(self):
+            return np.nextafter(1.0, 0.0)
+
+        def integers(self, low, high):
+            return low
+
+    model = pair_model("A -> B -> C", "D -> E -> F", m=9, eta=0.175)
+    monkeypatch.setattr(np.random, "default_rng", TopDraws)
+    states = simulate(model, 200, seed=0).states
+    assert model.initial[states[0]] > 0
+    for prev, s in zip(states, states[1:]):
+        assert model.transitions[prev, s] > 0
+
+
 def test_simulate_noise_fraction_tracks_eta():
     model = case1_model(m=10, eta=0.01)
     traj = simulate(model, 10000, seed=4)
