@@ -89,8 +89,7 @@ class _DataIndex:
             for ev in seq:
                 # unshifted times keep the events' own int objects
                 g = ev.time + base if base else ev.time
-                if g not in self.pair_at:
-                    self.pair_at[g] = (seq_idx, ev.time)
+                self.pair_at[g] = (seq_idx, ev.time)
                 self.types_at_time.setdefault(g, set()).add(ev.event_type)
                 times = self.times_by_type.setdefault(ev.event_type, [])
                 if not times or times[-1] != g:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import groupby
+from itertools import chain, groupby, repeat
 from operator import itemgetter, lt
 from typing import Iterable
 
@@ -99,11 +99,10 @@ def find_no_occurrences(occ: OccurrenceList) -> OccurrenceList:
     Applies :func:`non_overlapped` to each sequence's run of starts.
     """
     ep_span = span(occ.episode)
-    kept = [
-        (seq_idx, t)
+    kept = chain.from_iterable(
+        zip(repeat(seq_idx), non_overlapped(map(itemgetter(1), run), ep_span))
         for seq_idx, run in groupby(occ.starts, key=itemgetter(0))
-        for t in non_overlapped((t for _, t in run), ep_span)
-    ]
+    )
     return OccurrenceList(occ.episode, tuple(kept))
 
 
