@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, groupby, repeat
+from itertools import groupby
 from operator import itemgetter, lt
 from typing import Iterable
 
@@ -99,10 +99,12 @@ def find_no_occurrences(occ: OccurrenceList) -> OccurrenceList:
     Applies :func:`non_overlapped` to each sequence's run of starts.
     """
     ep_span = span(occ.episode)
-    kept = chain.from_iterable(
-        zip(repeat(seq_idx), non_overlapped(map(itemgetter(1), run), ep_span))
-        for seq_idx, run in groupby(occ.starts, key=itemgetter(0))
-    )
+    kept: list[tuple[int, int]] = []
+    for _, run in groupby(occ.starts, key=itemgetter(0)):
+        pairs = tuple(run)
+        # time -> its pair, in start order, so the kept starts reuse the pairs
+        at_time = dict(zip(map(itemgetter(1), pairs), pairs))
+        kept.extend(map(at_time.__getitem__, non_overlapped(at_time, ep_span)))
     return OccurrenceList(occ.episode, tuple(kept))
 
 

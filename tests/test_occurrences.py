@@ -59,6 +59,13 @@ def test_find_no_occurrences_empty():
     assert per_sequence_starts(find_no_occurrences(occ).starts, 1) == ((),)
 
 
+def test_occurrence_list_rejects_unsorted_or_repeated_starts():
+    ep = parse_episode("A -1-> B")
+    for starts in (((0, 5), (0, 1)), ((1, 1), (0, 5)), ((0, 1), (0, 1))):
+        with pytest.raises(ValueError):
+            OccurrenceList(ep, starts)
+
+
 def test_find_no_occurrences_span_four():
     ep = parse_episode("A -4-> B")
     for starts, expected in [
