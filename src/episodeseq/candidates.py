@@ -112,7 +112,6 @@ def generate_candidates(
         raise ValueError("max_gap must be >= 1")
     index = _DataIndex(data, max_gap)
     at_time = index.types_at_time
-    pair_at = index.pair_at
     no_mode = mode is FrequencyMode.NON_OVERLAPPED
     deltas = range(1, max_gap + 1)
     # (type ids, gaps) of each emitted episode -> its candidate
@@ -156,7 +155,8 @@ def generate_candidates(
             episode = FixedIntervalEpisode(
                 tuple(data.alphabet.name(i) for i in best_ids), best_gaps
             )
-            occ = OccurrenceList(episode, tuple(map(pair_at.__getitem__, best_starts)))
+            pairs = tuple(map(index.pair_at.__getitem__, best_starts))
+            occ = OccurrenceList(episode, pairs)
             if no_mode:
                 occ = find_no_occurrences(occ)
             emitted[best_ids, best_gaps] = Candidate(
