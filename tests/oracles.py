@@ -228,3 +228,45 @@ def dense_viterbi(model, outputs) -> tuple[int, ...]:
     for t in range(t_max - 1, 0, -1):
         path.append(int(pointers[t, path[-1]]))
     return tuple(reversed(path))
+
+
+def dense_features(features) -> np.ndarray:
+    """A ``FeatureMatrix`` as a dense (documents × dictionary words) array."""
+    return features.matrix.toarray()
+
+
+def dense_tfidf(corpus, dictionary, idf, weighting: str) -> np.ndarray:
+    """Document vectors as dense rows: word counts by ``np.add.at``, times
+    ``idf``, each non-zero row divided by its ``np.linalg.norm``; or 0/1
+    presence for ``binary``."""
+    rows, cols = [], []
+    for row, doc in enumerate(corpus.documents):
+        for word in doc:
+            if word in dictionary:
+                rows.append(row)
+                cols.append(dictionary.id_of(word))
+    counts = np.zeros((corpus.n_documents, len(dictionary)))
+    np.add.at(counts, (rows, cols), 1.0)
+    if weighting == "binary":
+        return (counts > 0).astype(float)
+    weighted = counts * idf
+    norms = np.linalg.norm(weighted, axis=1, keepdims=True)
+    return weighted / np.where(norms == 0.0, 1.0, norms)
+
+
+def dense_naive_bayes(features: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray]:
+    """``(class_log_prior, feature_log_prob)`` of add-one multinomial NB,
+    with class totals from a dense one-hot matmul."""
+    y = np.asarray(labels)
+    onehot = np.eye(int(y.max()) + 1)[y]
+    counts = onehot.sum(axis=0)
+    smoothed = onehot.T @ features + 1.0
+    return (
+        np.log(counts / counts.sum()),
+        np.log(smoothed / smoothed.sum(axis=1, keepdims=True)),
+    )
+
+
+def dense_class_scores(features: np.ndarray, class_log_prior, feature_log_prob) -> np.ndarray:
+    """Unnormalized log posteriors, (documents × classes), by a dense matmul."""
+    return features @ feature_log_prob.T + class_log_prior

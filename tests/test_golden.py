@@ -1,9 +1,10 @@
-"""Frozen CLI outputs: ``mine`` tables, candidate dumps, a ``dict`` run and
-``hmm-score --viterbi`` paths.
+"""Frozen CLI outputs: ``mine`` tables, candidate dumps, ``dict`` and
+``classify`` runs, ``hmm-sim --model-out`` dumps and ``hmm-score --viterbi``
+paths.
 
-Each case builds its input from the bundled sample or a seeded generator,
-runs the CLI in-process and compares stdout byte for byte with the file in
-``tests/golden/``.  A difference is a behaviour change of the miner.  The
+Each case builds its input files from the bundled sample or a seeded
+generator, runs the CLI in-process and compares stdout byte for byte with
+the file in ``tests/golden/``.  A difference is a behaviour change of the miner.  The
 files were written by running this module as a script::
 
     PYTHONPATH=src python tests/test_golden.py
@@ -27,7 +28,7 @@ from episodeseq.datasets import (
     sample_sequence_text,
 )
 from episodeseq.events import parse_serial_episode
-from episodeseq.textpipe import save_corpus
+from episodeseq.textpipe import mine_dictionary, save_corpus, save_dictionary
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -77,13 +78,45 @@ def _pair_trajectory_case(alpha: str, beta: str, size: int, length: int, seed: i
         return states + "\n" + " ".join(map(model.alphabet.name, traj.outputs)) + "\n"
 
     flags = ["--alpha", alpha, "--beta", beta, "--alphabet-size", str(size)]
-    return text, ["hmm-score", *flags, "--eta", "0.25", "--viterbi"]
+    return {"data": text}, ["hmm-score", "{data}", *flags, "--eta", "0.25", "--viterbi"]
 
 
-def _corpus_text() -> str:
+def _model_out_case(alpha: str, beta: str, size: int):
+    """An ``hmm-sim`` case whose stdout starts with the model's JSON dump."""
+    flags = ["--alpha", alpha, "--beta", beta, "--alphabet-size", str(size)]
+    return {}, ["hmm-sim", *flags, "--eta", "0.25", "--length", "20", "--seed", "3",
+                "--model-out", "-"]
+
+
+def _corpus_text(corpus) -> str:
     handle = io.StringIO()
-    save_corpus(_two_class_train(), handle)
+    save_corpus(corpus, handle)
     return handle.getvalue()
+
+
+def _small_two_class():
+    # Twelve training documents keep most accuracies below 1.0, so the
+    # metrics move when the features or the classifier do.
+    return make_two_class_corpus(n_train=12, n_test=60)
+
+
+def _mined_dictionary_text() -> str:
+    handle = io.StringIO()
+    save_dictionary(mine_dictionary(_small_two_class()[0], 5)[0], handle)
+    return handle.getvalue()
+
+
+def _classify_case(dictionary: str, weighting: str):
+    """A ``classify`` case with Dictionary-I or the mined Dictionary-II."""
+    inputs = {
+        "train": lambda: _corpus_text(_small_two_class()[0]),
+        "test": lambda: _corpus_text(_small_two_class()[1]),
+    }
+    argv = ["classify", "--train", "{train}", "--test", "{test}", "--weighting", weighting]
+    if dictionary == "II":
+        inputs["dictionary"] = _mined_dictionary_text
+        argv += ["--dictionary", "{dictionary}"]
+    return inputs, argv
 
 
 # name -> (input file text, max_gap)
@@ -94,22 +127,34 @@ EVENT_INPUTS = {
     "trajectory_2k": (_trajectory_text, 3),
 }
 
-# golden file name -> (input builder, argv after the input path)
+# golden file name -> (input builders by name, argv); "{name}" in argv stands
+# for the path of that input file.
 CASES = {
     **{
-        f"{name}.candidates.tsv": (text, ["mine", "--max-gap", str(g), "--dump-candidates"])
+        f"{name}.candidates.tsv": (
+            {"data": text},
+            ["mine", "{data}", "--max-gap", str(g), "--dump-candidates"],
+        )
         for name, (text, g) in EVENT_INPUTS.items()
     },
     **{
-        f"{name}.table.csv": (text, ["mine", "--max-gap", str(g)])
+        f"{name}.table.csv": ({"data": text}, ["mine", "{data}", "--max-gap", str(g)])
         for name, (text, g) in EVENT_INPUTS.items()
     },
     "two_class_60.distinct.candidates.tsv": (
-        EVENT_INPUTS["two_class_60"][0],
-        ["mine", "--max-gap", "5", "--freq-mode", "distinct", "--dump-candidates"],
+        {"data": EVENT_INPUTS["two_class_60"][0]},
+        ["mine", "{data}", "--max-gap", "5", "--freq-mode", "distinct", "--dump-candidates"],
     ),
-    "two_class_60.dict.txt": (_corpus_text, ["dict", "--max-gap", "5"]),
-    "duplicates.table.csv": (_duplicates_text, ["mine", "--max-gap", "2"]),
+    "two_class_60.dict.txt": (
+        {"data": lambda: _corpus_text(_two_class_train())},
+        ["dict", "{data}", "--max-gap", "5"],
+    ),
+    **{
+        f"two_class_12.classify.{d}.{w}.csv": _classify_case(d, w)
+        for d in ("I", "II")
+        for w in ("tfidf-cosine", "binary")
+    },
+    "duplicates.table.csv": ({"data": _duplicates_text}, ["mine", "{data}", "--max-gap", "2"]),
     # The benchmark's 257-state pair: two 8-node episodes sharing D.
     "pair_8node.viterbi.txt": _pair_trajectory_case(
         "A -> B -> C -> D -> E -> F -> G -> H",
@@ -122,17 +167,23 @@ CASES = {
     "pair_shared_start.viterbi.txt": _pair_trajectory_case(
         "A -> B -> C", "A -> D -> B", 9, 300, 12
     ),
+    "pair_8node.model.txt": _model_out_case(
+        "A -> B -> C -> D -> E -> F -> G -> H", "I -> J -> K -> D -> L -> M -> N -> O", 20
+    ),
+    "pair_shared_start.model.txt": _model_out_case("A -> B -> C", "A -> D -> B", 9),
 }
 
 
 def run_case(name: str, tmp_dir: Path) -> bytes:
-    """The case's CLI stdout, with its input written under ``tmp_dir``."""
-    text, argv = CASES[name]
-    path = tmp_dir / (name + ".in")
-    path.write_text(text(), "utf-8")
+    """The case's CLI stdout, with its inputs written under ``tmp_dir``."""
+    inputs, argv = CASES[name]
+    paths = {}
+    for key, text in inputs.items():
+        paths[key] = tmp_dir / f"{name}.{key}"
+        paths[key].write_text(text(), "utf-8")
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        status = main([argv[0], str(path), *argv[1:]])
+        status = main([arg.format_map(paths) for arg in argv])
     assert status == 0
     return out.getvalue().encode("utf-8")
 

@@ -1,5 +1,7 @@
 import io
 import math
+import random
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from episodeseq import (
     train_nb,
 )
 from episodeseq.datasets import make_two_class_corpus
+from oracles import dense_class_scores, dense_features, dense_naive_bayes, dense_tfidf
 
 
 def corpus_of(docs, labels, names=("neg", "pos"), split="train"):
@@ -110,10 +113,8 @@ def test_idf_formula():
 def test_tfidf_rows_unit_norm():
     corpus = corpus_of(["w w x y", "x z z z", "w"], [0, 1, 0])
     d = build_dictionary_I(corpus)
-    features = tfidf(corpus, d)
-    norms = np.sqrt(
-        np.asarray(features.matrix.multiply(features.matrix).sum(axis=1))
-    ).ravel()
+    dense = dense_features(tfidf(corpus, d))
+    norms = np.sqrt((dense * dense).sum(axis=1))
     assert np.allclose(norms, 1.0, atol=1e-12)
 
 
@@ -124,10 +125,10 @@ def test_tfidf_uses_train_df_for_test():
     idf = compute_idf(train, d)
     out = tfidf(test, d, idf)
     # single-word document: unit mass on w regardless of idf scale
-    assert out.matrix[0, d.id_of("w")] == pytest.approx(1.0)
+    assert dense_features(out)[0, d.id_of("w")] == pytest.approx(1.0)
     # but the raw weight reflects the training idf, not the test df
     raw = tfidf(test, d, idf, weighting="binary")
-    assert raw.matrix[0, d.id_of("w")] == 1.0
+    assert dense_features(raw)[0, d.id_of("w")] == 1.0
 
 
 def test_tfidf_document_order_invariance():
@@ -135,8 +136,8 @@ def test_tfidf_document_order_invariance():
     c1 = corpus_of(docs, [0, 1, 0])
     c2 = corpus_of(list(reversed(docs)), [0, 1, 0])
     d = build_dictionary_I(c1)
-    m1 = tfidf(c1, d).matrix.toarray()
-    m2 = tfidf(c2, d).matrix.toarray()
+    m1 = dense_features(tfidf(c1, d))
+    m2 = dense_features(tfidf(c2, d))
     assert np.allclose(m1, m2[::-1])
 
 
@@ -144,7 +145,7 @@ def test_binary_weighting_is_zero_one():
     corpus = corpus_of(["w w x", "y"], [0, 1])
     d = build_dictionary_I(corpus)
     features = tfidf(corpus, d, weighting="binary")
-    assert set(np.unique(features.matrix.toarray())) <= {0.0, 1.0}
+    assert set(np.unique(dense_features(features))) <= {0.0, 1.0}
 
 
 def test_projection_never_increases_unnormalized_norm():
@@ -175,6 +176,59 @@ def test_projection_never_increases_unnormalized_norm():
 
     for n1, n2 in zip(raw_norms(d1, idf1), raw_norms(d2, idf2)):
         assert n2 <= n1 + 1e-12
+
+
+def _oracle_cases(n_cases):
+    """Seeded (train, test, dictionary) triples: two-class corpora and
+    small-vocabulary corpora with up to three classes and empty documents;
+    Dictionary-I, a shuffled sub-dictionary with an unseen word, and, on
+    the two-class corpora, the mined Dictionary-II."""
+    for seed in range(n_cases):
+        rng = random.Random(seed)
+        if seed % 2:
+            train, test = make_two_class_corpus(
+                n_train=rng.randint(5, 30), n_test=10, seed=seed
+            )
+        else:
+            n_classes = rng.randint(2, 3)
+            vocab = ["aa", "bb", "cc", "dd", "ee", "ff"]
+
+            def random_corpus(n_docs):
+                labels = [i % n_classes for i in range(n_docs)]
+                rng.shuffle(labels)
+                docs = [" ".join(rng.choices(vocab, k=rng.randint(0, 8))) for _ in labels]
+                return corpus_of(docs, labels, names=("c0", "c1", "c2")[:n_classes])
+
+            train, test = random_corpus(rng.randint(n_classes, 12)), random_corpus(8)
+        d1 = build_dictionary_I(train)
+        yield train, test, d1
+        words = rng.sample(d1.words, rng.randint(1, len(d1))) + ["unseen"]
+        rng.shuffle(words)
+        yield train, test, type(d1)(tuple(words), "II")
+        if seed % 2:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                d2, _ = mine_dictionary(train, max_gap=3)
+            if len(d2):
+                yield train, test, d2
+
+
+@pytest.mark.parametrize("weighting", ["tfidf-cosine", "binary"])
+def test_text_pipeline_matches_dense_oracle(weighting):
+    for train, test, d in _oracle_cases(40):
+        idf = compute_idf(train, d)
+        features = tfidf(train, d, idf, weighting)
+        dense = dense_tfidf(train, d, idf, weighting)
+        assert np.allclose(dense_features(features), dense, rtol=1e-12, atol=0.0)
+        model = train_nb(features, train.labels)
+        prior, log_prob = dense_naive_bayes(dense, train.labels)
+        assert np.allclose(model.class_log_prior, prior, rtol=1e-12, atol=0.0)
+        assert np.allclose(model.feature_log_prob, log_prob, rtol=1e-12, atol=0.0)
+        scores = dense_class_scores(dense_tfidf(test, d, idf, weighting), prior, log_prob)
+        top_two = np.sort(scores, axis=1)[:, -2:]
+        clear = top_two[:, 1] - top_two[:, 0] > 1e-9
+        predicted = predict(model, tfidf(test, d, idf, weighting))
+        assert (predicted[clear] == np.argmax(scores, axis=1)[clear]).all()
 
 
 def test_nb_separable_corpus_is_perfect():
