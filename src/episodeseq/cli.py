@@ -212,7 +212,7 @@ def _cmd_hmm_compare(args: argparse.Namespace) -> int:
 
 def _cmd_dict(args: argparse.Namespace) -> int:
     with _open_in(args.corpus) as handle:
-        train = load_corpus(handle, split="train")
+        train = load_corpus(handle)
     dictionary, selection = mine_dictionary(
         train, args.max_gap, args.top_k, _mode(args.freq_mode)
     )
@@ -229,9 +229,9 @@ def _cmd_dict(args: argparse.Namespace) -> int:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     with _open_in(args.train) as handle:
-        train = load_corpus(handle, split="train")
+        train = load_corpus(handle)
     with _open_in(args.test) as handle:
-        test = load_corpus(handle, split="test")
+        test = load_corpus(handle)
     if train.label_names != test.label_names:
         raise DataValidationError("train and test label sets differ")
     if args.dictionary:

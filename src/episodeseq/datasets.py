@@ -110,7 +110,7 @@ def make_planted_corpus(
             else:
                 tokens.append(noise_word())
         documents.append(tuple(tokens))
-    return Corpus(tuple(documents), (0,) * n_documents, ("all",), split="train")
+    return Corpus(tuple(documents), (0,) * n_documents, ("all",))
 
 
 _CLASS_PHRASES = {
@@ -175,9 +175,9 @@ def make_two_class_corpus(
             )
         return tuple(tokens)
 
-    def make_split(n_docs: int, split: str) -> Corpus:
+    def make_split(n_docs: int) -> Corpus:
         labels = tuple(int(rng.integers(0, 2)) for _ in range(n_docs))
         docs = tuple(make_doc(label) for label in labels)
-        return Corpus(docs, labels, label_names, split)
+        return Corpus(docs, labels, label_names)
 
-    return make_split(n_train, "train"), make_split(n_test, "test")
+    return make_split(n_train), make_split(n_test)

@@ -5,8 +5,8 @@ position) lets the episode miner run over a whole training corpus at once,
 with one sequence per document so no episode spans two documents.  The
 full vocabulary forms Dictionary-I; the words appearing in the selected
 non-singleton episodes form the much smaller Dictionary-II.  Documents are
-represented as tf-idf vectors over either dictionary and classified with a
-multinomial Naive Bayes.
+represented as tf-idf vectors over either dictionary, held as numpy CSR
+arrays, and classified with a multinomial Naive Bayes.
 """
 
 from __future__ import annotations
@@ -18,9 +18,8 @@ from pathlib import Path
 from typing import IO, Iterable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
-from .events import Event, EventDataset, Alphabet
+from .events import Alphabet, Event, EventDataset
 from .mdl import SelectionState, select
 from .occurrences import FrequencyMode
 
@@ -51,12 +50,11 @@ def preprocess(raw_text: str, options: PreprocessOptions = PreprocessOptions()) 
 
 @dataclass(frozen=True)
 class Corpus:
-    """Labeled token-sequence documents, with a split tag."""
+    """Labeled token-sequence documents."""
 
     documents: tuple[tuple[str, ...], ...]
     labels: tuple[int, ...]
     label_names: tuple[str, ...]
-    split: str = ""
 
     def __post_init__(self) -> None:
         if len(self.documents) != len(self.labels):
@@ -70,7 +68,7 @@ class Corpus:
         return len(self.documents)
 
 
-def load_corpus(handle: IO[str], split: str = "") -> Corpus:
+def load_corpus(handle: IO[str]) -> Corpus:
     """Read a pre-tokenized corpus: one ``<label>\\t<tok tok ...>`` per line."""
     raw: list[tuple[str, tuple[str, ...]]] = []
     for line in handle:
@@ -85,7 +83,6 @@ def load_corpus(handle: IO[str], split: str = "") -> Corpus:
         tuple(doc for _, doc in raw),
         tuple(label_ids[label] for label, _ in raw),
         label_names,
-        split,
     )
 
 
@@ -108,7 +105,7 @@ def load_corpus_dir(
         for doc_path in sorted((base / name).glob("*.txt")):
             documents.append(tuple(preprocess(doc_path.read_text("utf-8"), options)))
             labels.append(label_id)
-    return Corpus(tuple(documents), tuple(labels), label_names, split)
+    return Corpus(tuple(documents), tuple(labels), label_names)
 
 
 def corpus_to_events(train: Corpus) -> EventDataset:
@@ -193,15 +190,20 @@ def load_dictionary(handle: IO[str], provenance: str = "II") -> Dictionary:
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Sparse document-term weights over a dictionary."""
+    """Document-term weights over a dictionary, as numpy CSR arrays.
 
-    matrix: sp.csr_matrix
-    weighting: str  # "tfidf-cosine" or "binary"
+    Document ``r`` holds the weights ``data[indptr[r]:indptr[r + 1]]`` of
+    the word ids ``indices[indptr[r]:indptr[r + 1]]``, in ascending id.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
     dictionary: Dictionary
 
     @property
     def n_documents(self) -> int:
-        return self.matrix.shape[0]
+        return len(self.indptr) - 1
 
 
 def compute_idf(corpus: Corpus, dictionary: Dictionary) -> np.ndarray:
@@ -231,7 +233,7 @@ def tfidf(
         raise ValueError("dictionary is empty")
     if weighting not in ("tfidf-cosine", "binary"):
         raise ValueError(f"unknown weighting {weighting!r}")
-    rows: list[int] = []
+    indptr = np.zeros(corpus.n_documents + 1, dtype=np.intp)
     cols: list[int] = []
     vals: list[float] = []
     for row, doc in enumerate(corpus.documents):
@@ -240,21 +242,23 @@ def tfidf(
             if word in dictionary:
                 wid = dictionary.id_of(word)
                 counts[wid] = counts.get(wid, 0) + 1
-        for wid, count in counts.items():
-            rows.append(row)
+        for wid in sorted(counts):
             cols.append(wid)
-            vals.append(1.0 if weighting == "binary" else float(count))
-    matrix = sp.csr_matrix(
-        (vals, (rows, cols)), shape=(corpus.n_documents, len(dictionary))
-    )
-    if weighting == "tfidf-cosine":
-        if idf is None:
-            idf = compute_idf(corpus, dictionary)
-        matrix = matrix.multiply(idf[None, :]).tocsr()
-        norms = np.sqrt(np.asarray(matrix.multiply(matrix).sum(axis=1))).ravel()
-        norms[norms == 0.0] = 1.0
-        matrix = sp.diags(1.0 / norms) @ matrix
-    return FeatureMatrix(matrix.tocsr(), weighting, dictionary)
+            vals.append(1.0 if weighting == "binary" else float(counts[wid]))
+        indptr[row + 1] = len(cols)
+    indices = np.array(cols, dtype=np.intp)
+    data = np.array(vals)
+    if weighting == "binary":
+        return FeatureMatrix(indptr, indices, data, dictionary)
+    if idf is None:
+        idf = compute_idf(corpus, dictionary)
+    data = data * idf[indices]
+    lengths = np.diff(indptr)
+    norms = np.zeros(corpus.n_documents)
+    # Sums of squares in stored order; reduceat needs the empty rows left out.
+    norms[lengths > 0] = np.sqrt(np.add.reduceat(data * data, indptr[:-1][lengths > 0]))
+    norms[norms == 0.0] = 1.0
+    return FeatureMatrix(indptr, indices, data * np.repeat(1.0 / norms, lengths), dictionary)
 
 
 @dataclass(frozen=True)
@@ -263,48 +267,42 @@ class NBModel:
 
     class_log_prior: np.ndarray
     feature_log_prob: np.ndarray  # (n_classes, n_features)
-    smoothing: float
-
-    @property
-    def n_classes(self) -> int:
-        return len(self.class_log_prior)
 
 
-def train_nb(
-    features: FeatureMatrix, labels: Sequence[int], smoothing: float = 1.0
-) -> NBModel:
-    """Fit class priors and smoothed per-class word weight totals."""
+def train_nb(features: FeatureMatrix, labels: Sequence[int]) -> NBModel:
+    """Fit class priors and add-one smoothed per-class word weight totals."""
     y = np.asarray(labels)
     if features.n_documents != len(y):
         raise ValueError("feature rows and labels must align")
     n_classes = int(y.max()) + 1 if len(y) else 0
     if n_classes < 1:
         raise ValueError("need at least one class")
-    n_features = features.matrix.shape[1]
-    totals = np.zeros((n_classes, n_features))
-    counts = np.zeros(n_classes)
-    for c in range(n_classes):
-        mask = y == c
-        counts[c] = mask.sum()
-        if counts[c]:
-            totals[c] = features.matrix[mask].sum(axis=0)
+    counts = np.bincount(y, minlength=n_classes).astype(float)
     if (counts == 0).any():
         raise ValueError("every class id up to the maximum needs examples")
+    n_features = len(features.dictionary)
+    rows = np.repeat(np.arange(features.n_documents), np.diff(features.indptr))
+    # One bin per (class, word), filled in document order.
+    bins = y[rows] * n_features + features.indices
+    totals = np.bincount(bins, features.data, n_classes * n_features).reshape(n_classes, -1)
     class_log_prior = np.log(counts / counts.sum())
-    smoothed = totals + smoothing
+    smoothed = totals + 1.0
     feature_log_prob = np.log(smoothed / smoothed.sum(axis=1, keepdims=True))
-    return NBModel(class_log_prior, feature_log_prob, smoothing)
+    return NBModel(class_log_prior, feature_log_prob)
 
 
 def predict(model: NBModel, features: FeatureMatrix) -> np.ndarray:
     """Argmax class posterior per document; ties go to the lowest class id."""
-    if features.matrix.shape[1] != model.feature_log_prob.shape[1]:
+    if len(features.dictionary) != model.feature_log_prob.shape[1]:
         raise ValueError(
-            f"feature dimension {features.matrix.shape[1]} does not match "
+            f"feature dimension {len(features.dictionary)} does not match "
             f"model dimension {model.feature_log_prob.shape[1]}"
         )
-    scores = features.matrix @ model.feature_log_prob.T + model.class_log_prior
-    return np.asarray(np.argmax(scores, axis=1)).ravel()
+    rows = np.repeat(np.arange(features.n_documents), np.diff(features.indptr))
+    # Per class, each document's weighted log-probabilities in stored order.
+    weights = features.data * model.feature_log_prob[:, features.indices]
+    scores = np.stack([np.bincount(rows, w, features.n_documents) for w in weights], axis=1)
+    return np.argmax(scores + model.class_log_prior, axis=1)
 
 
 def evaluate(predicted: Sequence[int], truth: Sequence[int]) -> dict[str, float]:

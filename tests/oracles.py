@@ -232,7 +232,10 @@ def dense_viterbi(model, outputs) -> tuple[int, ...]:
 
 def dense_features(features) -> np.ndarray:
     """A ``FeatureMatrix`` as a dense (documents × dictionary words) array."""
-    return features.matrix.toarray()
+    dense = np.zeros((features.n_documents, len(features.dictionary)))
+    rows = np.repeat(np.arange(features.n_documents), np.diff(features.indptr))
+    dense[rows, features.indices] = features.data
+    return dense
 
 
 def dense_tfidf(corpus, dictionary, idf, weighting: str) -> np.ndarray:

@@ -33,8 +33,8 @@ from episodeseq.datasets import make_two_class_corpus
 from oracles import dense_class_scores, dense_features, dense_naive_bayes, dense_tfidf
 
 
-def corpus_of(docs, labels, names=("neg", "pos"), split="train"):
-    return Corpus(tuple(tuple(d.split()) for d in docs), tuple(labels), names, split)
+def corpus_of(docs, labels, names=("neg", "pos")):
+    return Corpus(tuple(tuple(d.split()) for d in docs), tuple(labels), names)
 
 
 def test_preprocess_drops_short_tokens():
@@ -120,7 +120,7 @@ def test_tfidf_rows_unit_norm():
 
 def test_tfidf_uses_train_df_for_test():
     train = corpus_of(["w x", "w y"], [0, 1])
-    test = corpus_of(["w w"], [0], split="test")
+    test = corpus_of(["w w"], [0])
     d = build_dictionary_I(train)
     idf = compute_idf(train, d)
     out = tfidf(test, d, idf)
@@ -233,7 +233,7 @@ def test_text_pipeline_matches_dense_oracle(weighting):
 
 def test_nb_separable_corpus_is_perfect():
     train = corpus_of(["cat cat purr", "cat purr", "dog bark", "dog dog bark"], [0, 0, 1, 1])
-    test = corpus_of(["purr cat", "bark dog"], [0, 1], split="test")
+    test = corpus_of(["purr cat", "bark dog"], [0, 1])
     d = build_dictionary_I(train)
     idf = compute_idf(train, d)
     model = train_nb(tfidf(train, d, idf), train.labels)
@@ -265,7 +265,7 @@ def test_evaluate_rejects_empty_or_mismatched():
 
 def test_nb_invariant_to_all_zero_column():
     train = corpus_of(["w x w", "y z", "w x", "z y y"], [0, 0, 1, 1])
-    test = corpus_of(["w x x", "y z z"], [0, 1], split="test")
+    test = corpus_of(["w x x", "y z z"], [0, 1])
     d_small = build_dictionary_I(train)
     d_big = type(d_small)(d_small.words + ("unused",), "I")
     preds = []
