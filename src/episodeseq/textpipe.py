@@ -19,7 +19,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .events import Alphabet, Event, EventDataset
+from .events import Alphabet, DataValidationError, Event, EventDataset
 from .mdl import SelectionState, select
 from .occurrences import FrequencyMode
 
@@ -69,13 +69,18 @@ class Corpus:
 
 
 def load_corpus(handle: IO[str]) -> Corpus:
-    """Read a pre-tokenized corpus: one ``<label>\\t<tok tok ...>`` per line."""
+    """Read a pre-tokenized corpus: one ``<label>\\t<tok tok ...>`` per line.
+
+    Empty lines are skipped; any other line without a tab is refused.
+    """
     raw: list[tuple[str, tuple[str, ...]]] = []
-    for line in handle:
+    for number, line in enumerate(handle, start=1):
         line = line.rstrip("\n")
         if not line:
             continue
-        label, _, text = line.partition("\t")
+        label, tab, text = line.partition("\t")
+        if not tab:
+            raise DataValidationError(f"corpus line {number} has no tab after its label")
         raw.append((label, tuple(text.split())))
     label_names = tuple(sorted({label for label, _ in raw}))
     label_ids = {name: i for i, name in enumerate(label_names)}

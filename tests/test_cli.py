@@ -229,6 +229,15 @@ def test_dict_and_classify(tmp_path, capsys):
     assert out.splitlines()[1].startswith("II,naive-bayes,1.000000")
 
 
+def test_dict_refuses_a_space_separated_corpus(tmp_path, capsys):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("pet cat purr soft\ncar engine oil filter\n", "utf-8")
+    assert main(["dict", str(corpus)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "corpus line 1 has no tab" in captured.err
+
+
 def test_exit_code_validation_error(sample_file, tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("A -0-> B\n", "utf-8")

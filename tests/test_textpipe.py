@@ -8,6 +8,7 @@ import pytest
 
 from episodeseq import (
     Corpus,
+    DataValidationError,
     FrequencyMode,
     PreprocessOptions,
     build_dictionary_I,
@@ -293,6 +294,11 @@ def test_corpus_file_roundtrip():
     assert again.documents == corpus.documents
     assert again.labels == corpus.labels
     assert again.label_names == corpus.label_names
+
+
+def test_load_corpus_refuses_a_line_without_a_tab():
+    with pytest.raises(DataValidationError, match="line 3"):
+        load_corpus(io.StringIO("pos\taa bb\n\nneg cc dd\n"))
 
 
 def test_corpus_dir_layout(tmp_path):
