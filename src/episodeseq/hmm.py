@@ -602,9 +602,7 @@ def model_summary(model: EpisodePairModel) -> dict:
     labels = [model.state(idx).label() for idx in range(model.n_states)]
     transitions = [
         [labels[src], labels[dst], model.transitions[src, dst]]
-        for src in range(model.n_states)
-        for dst in range(model.n_states)
-        if model.transitions[src, dst] > 0.0
+        for src, dst in zip(*np.nonzero(model.transitions))
     ]
     emissions = {}
     for idx in range(model.n_states):

@@ -350,6 +350,18 @@ def _run_cli(args: list[str], tmp_path) -> bytes:
     return _run_python(["-m", "episodeseq.cli", *args], tmp_path)
 
 
+def test_cli_import_loads_no_scipy(tmp_path):
+    out = _run_python(
+        [
+            "-c",
+            "import episodeseq.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        ],
+        tmp_path,
+    )
+    assert out.decode().strip() == "[]"
+
+
 def test_criterion_11_byte_identical_reruns(tmp_path):
     from episodeseq.datasets import sample_sequence_text
     from episodeseq.textpipe import save_corpus
