@@ -18,6 +18,8 @@ from episodeseq import (
     Event,
     EventDataset,
     FixedIntervalEpisode,
+    StateId,
+    StateKind,
 )
 
 
@@ -201,6 +203,78 @@ def random_planted_dataset(
     return data, episode
 
 
+def dense_transitions(model) -> np.ndarray:
+    """A pair model's transitions as a dense (S, S) matrix."""
+    return np.array(model.transitions)
+
+
+def dense_transition_oracle(alpha, beta, alphabet, eta) -> np.ndarray:
+    """The pair model's (S, S) transition matrix, built densely.
+
+    Every edge is added into a zero matrix; each shared-entry row is then
+    cleared and given only its shared exit (1 - eta) and its noise exit.
+    """
+    n = alpha.length
+    alpha_ids = [alphabet.index(sym) for sym in alpha.event_types]
+    beta_ids = [alphabet.index(sym) for sym in beta.event_types]
+
+    n_states = 4 * n * n + 1
+    trans = np.zeros((n_states, n_states))
+
+    def nxt(k: int) -> int:
+        return k % n + 1
+
+    def s1(i: int, j: int) -> int:
+        return StateId(StateKind.EP1, i, j).index(n)
+
+    def s2(i: int, j: int) -> int:
+        return StateId(StateKind.EP2, i, j).index(n)
+
+    def n1(i: int, j: int) -> int:
+        return StateId(StateKind.NOISE1, i, j).index(n)
+
+    def n2(i: int, j: int) -> int:
+        return StateId(StateKind.NOISE2, i, j).index(n)
+
+    n0 = StateId(StateKind.NOISE0).index(n)
+    half = (1.0 - eta) / 2.0
+
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            trans[s1(i, j), s1(nxt(i), j)] += half
+            trans[s1(i, j), s2(nxt(i), j)] += half
+            trans[s1(i, j), n1(i, j)] += eta
+            trans[s2(i, j), s1(i, nxt(j))] += half
+            trans[s2(i, j), s2(i, nxt(j))] += half
+            trans[s2(i, j), n2(i, j)] += eta
+            trans[n1(i, j), s1(nxt(i), j)] += half
+            trans[n1(i, j), s2(nxt(i), j)] += half
+            trans[n1(i, j), n1(i, j)] += eta
+            trans[n2(i, j), s1(i, nxt(j))] += half
+            trans[n2(i, j), s2(i, nxt(j))] += half
+            trans[n2(i, j), n2(i, j)] += eta
+    trans[n0, s1(1, 1)] = half
+    trans[n0, s2(1, 1)] = half
+    trans[n0, n0] = eta
+
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if alpha_ids[nxt(i) - 1] != beta_ids[nxt(j) - 1]:
+                continue
+            src_a = s1(i, nxt(j))
+            dst_a = s1(nxt(i), nxt(nxt(j)))
+            trans[src_a, :] = 0.0
+            trans[src_a, dst_a] = 1.0 - eta
+            trans[src_a, n1(i, nxt(j))] = eta
+
+            src_b = s2(nxt(i), j)
+            dst_b = s2(nxt(nxt(i)), nxt(j))
+            trans[src_b, :] = 0.0
+            trans[src_b, dst_b] = 1.0 - eta
+            trans[src_b, n2(nxt(i), j)] = eta
+    return trans
+
+
 def dense_viterbi(model, outputs) -> tuple[int, ...]:
     """Viterbi path by the dense O(T·S²) max-product over every state pair.
 
@@ -213,7 +287,7 @@ def dense_viterbi(model, outputs) -> tuple[int, ...]:
     if any(not 0 <= o < m for o in outputs):
         raise ValueError("output symbol outside the alphabet")
     with np.errstate(divide="ignore"):
-        log_trans = np.log(model.transitions)
+        log_trans = np.log(dense_transitions(model))
         log_init = np.log(model.initial)
         log_emit = np.log(model.emissions)
     t_max = len(outputs)

@@ -55,6 +55,7 @@ from episodeseq.datasets import (
 )
 from oracles import (
     all_fixed_interval_episodes,
+    dense_transitions,
     max_nonoverlap_from_starts,
     max_nonoverlap_intervals,
     per_sequence_starts,
@@ -193,7 +194,7 @@ def test_criterion_05_model_structure():
             alpha, beta, default_pair_alphabet(alpha, beta, 2 * n + 4), 0.2
         )
         assert model.n_states == 4 * n * n + 1
-        assert np.allclose(model.transitions.sum(axis=1), 1.0, atol=1e-12)
+        assert np.allclose(dense_transitions(model).sum(axis=1), 1.0, atol=1e-12)
         assert abs(model.initial.sum() - 1.0) <= 1e-12
         assert np.allclose(model.emissions.sum(axis=1), 1.0, atol=1e-12)
     alpha = parse_serial_episode("A -> B -> C")

@@ -29,7 +29,7 @@ from episodeseq import (
     trajectory_stats,
     viterbi,
 )
-from oracles import dense_viterbi
+from oracles import dense_transition_oracle, dense_transitions, dense_viterbi
 
 
 def pair_model(alpha="A -> B -> C", beta="D -> B -> E", m=7, eta=0.2):
@@ -57,7 +57,7 @@ def test_state_count(n):
     beta = parse_serial_episode(" -> ".join(syms[n:]))
     model = build_model(alpha, beta, default_pair_alphabet(alpha, beta, 2 * n + 3), 0.2)
     assert model.n_states == 4 * n * n + 1
-    assert model.transitions.shape == (model.n_states, model.n_states)
+    assert dense_transitions(model).shape == (model.n_states, model.n_states)
 
 
 def test_worked_example_has_37_states():
@@ -66,7 +66,7 @@ def test_worked_example_has_37_states():
 
 def test_stochasticity():
     for model in (pair_model(), case1_model(), pair_model(eta=0.4)):
-        assert np.allclose(model.transitions.sum(axis=1), 1.0, atol=1e-12)
+        assert np.allclose(dense_transitions(model).sum(axis=1), 1.0, atol=1e-12)
         assert abs(model.initial.sum() - 1.0) <= 1e-12
         assert np.allclose(model.emissions.sum(axis=1), 1.0, atol=1e-12)
 
@@ -95,10 +95,38 @@ def test_shared_transitions_at_predicted_states():
     assert edges == {("S1(1,2)", "S1(2,3)"), ("S2(2,1)", "S2(3,2)")}
     # overridden rows keep only the shared exit and the noise exit
     src = model.state_index(StateId.from_label("S1(1,2)"))
-    row = model.transitions[src]
+    row = dense_transitions(model)[src]
     assert row[model.state_index(StateId.from_label("S1(2,3)"))] == pytest.approx(0.8)
     assert row[model.state_index(StateId.from_label("N1(1,2)"))] == pytest.approx(0.2)
     assert np.count_nonzero(row) == 2
+
+
+def test_transitions_match_the_dense_construction():
+    # For N = 1..5, one pair per position pair (p, q) whose p-th and q-th
+    # symbols coincide, (1, 1) being a shared first symbol, plus seeded
+    # pairs from a small pool that share several symbols.
+    rng = random.Random(8)
+    pairs = []
+    for n in range(1, 6):
+        for p in range(n):
+            for q in range(n):
+                alpha = [f"a{k}" for k in range(n)]
+                beta = [f"b{k}" for k in range(n)]
+                beta[q] = alpha[p]
+                pairs.append((alpha, beta))
+        for _ in range(20):
+            pool = "ABCDEFG"[: rng.randint(n, min(7, 2 * n))]
+            pairs.append((rng.sample(pool, n), rng.sample(pool, n)))
+    for alpha, beta in pairs:
+        a = parse_serial_episode(" -> ".join(alpha))
+        b = parse_serial_episode(" -> ".join(beta))
+        size = len(set(alpha) | set(beta)) + rng.randint(0, 3)
+        alphabet = default_pair_alphabet(a, b, size)
+        eta = rng.uniform(0.001, 0.999) * eta_upper_bound(size)
+        model = build_model(a, b, alphabet, eta)
+        assert np.array_equal(
+            dense_transitions(model), dense_transition_oracle(a, b, alphabet, eta)
+        ), f"{a} / {b}, M={size}, eta={eta}"
 
 
 def test_no_shared_transitions_in_disjoint_pair():
@@ -201,9 +229,10 @@ def test_simulate_never_takes_a_zero_probability_state(monkeypatch):
     model = pair_model("A -> B -> C", "D -> E -> F", m=9, eta=0.175)
     monkeypatch.setattr(np.random, "default_rng", TopDraws)
     states = simulate(model, 200, seed=0).states
+    trans = dense_transitions(model)
     assert model.initial[states[0]] > 0
     for prev, s in zip(states, states[1:]):
-        assert model.transitions[prev, s] > 0
+        assert trans[prev, s] > 0
 
 
 def test_simulate_noise_fraction_tracks_eta():
@@ -385,16 +414,14 @@ def test_overlap_score_metrics():
     ) - (ob - og)
 
 
-def test_trajectory_stats_matches_generation_tags():
+def test_trajectory_shared_events_bounded_by_occurrences():
     for model in (pair_model(m=10, eta=0.25), case1_model(m=10, eta=0.25)):
         for seed in range(8):
             traj = simulate(model, 120, seed=seed)
-            tagged = trajectory_stats(model, traj.states, traj.shared)
-            derived = trajectory_stats(model, traj.states)
-            assert tagged == derived
+            stats = trajectory_stats(model, traj.states)
             n = model.n_nodes
-            assert tagged.shared_events <= n * (
-                min(tagged.f_first, tagged.f_second) + 1
+            assert stats.shared_events <= n * (
+                min(stats.f_first, stats.f_second) + 1
             )
 
 
