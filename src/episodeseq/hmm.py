@@ -5,7 +5,9 @@ Its 4N^2 + 1 states split into episode states, which emit one fixed episode
 symbol each, and noise states, which emit uniformly over the alphabet.  A
 single noise parameter eta fixes every probability: from any state the
 transition into a noise state has probability eta, and the remainder is
-split equally among the reachable episode states.
+split equally among the reachable episode states.  Each state has at most
+three successors, so the model keeps one successor map per state rather
+than an S x S matrix.
 
 State S1(i,j) emits the first episode's i-th symbol while the second
 episode is waiting at position j; S2(i,j) emits the second episode's j-th
@@ -27,6 +29,8 @@ comparison requires eta < M / (M + 8); model construction enforces it.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -101,13 +105,17 @@ class StateId:
 
 @dataclass(frozen=True)
 class EpisodePairModel:
-    """The pair model: transition matrix, initial law, and emissions."""
+    """The pair model: successor maps, initial law, and emissions.
+
+    ``successors[s]`` maps each state reachable from ``s`` to its transition
+    probability, every one positive, in ascending state index order.
+    """
 
     alpha: SerialEpisode
     beta: SerialEpisode
     alphabet: Alphabet
     eta: float
-    transitions: np.ndarray  # (n_states, n_states)
+    successors: tuple[dict[int, float], ...]  # (n_states,)
     initial: np.ndarray  # (n_states,)
     emissions: np.ndarray  # (n_states, M)
     shared_entry_edges: frozenset[tuple[int, int]]
@@ -162,7 +170,7 @@ def build_model(
     beta_ids = [alphabet.index(sym) for sym in beta.event_types]
 
     n_states = 4 * n * n + 1
-    trans = np.zeros((n_states, n_states))
+    succ: list[dict[int, float]] = [{} for _ in range(n_states)]
     init = np.zeros(n_states)
     emit = np.zeros((n_states, m))
 
@@ -184,23 +192,16 @@ def build_model(
     n0 = StateId(StateKind.NOISE0).index(n)
     half = (1.0 - eta) / 2.0
 
+    # Blocks run N0, S1, S2, N1, N2, so each literal lists ascending indices.
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            trans[s1(i, j), s1(nxt(i), j)] += half
-            trans[s1(i, j), s2(nxt(i), j)] += half
-            trans[s1(i, j), n1(i, j)] += eta
-            trans[s2(i, j), s1(i, nxt(j))] += half
-            trans[s2(i, j), s2(i, nxt(j))] += half
-            trans[s2(i, j), n2(i, j)] += eta
-            trans[n1(i, j), s1(nxt(i), j)] += half
-            trans[n1(i, j), s2(nxt(i), j)] += half
-            trans[n1(i, j), n1(i, j)] += eta
-            trans[n2(i, j), s1(i, nxt(j))] += half
-            trans[n2(i, j), s2(i, nxt(j))] += half
-            trans[n2(i, j), n2(i, j)] += eta
-    trans[n0, s1(1, 1)] = half
-    trans[n0, s2(1, 1)] = half
-    trans[n0, n0] = eta
+            advance_a = {s1(nxt(i), j): half, s2(nxt(i), j): half}
+            advance_b = {s1(i, nxt(j)): half, s2(i, nxt(j)): half}
+            succ[s1(i, j)] = {**advance_a, n1(i, j): eta}
+            succ[s2(i, j)] = {**advance_b, n2(i, j): eta}
+            succ[n1(i, j)] = {**advance_a, n1(i, j): eta}
+            succ[n2(i, j)] = {**advance_b, n2(i, j): eta}
+    succ[n0] = {n0: eta, s1(1, 1): half, s2(1, 1): half}
 
     # Shared-event transitions: where the next symbols of both episodes
     # coincide, the designated states move with probability 1 - eta along
@@ -212,16 +213,12 @@ def build_model(
                 continue
             src_a = s1(i, nxt(j))
             dst_a = s1(nxt(i), nxt(nxt(j)))
-            trans[src_a, :] = 0.0
-            trans[src_a, dst_a] = 1.0 - eta
-            trans[src_a, n1(i, nxt(j))] = eta
+            succ[src_a] = {dst_a: 1.0 - eta, n1(i, nxt(j)): eta}
             shared_edges.add((src_a, dst_a))
 
             src_b = s2(nxt(i), j)
             dst_b = s2(nxt(nxt(i)), nxt(j))
-            trans[src_b, :] = 0.0
-            trans[src_b, dst_b] = 1.0 - eta
-            trans[src_b, n2(nxt(i), j)] = eta
+            succ[src_b] = {dst_b: 1.0 - eta, n2(nxt(i), j): eta}
             shared_edges.add((src_b, dst_b))
 
     shared_initial: int | None = None
@@ -248,7 +245,7 @@ def build_model(
         beta,
         alphabet,
         eta,
-        trans,
+        tuple(succ),
         init,
         emit,
         frozenset(shared_edges),
@@ -289,11 +286,10 @@ def default_pair_alphabet(
 
 @dataclass(frozen=True)
 class Trajectory:
-    """A sampled (state, output) path with generation-time shared tags."""
+    """A sampled (state, output) path."""
 
     states: tuple[int, ...]
     outputs: tuple[int, ...]
-    shared: tuple[bool, ...]
 
     def __len__(self) -> int:
         return len(self.states)
@@ -305,8 +301,16 @@ def trajectory_counts(
     """(noise, unshared-episode, shared-episode) state counts of a path."""
     state_ids = [model.state(idx) for idx in range(model.n_states)]
     n_noise = sum(1 for idx in traj.states if state_ids[idx].kind.is_noise)
-    n_shared = sum(traj.shared)
+    n_shared = sum(_shared_flags(model, traj.states))
     return n_noise, len(traj) - n_noise - n_shared, n_shared
+
+
+def _shared_flags(model: EpisodePairModel, states: Sequence[int]) -> list[bool]:
+    """Per step, whether its state emits a shared event: the shared initial
+    state at step 0, or an episode state entered along a shared-entry edge."""
+    return [idx == model.shared_initial_state for idx in states[:1]] + [
+        edge in model.shared_entry_edges for edge in zip(states, states[1:])
+    ]
 
 
 def simulate(model: EpisodePairModel, length: int, seed: int) -> Trajectory:
@@ -315,42 +319,28 @@ def simulate(model: EpisodePairModel, length: int, seed: int) -> Trajectory:
         raise ValueError("length must be >= 1")
     rng = np.random.default_rng(seed)
     init_cdf = np.cumsum(model.initial)
-    trans_cdf = np.cumsum(model.transitions, axis=1)
-    ep_symbol = np.argmax(model.emissions, axis=1)
-    is_noise = np.array(
-        [model.state(idx).kind.is_noise for idx in range(model.n_states)]
-    )
+    succ_states = [tuple(row) for row in model.successors]
+    succ_cdf = [list(itertools.accumulate(row.values())) for row in model.successors]
+    ep_symbol = np.argmax(model.emissions, axis=1).tolist()
+    is_noise = [model.state(idx).kind.is_noise for idx in range(model.n_states)]
     m = model.alphabet_size
 
-    states = np.empty(length, dtype=np.int64)
-    outputs = np.empty(length, dtype=np.int64)
-    shared = np.zeros(length, dtype=bool)
-
     # Rounding can leave a cumulative sum just below 1; a draw at or above
-    # it goes to the last state with positive probability in that row.
+    # it goes to the last state with positive probability.
     init_last = int(np.flatnonzero(model.initial)[-1])
-    trans_last = (
-        model.n_states - 1 - np.argmax(model.transitions[:, ::-1] > 0, axis=1)
-    ).tolist()
     state = min(
         int(np.searchsorted(init_cdf, rng.random(), side="right")), init_last
     )
-    shared[0] = state == model.shared_initial_state
+    states: list[int] = []
+    outputs: list[int] = []
     for t in range(length):
         if t > 0:
-            prev = state
-            state = min(
-                int(np.searchsorted(trans_cdf[prev], rng.random(), side="right")),
-                trans_last[prev],
-            )
-            shared[t] = (prev, state) in model.shared_entry_edges
-        states[t] = state
-        outputs[t] = rng.integers(0, m) if is_noise[state] else ep_symbol[state]
-    return Trajectory(
-        tuple(int(s) for s in states),
-        tuple(int(o) for o in outputs),
-        tuple(bool(b) for b in shared),
-    )
+            dsts = succ_states[state]
+            k = bisect.bisect_right(succ_cdf[state], rng.random())
+            state = dsts[min(k, len(dsts) - 1)]
+        states.append(state)
+        outputs.append(int(rng.integers(0, m)) if is_noise[state] else ep_symbol[state])
+    return Trajectory(tuple(states), tuple(outputs))
 
 
 def trajectory_dataset(model: EpisodePairModel, traj: Trajectory) -> EventDataset:
@@ -380,7 +370,7 @@ def joint_log_likelihood(
     total = math.log(p)
     for t in range(1, len(states)):
         p = (
-            model.transitions[states[t - 1], states[t]]
+            model.successors[states[t - 1]].get(states[t], 0.0)
             * model.emissions[states[t], outputs[t]]
         )
         if p == 0.0:
@@ -461,13 +451,18 @@ def viterbi(model: EpisodePairModel, outputs: Sequence[int]) -> tuple[int, ...]:
     n_states = model.n_states
     # Row d of ``preds`` lists the sources of the edges into d in ascending
     # order; spare slots hold source 0 at log-weight -inf.
-    dst, src = np.nonzero(model.transitions.T)
+    edges = sorted(
+        (dst, src, weight)
+        for src, row in enumerate(model.successors)
+        for dst, weight in row.items()
+    )
+    dst, src, weight = (np.array(col) for col in zip(*edges))
     in_degree = np.bincount(dst, minlength=n_states)
     slot = np.arange(dst.size) - (np.cumsum(in_degree) - in_degree)[dst]
     preds = np.zeros((n_states, in_degree.max()), dtype=np.intp)
     preds[dst, slot] = src
     log_w = np.full(preds.shape, -np.inf)
-    log_w[dst, slot] = np.log(model.transitions[src, dst])
+    log_w[dst, slot] = np.log(weight)
     with np.errstate(divide="ignore"):
         log_init = np.log(model.initial)
         log_emit = np.ascontiguousarray(np.log(model.emissions).T)  # (M, S)
@@ -511,33 +506,21 @@ class PairStats:
             raise ValueError("statistics must be non-negative")
 
 
-def trajectory_stats(
-    model: EpisodePairModel,
-    states: Sequence[int],
-    shared: Sequence[bool] | None = None,
-) -> PairStats:
+def trajectory_stats(model: EpisodePairModel, states: Sequence[int]) -> PairStats:
     """Complete-occurrence counts and shared events along a state sequence.
 
-    ``shared`` flags default to the structural rule: an episode state
-    entered through a probability-(1 - eta) edge emits a shared event.
-    Occurrences still open when the sequence ends are not counted.
+    An episode state entered through a probability-(1 - eta) edge emits a
+    shared event.  Occurrences still open when the sequence ends are not
+    counted.
     """
     n = model.n_nodes
-    if shared is None:
-        flags = []
-        for t, idx in enumerate(states):
-            if t == 0:
-                flags.append(idx == model.shared_initial_state)
-            else:
-                flags.append((states[t - 1], idx) in model.shared_entry_edges)
-        shared = flags
     f_first = f_second = n_shared = 0
 
     def prev_pos(k: int) -> int:
         return n if k == 1 else k - 1
 
     state_ids = [model.state(idx) for idx in range(model.n_states)]
-    for idx, is_shared in zip(states, shared):
+    for idx, is_shared in zip(states, _shared_flags(model, states)):
         state = state_ids[idx]
         if state.kind is StateKind.EP1:
             if state.i == n:
@@ -601,8 +584,9 @@ def model_summary(model: EpisodePairModel) -> dict:
     n = model.n_nodes
     labels = [model.state(idx).label() for idx in range(model.n_states)]
     transitions = [
-        [labels[src], labels[dst], model.transitions[src, dst]]
-        for src, dst in zip(*np.nonzero(model.transitions))
+        [labels[src], labels[dst], p]
+        for src, row in enumerate(model.successors)
+        for dst, p in row.items()
     ]
     emissions = {}
     for idx in range(model.n_states):

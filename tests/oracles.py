@@ -204,8 +204,11 @@ def random_planted_dataset(
 
 
 def dense_transitions(model) -> np.ndarray:
-    """A pair model's transitions as a dense (S, S) matrix."""
-    return np.array(model.transitions)
+    """A pair model's successor maps as a dense (S, S) transition matrix."""
+    trans = np.zeros((model.n_states, model.n_states))
+    for src, row in enumerate(model.successors):
+        trans[src, list(row)] = list(row.values())
+    return trans
 
 
 def dense_transition_oracle(alpha, beta, alphabet, eta) -> np.ndarray:

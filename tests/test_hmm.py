@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -127,6 +128,22 @@ def test_transitions_match_the_dense_construction():
         assert np.array_equal(
             dense_transitions(model), dense_transition_oracle(a, b, alphabet, eta)
         ), f"{a} / {b}, M={size}, eta={eta}"
+
+
+def test_model_memory_is_linear_in_states():
+    # At N = 20 (S = 1601) a dense S x S float matrix alone takes 19.6 MiB.
+    syms = [f"e{k}" for k in range(40)]
+    alpha = parse_serial_episode(" -> ".join(syms[:20]))
+    beta = parse_serial_episode(" -> ".join(syms[20:]))
+    alphabet = default_pair_alphabet(alpha, beta, 45)
+    tracemalloc.start()
+    try:
+        model = build_model(alpha, beta, alphabet, 0.2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model.n_states == 1601
+    assert peak <= 5 * 2**20
 
 
 def test_no_shared_transitions_in_disjoint_pair():
