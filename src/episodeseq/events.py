@@ -301,13 +301,14 @@ def dump_events(data: EventDataset, handle: IO[str]) -> None:
     """Write a dataset in the event-file format (canonical event order).
 
     Raises :class:`DataValidationError`, before writing anything, when a
-    sequence is empty or a symbol has leading or trailing whitespace or
-    holds a tab or line break: :func:`load_events` would read such a file
-    back as another dataset.
+    sequence is empty or a symbol that an event uses has leading or trailing
+    whitespace or holds a tab or line break: :func:`load_events` would read
+    such a file back as another dataset.
     """
     if not all(data.sequences):
         raise DataValidationError("an event file cannot hold an empty sequence")
-    for sym in data.alphabet.symbols:
+    used = {ev.event_type for seq in data.sequences for ev in seq}
+    for sym in map(data.alphabet.name, sorted(used)):
         if sym != sym.strip() or any(c in sym for c in "\t\n\r"):
             raise DataValidationError(
                 f"symbol {sym!r} cannot be written to an event file"

@@ -232,3 +232,14 @@ def test_dump_events_refuses_what_the_file_cannot_carry(sequences):
     with pytest.raises(DataValidationError):
         dump_events(EventDataset.from_tuples(sequences), out)
     assert out.getvalue() == ""
+
+
+def test_dump_events_ignores_alphabet_symbols_no_event_uses():
+    data = EventDataset(((Event(0, 1),),), Alphabet(("a", "b ")))
+    out = io.StringIO()
+    dump_events(data, out)
+    again = load_events(io.StringIO(out.getvalue()))
+    assert [
+        [(ev.time, again.alphabet.name(ev.event_type)) for ev in seq]
+        for seq in again.sequences
+    ] == [[(1, "a")]]
