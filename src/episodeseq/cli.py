@@ -232,8 +232,11 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         train = load_corpus(handle)
     with _open_in(args.test) as handle:
         test = load_corpus(handle)
-    if train.label_names != test.label_names:
-        raise DataValidationError("train and test label sets differ")
+    unseen = sorted(set(test.label_names) - set(train.label_names))
+    if unseen:
+        raise DataValidationError(f"test labels not in the training set: {unseen}")
+    train_id = {name: i for i, name in enumerate(train.label_names)}
+    truth = [train_id[test.label_names[label]] for label in test.labels]
     if args.dictionary:
         with _open_in(args.dictionary) as handle:
             dictionary = load_dictionary(handle, provenance="II")
@@ -243,7 +246,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     train_features = tfidf(train, dictionary, idf, args.weighting)
     test_features = tfidf(test, dictionary, idf, args.weighting)
     model = train_nb(train_features, train.labels)
-    metrics = evaluate(predict(model, test_features), test.labels)
+    metrics = evaluate(predict(model, test_features), truth)
     with _open_out(args.out) as out:
         out.write(
             metrics_csv(

@@ -229,6 +229,26 @@ def test_dict_and_classify(tmp_path, capsys):
     assert out.splitlines()[1].startswith("II,naive-bayes,1.000000")
 
 
+def test_classify_maps_test_labels_onto_training_ids(tmp_path, capsys):
+    train = tmp_path / "train.tsv"
+    train.write_text(
+        "pet\tcat purr soft cat purr\ncar\tengine oil filter engine oil\n", "utf-8"
+    )
+    pets_only = tmp_path / "pets.tsv"
+    pets_only.write_text("pet\tcat purr\npet\tsoft cat\n", "utf-8")
+    argv = ["classify", "--train", str(train), "--test", str(pets_only)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "I,naive-bayes,1.000000,1.000000"
+
+    unseen = tmp_path / "unseen.tsv"
+    unseen.write_text("pet\tcat purr\nboat\tsail keel\n", "utf-8")
+    argv = ["classify", "--train", str(train), "--test", str(unseen)]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "boat" in captured.err
+
+
 def test_dict_refuses_a_space_separated_corpus(tmp_path, capsys):
     corpus = tmp_path / "corpus.txt"
     corpus.write_text("pet cat purr soft\ncar engine oil filter\n", "utf-8")
