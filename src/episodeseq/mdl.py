@@ -18,7 +18,7 @@ when no candidate helps or the cap on selected episodes is reached.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
 from .events import (
@@ -240,11 +240,12 @@ class EncodingTable:
     ``multiplicities`` records, for events that appear more than once with
     identical (sequence, time, type), how many copies the original data
     holds; it is empty whenever the data has no such duplicates.
+    ``n_sequences`` counts the coded sequences, trailing empty ones included.
     """
 
     rows: tuple[TableRow, ...]
-    multiplicities: dict[tuple[int, int, str], int] = field(default_factory=dict)
-    n_sequences: int | None = None
+    multiplicities: dict[tuple[int, int, str], int]
+    n_sequences: int
 
 
 def encode(data: EventDataset, selection: SelectionState) -> EncodingTable:
@@ -299,12 +300,11 @@ def decode(table: EncodingTable) -> EventDataset:
             max_seq = max(max_seq, seq_idx)
             for sym, off in zip(row.episode.event_types, offsets):
                 triples.add((seq_idx, t + off, sym))
-    n_seq = table.n_sequences if table.n_sequences is not None else max_seq + 1
-    if max_seq >= n_seq:
+    if max_seq >= table.n_sequences:
         raise TableFormatError("start refers to a sequence beyond the declared count")
     names = sorted({sym for _, _, sym in triples})
     alphabet = Alphabet(tuple(names))
-    sequences: list[list[Event]] = [[] for _ in range(n_seq)]
+    sequences: list[list[Event]] = [[] for _ in range(table.n_sequences)]
     for seq_idx, t, sym in triples:
         copies = table.multiplicities.get((seq_idx, t, sym), 1)
         sequences[seq_idx].extend([Event(alphabet.index(sym), t)] * copies)
@@ -342,7 +342,7 @@ def save_table(table: EncodingTable, handle: IO[str]) -> None:
         ]
         handle.write("#mult " + ";".join(parts) + "\n")
     used = max((seq for row in table.rows for seq, _ in row.starts), default=-1) + 1
-    if table.n_sequences is not None and table.n_sequences != used:
+    if table.n_sequences != used:
         handle.write(f"#sequences {table.n_sequences}\n")
     for row in table.rows:
         starts = ";".join(f"{seq}:{t}" for seq, t in row.starts)
