@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -231,25 +232,29 @@ def test_simulate_deterministic_and_delta_emissions():
 
 
 def test_simulate_never_takes_a_zero_probability_state(monkeypatch):
-    # With eta = 0.175 some cumulative rows end just below 1, so a draw of
-    # the largest float below 1 falls past them.
+    # With eta = 0.175 the initial law and N0's row sum to just below 1, so
+    # a draw of the largest float below 1 falls past them.  Seed 1 draws
+    # 0.0 first, which starts the walk in N0, so its row is clamped too.
     class TopDraws:
         def __init__(self, seed):
-            pass
+            top = itertools.repeat(np.nextafter(1.0, 0.0))
+            self.draws = itertools.chain([0.0] * seed, top)
 
         def random(self):
-            return np.nextafter(1.0, 0.0)
+            return next(self.draws)
 
         def integers(self, low, high):
             return low
 
     model = pair_model("A -> B -> C", "D -> E -> F", m=9, eta=0.175)
     monkeypatch.setattr(np.random, "default_rng", TopDraws)
-    states = simulate(model, 200, seed=0).states
     trans = dense_transitions(model)
-    assert model.initial[states[0]] > 0
-    for prev, s in zip(states, states[1:]):
-        assert trans[prev, s] > 0
+    for seed in (0, 1):
+        states = simulate(model, 200, seed=seed).states
+        assert model.initial[states[0]] > 0
+        for prev, s in zip(states, states[1:]):
+            assert s == np.flatnonzero(trans[prev])[-1]
+    assert states[0] == model.state_index(StateId(StateKind.NOISE0))
 
 
 def test_simulate_noise_fraction_tracks_eta():
@@ -358,6 +363,20 @@ def test_closed_forms_agree_with_simulation():
                         closed_form_case1(model, counts[0], counts[1] + counts[2]),
                         abs=1e-9,
                     )
+
+
+def test_closed_form_counts_a_shared_initial_state():
+    # Equal first symbols: the path may start in S1(1,2) with probability
+    # 1 - eta, and that first emission is a shared event.
+    model = pair_model("A -> B -> C", "A -> D -> E", m=10, eta=0.3)
+    starts = 0
+    for seed in range(40):
+        traj = simulate(model, 30, seed=seed)
+        starts += traj.states[0] == model.shared_initial_state
+        want = closed_form_decomposed(model, *trajectory_counts(model, traj))
+        got = joint_log_likelihood(model, traj.outputs, traj.states)
+        assert got == pytest.approx(want, abs=1e-9)
+    assert starts > 0
 
 
 def test_viterbi_dominates_sampled_paths():
