@@ -315,10 +315,9 @@ def dense_features(features) -> np.ndarray:
     return dense
 
 
-def dense_tfidf(corpus, dictionary, idf, weighting: str) -> np.ndarray:
-    """Document vectors as dense rows: word counts by ``np.add.at``, times
-    ``idf``, each non-zero row divided by its ``np.linalg.norm``; or 0/1
-    presence for ``binary``."""
+def _dense_counts(corpus, dictionary) -> np.ndarray:
+    """Dictionary word counts as a dense (documents × words) array, filled
+    by ``np.add.at``; out-of-dictionary words are left out."""
     rows, cols = [], []
     for row, doc in enumerate(corpus.documents):
         for word in doc:
@@ -327,6 +326,21 @@ def dense_tfidf(corpus, dictionary, idf, weighting: str) -> np.ndarray:
                 cols.append(dictionary.id_of(word))
     counts = np.zeros((corpus.n_documents, len(dictionary)))
     np.add.at(counts, (rows, cols), 1.0)
+    return counts
+
+
+def dense_idf(corpus, dictionary) -> np.ndarray:
+    """Inverse document frequency with each word's document frequency read
+    off the dense count matrix as its number of non-zero rows."""
+    df = (_dense_counts(corpus, dictionary) > 0).sum(axis=0)
+    return np.log((1.0 + corpus.n_documents) / (1.0 + df)) + 1.0
+
+
+def dense_tfidf(corpus, dictionary, idf, weighting: str) -> np.ndarray:
+    """Document vectors as dense rows: word counts times ``idf``, each
+    non-zero row divided by its ``np.linalg.norm``; or 0/1 presence for
+    ``binary``."""
+    counts = _dense_counts(corpus, dictionary)
     if weighting == "binary":
         return (counts > 0).astype(float)
     weighted = counts * idf

@@ -31,7 +31,13 @@ from episodeseq import (
     train_nb,
 )
 from episodeseq.datasets import make_two_class_corpus
-from oracles import dense_class_scores, dense_features, dense_naive_bayes, dense_tfidf
+from oracles import (
+    dense_class_scores,
+    dense_features,
+    dense_idf,
+    dense_naive_bayes,
+    dense_tfidf,
+)
 
 
 def corpus_of(docs, labels, names=("neg", "pos")):
@@ -218,6 +224,7 @@ def _oracle_cases(n_cases):
 def test_text_pipeline_matches_dense_oracle(weighting):
     for train, test, d in _oracle_cases(40):
         idf = compute_idf(train, d)
+        assert np.array_equal(idf, dense_idf(train, d))
         features = tfidf(train, d, idf, weighting)
         dense = dense_tfidf(train, d, idf, weighting)
         assert np.allclose(dense_features(features), dense, rtol=1e-12, atol=0.0)
