@@ -36,11 +36,11 @@ for sel in selection.selected[:5]:
 print(f"Dictionary sizes: {len(dict_one)} -> {len(dict_two)}")
 print()
 
-for dictionary in (dict_one, dict_two):
+for name, dictionary in (("I", dict_one), ("II", dict_two)):
     idf = compute_idf(train, dictionary)
     model = train_nb(tfidf(train, dictionary, idf), train.labels)
     metrics = evaluate(predict(model, tfidf(test, dictionary, idf)), test.labels)
     print(
-        f"Naive Bayes with Dictionary-{dictionary.provenance}: "
+        f"Naive Bayes with Dictionary-{name}: "
         f"accuracy {metrics['accuracy']:.3f}, macro-F {metrics['macro_f']:.3f}"
     )

@@ -74,7 +74,6 @@ from .hmm import (
 )
 from .textpipe import (
     Corpus,
-    Dictionary,
     FeatureMatrix,
     NBModel,
     PreprocessOptions,

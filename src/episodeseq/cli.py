@@ -239,7 +239,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     truth = [train_id[test.label_names[label]] for label in test.labels]
     if args.dictionary:
         with _open_in(args.dictionary) as handle:
-            dictionary = load_dictionary(handle, provenance="II")
+            dictionary = load_dictionary(handle)
     else:
         dictionary = build_dictionary_I(train)
     idf = compute_idf(train, dictionary)
@@ -252,7 +252,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
             metrics_csv(
                 [
                     (
-                        dictionary.provenance,
+                        "II" if args.dictionary else "I",
                         "naive-bayes",
                         metrics["accuracy"],
                         metrics["macro_f"],

@@ -355,7 +355,7 @@ def load_table(handle: IO[str]) -> EncodingTable:
     """Read a table written by :func:`save_table`.
 
     Rows of size >= 2 are marked selected and 1-node rows residual; the
-    CSV format does not store provenance separately.
+    CSV format does not store that mark separately.
     """
     lines = handle.read().splitlines()
     if not lines or lines[0].split(",") != TABLE_HEADER:

@@ -4,16 +4,18 @@ Documents are token sequences; viewing tokens as events (time = token
 position) lets the episode miner run over a whole training corpus at once,
 with one sequence per document so no episode spans two documents.  The
 full vocabulary forms Dictionary-I; the words appearing in the selected
-non-singleton episodes form the much smaller Dictionary-II.  Documents are
-represented as tf-idf vectors over either dictionary, held as numpy CSR
-arrays, and classified with a multinomial Naive Bayes.
+non-singleton episodes form the much smaller Dictionary-II.  Both are
+``Alphabet``s: a dictionary is a sub-alphabet of the corpus's events, and
+a word's id is its position in the dictionary.  Documents are represented
+as tf-idf vectors over either dictionary, held as numpy CSR arrays, and
+classified with a multinomial Naive Bayes.
 """
 
 from __future__ import annotations
 
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 
@@ -116,12 +118,13 @@ def load_corpus_dir(
 def corpus_to_events(train: Corpus) -> EventDataset:
     """One event sequence per document; event time is the token position.
 
-    The alphabet is the training vocabulary in sorted order, so episode
-    occurrences are structurally confined to single documents.
+    The alphabet is Dictionary-I, the training vocabulary in sorted order;
+    one sequence per document confines episode occurrences to single
+    documents.
     """
     if train.n_documents == 0:
         raise ValueError("corpus is empty")
-    alphabet = Alphabet.from_names(tok for doc in train.documents for tok in doc)
+    alphabet = build_dictionary_I(train)
     sequences = tuple(
         tuple(Event(alphabet.index(tok), pos) for pos, tok in enumerate(doc, start=1))
         for doc in train.documents
@@ -129,36 +132,12 @@ def corpus_to_events(train: Corpus) -> EventDataset:
     return EventDataset(sequences, alphabet)
 
 
-@dataclass(frozen=True)
-class Dictionary:
-    """Word <-> id bijection; ids are positions in the sorted word list."""
-
-    words: tuple[str, ...]
-    provenance: str  # "I" or "II"
-    _ids: dict[str, int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        ids = {w: i for i, w in enumerate(self.words)}
-        if len(ids) != len(self.words):
-            raise ValueError("dictionary words must be unique")
-        object.__setattr__(self, "_ids", ids)
-
-    def __len__(self) -> int:
-        return len(self.words)
-
-    def __contains__(self, word: str) -> bool:
-        return word in self._ids
-
-    def id_of(self, word: str) -> int:
-        return self._ids[word]
-
-
-def build_dictionary_I(corpus: Corpus) -> Dictionary:
+def build_dictionary_I(corpus: Corpus) -> Alphabet:
     """All unique training words, sorted."""
-    return Dictionary(tuple(sorted({tok for doc in corpus.documents for tok in doc})), "I")
+    return Alphabet.from_names(tok for doc in corpus.documents for tok in doc)
 
 
-def build_dictionary_II(selection: SelectionState) -> Dictionary:
+def build_dictionary_II(selection: SelectionState) -> Alphabet:
     """Unique words of the selected episodes of size two or more."""
     words = {
         sym
@@ -168,7 +147,7 @@ def build_dictionary_II(selection: SelectionState) -> Dictionary:
     }
     if not words:
         warnings.warn("no non-singleton episodes selected; dictionary is empty")
-    return Dictionary(tuple(sorted(words)), "II")
+    return Alphabet.from_names(words)
 
 
 def mine_dictionary(
@@ -176,21 +155,22 @@ def mine_dictionary(
     max_gap: int = 5,
     max_episodes: int | None = None,
     mode: FrequencyMode = FrequencyMode.NON_OVERLAPPED,
-) -> tuple[Dictionary, SelectionState]:
+) -> tuple[Alphabet, SelectionState]:
     """Run the episode miner over the corpus and build Dictionary-II."""
     data = corpus_to_events(train)
     selection = select(data, max_gap, max_episodes, mode)
     return build_dictionary_II(selection), selection
 
 
-def save_dictionary(dictionary: Dictionary, handle: IO[str]) -> None:
+def save_dictionary(dictionary: Alphabet, handle: IO[str]) -> None:
     """One word per line; the line number (from 0) is the word id."""
-    for word in dictionary.words:
+    for word in dictionary.symbols:
         handle.write(word + "\n")
 
 
-def load_dictionary(handle: IO[str], provenance: str = "II") -> Dictionary:
-    return Dictionary(tuple(line.strip() for line in handle if line.strip()), provenance)
+def load_dictionary(handle: IO[str]) -> Alphabet:
+    """The non-blank lines, stripped, in file order; ids follow that order."""
+    return Alphabet(tuple(line.strip() for line in handle if line.strip()))
 
 
 @dataclass(frozen=True)
@@ -204,60 +184,60 @@ class FeatureMatrix:
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
-    dictionary: Dictionary
+    dictionary: Alphabet
 
     @property
     def n_documents(self) -> int:
         return len(self.indptr) - 1
 
 
-def compute_idf(corpus: Corpus, dictionary: Dictionary) -> np.ndarray:
+def _term_counts(corpus: Corpus, dictionary: Alphabet) -> FeatureMatrix:
+    """Raw word counts per document; out-of-dictionary words are left out."""
+    n_words = len(dictionary)
+    # One key per dictionary token, row-major, so sorting orders rows then ids.
+    keys = np.array(
+        [
+            row * n_words + dictionary.index(word)
+            for row, doc in enumerate(corpus.documents)
+            for word in doc
+            if word in dictionary
+        ],
+        dtype=np.intp,
+    )
+    keys, counts = np.unique(keys, return_counts=True)
+    rows, indices = np.divmod(keys, n_words)
+    indptr = np.zeros(corpus.n_documents + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=corpus.n_documents), out=indptr[1:])
+    return FeatureMatrix(indptr, indices, counts.astype(float), dictionary)
+
+
+def compute_idf(corpus: Corpus, dictionary: Alphabet) -> np.ndarray:
     """Inverse document frequency: log((1 + n_d) / (1 + df)) + 1."""
-    df = np.zeros(len(dictionary))
-    for doc in corpus.documents:
-        for word in set(doc):
-            if word in dictionary:
-                df[dictionary.id_of(word)] += 1
+    df = np.bincount(_term_counts(corpus, dictionary).indices, minlength=len(dictionary))
     return np.log((1.0 + corpus.n_documents) / (1.0 + df)) + 1.0
 
 
 def tfidf(
     corpus: Corpus,
-    dictionary: Dictionary,
-    idf: np.ndarray | None = None,
+    dictionary: Alphabet,
+    idf: np.ndarray,
     weighting: str = "tfidf-cosine",
 ) -> FeatureMatrix:
     """Document vectors over the dictionary; out-of-dictionary words are ignored.
 
-    Default weighting multiplies word counts by idf and cosine-normalizes
-    each row (document frequencies default to this corpus; pass the
-    training idf when transforming a test split).  ``binary`` weighting
-    records presence/absence instead.
+    Default weighting multiplies word counts by ``idf`` (the training
+    split's, also when transforming a test split) and cosine-normalizes
+    each row.  ``binary`` weighting records presence/absence instead.
     """
     if len(dictionary) == 0:
         raise ValueError("dictionary is empty")
     if weighting not in ("tfidf-cosine", "binary"):
         raise ValueError(f"unknown weighting {weighting!r}")
-    indptr = np.zeros(corpus.n_documents + 1, dtype=np.intp)
-    cols: list[int] = []
-    vals: list[float] = []
-    for row, doc in enumerate(corpus.documents):
-        counts: dict[int, int] = {}
-        for word in doc:
-            if word in dictionary:
-                wid = dictionary.id_of(word)
-                counts[wid] = counts.get(wid, 0) + 1
-        for wid in sorted(counts):
-            cols.append(wid)
-            vals.append(1.0 if weighting == "binary" else float(counts[wid]))
-        indptr[row + 1] = len(cols)
-    indices = np.array(cols, dtype=np.intp)
-    data = np.array(vals)
+    counts = _term_counts(corpus, dictionary)
+    indptr, indices = counts.indptr, counts.indices
     if weighting == "binary":
-        return FeatureMatrix(indptr, indices, data, dictionary)
-    if idf is None:
-        idf = compute_idf(corpus, dictionary)
-    data = data * idf[indices]
+        return FeatureMatrix(indptr, indices, np.ones(len(indices)), dictionary)
+    data = counts.data * idf[indices]
     lengths = np.diff(indptr)
     norms = np.zeros(corpus.n_documents)
     # Sums of squares in stored order; reduceat needs the empty rows left out.

@@ -323,7 +323,7 @@ def _dense_counts(corpus, dictionary) -> np.ndarray:
         for word in doc:
             if word in dictionary:
                 rows.append(row)
-                cols.append(dictionary.id_of(word))
+                cols.append(dictionary.index(word))
     counts = np.zeros((corpus.n_documents, len(dictionary)))
     np.add.at(counts, (rows, cols), 1.0)
     return counts

@@ -311,13 +311,13 @@ def test_criterion_10_dictionary_reduction():
     dict_two, _ = mine_dictionary(train)
     assert len(dict_two) <= 0.5 * len(dict_one)
     accuracies = {}
-    for dictionary in (dict_one, dict_two):
+    for name, dictionary in (("I", dict_one), ("II", dict_two)):
         idf = compute_idf(train, dictionary)
         model = train_nb(tfidf(train, dictionary, idf), train.labels)
         metrics = evaluate(
             predict(model, tfidf(test, dictionary, idf)), test.labels
         )
-        accuracies[dictionary.provenance] = metrics["accuracy"]
+        accuracies[name] = metrics["accuracy"]
     assert abs(accuracies["I"] - accuracies["II"]) <= 0.03
     elapsed = time.monotonic() - started
     assert elapsed < 60.0

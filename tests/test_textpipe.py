@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from episodeseq import (
+    Alphabet,
     Corpus,
     DataValidationError,
     FrequencyMode,
@@ -89,8 +90,7 @@ def test_dictionary_ii_from_selection():
         FrequencyMode.DISTINCT,
     )
     d2 = build_dictionary_II(selection)
-    assert set(d2.words) == {"aa", "bb", "cc", "dd"}
-    assert d2.provenance == "II"
+    assert set(d2.symbols) == {"aa", "bb", "cc", "dd"}
 
 
 def test_dictionary_ii_empty_warns():
@@ -106,21 +106,21 @@ def test_dictionary_ii_subset_of_dictionary_i():
     train, _ = make_two_class_corpus(n_train=60, n_test=10)
     d1 = build_dictionary_I(train)
     d2, _ = mine_dictionary(train, max_gap=3)
-    assert set(d2.words) <= set(d1.words)
+    assert set(d2.symbols) <= set(d1.symbols)
 
 
 def test_idf_formula():
     corpus = corpus_of(["w x", "w y", "w z"], [0, 0, 1])
     d = build_dictionary_I(corpus)
     idf = compute_idf(corpus, d)
-    assert idf[d.id_of("w")] == pytest.approx(1.0)  # in every document
-    assert idf[d.id_of("x")] == pytest.approx(math.log(4 / 2) + 1)
+    assert idf[d.index("w")] == pytest.approx(1.0)  # in every document
+    assert idf[d.index("x")] == pytest.approx(math.log(4 / 2) + 1)
 
 
 def test_tfidf_rows_unit_norm():
     corpus = corpus_of(["w w x y", "x z z z", "w"], [0, 1, 0])
     d = build_dictionary_I(corpus)
-    dense = dense_features(tfidf(corpus, d))
+    dense = dense_features(tfidf(corpus, d, compute_idf(corpus, d)))
     norms = np.sqrt((dense * dense).sum(axis=1))
     assert np.allclose(norms, 1.0, atol=1e-12)
 
@@ -132,10 +132,10 @@ def test_tfidf_uses_train_df_for_test():
     idf = compute_idf(train, d)
     out = tfidf(test, d, idf)
     # single-word document: unit mass on w regardless of idf scale
-    assert dense_features(out)[0, d.id_of("w")] == pytest.approx(1.0)
+    assert dense_features(out)[0, d.index("w")] == pytest.approx(1.0)
     # but the raw weight reflects the training idf, not the test df
     raw = tfidf(test, d, idf, weighting="binary")
-    assert dense_features(raw)[0, d.id_of("w")] == 1.0
+    assert dense_features(raw)[0, d.index("w")] == 1.0
 
 
 def test_tfidf_document_order_invariance():
@@ -143,15 +143,15 @@ def test_tfidf_document_order_invariance():
     c1 = corpus_of(docs, [0, 1, 0])
     c2 = corpus_of(list(reversed(docs)), [0, 1, 0])
     d = build_dictionary_I(c1)
-    m1 = dense_features(tfidf(c1, d))
-    m2 = dense_features(tfidf(c2, d))
+    m1 = dense_features(tfidf(c1, d, compute_idf(c1, d)))
+    m2 = dense_features(tfidf(c2, d, compute_idf(c2, d)))
     assert np.allclose(m1, m2[::-1])
 
 
 def test_binary_weighting_is_zero_one():
     corpus = corpus_of(["w w x", "y"], [0, 1])
     d = build_dictionary_I(corpus)
-    features = tfidf(corpus, d, weighting="binary")
+    features = tfidf(corpus, d, compute_idf(corpus, d), weighting="binary")
     assert set(np.unique(dense_features(features))) <= {0.0, 1.0}
 
 
@@ -174,7 +174,7 @@ def test_projection_never_increases_unnormalized_norm():
             rows.append(
                 math.sqrt(
                     sum(
-                        (count * idf[dictionary.id_of(tok)]) ** 2
+                        (count * idf[dictionary.index(tok)]) ** 2
                         for tok, count in weights.items()
                     )
                 )
@@ -209,9 +209,9 @@ def _oracle_cases(n_cases):
             train, test = random_corpus(rng.randint(n_classes, 12)), random_corpus(8)
         d1 = build_dictionary_I(train)
         yield train, test, d1
-        words = rng.sample(d1.words, rng.randint(1, len(d1))) + ["unseen"]
+        words = rng.sample(d1.symbols, rng.randint(1, len(d1))) + ["unseen"]
         rng.shuffle(words)
-        yield train, test, type(d1)(tuple(words), "II")
+        yield train, test, Alphabet(tuple(words))
         if seed % 2:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
@@ -275,7 +275,7 @@ def test_nb_invariant_to_all_zero_column():
     train = corpus_of(["w x w", "y z", "w x", "z y y"], [0, 0, 1, 1])
     test = corpus_of(["w x x", "y z z"], [0, 1])
     d_small = build_dictionary_I(train)
-    d_big = type(d_small)(d_small.words + ("unused",), "I")
+    d_big = Alphabet(d_small.symbols + ("unused",))
     preds = []
     for d in (d_small, d_big):
         idf = compute_idf(train, d)
@@ -287,10 +287,10 @@ def test_nb_invariant_to_all_zero_column():
 def test_predict_rejects_dimension_mismatch():
     train = corpus_of(["w x", "y z"], [0, 1])
     d = build_dictionary_I(train)
-    model = train_nb(tfidf(train, d), train.labels)
-    other = type(d)(("w",), "II")
+    model = train_nb(tfidf(train, d, compute_idf(train, d)), train.labels)
+    other = Alphabet(("w",))
     with pytest.raises(ValueError):
-        predict(model, tfidf(train, other))
+        predict(model, tfidf(train, other, compute_idf(train, other)))
 
 
 def test_corpus_file_roundtrip():
@@ -319,8 +319,8 @@ def test_corpus_dir_layout(tmp_path):
 
 
 def test_dictionary_file_roundtrip():
-    d = load_dictionary(io.StringIO("aa\nbb\n"), provenance="II")
-    assert d.words == ("aa", "bb")
+    d = load_dictionary(io.StringIO("aa\nbb\n"))
+    assert d.symbols == ("aa", "bb")
     out = io.StringIO()
     save_dictionary(d, out)
     assert out.getvalue() == "aa\nbb\n"
