@@ -288,7 +288,8 @@ def decode(table: EncodingTable) -> EventDataset:
 
     Every row's starts are expanded through the episode's gaps; events
     coded by several rows collapse to the multiplicity the original data
-    had (1 unless listed in the table's multiplicity map).
+    had (1 unless listed in the table's multiplicity map).  A multiplicity
+    for an event no row codes raises :class:`TableFormatError`.
     """
     triples: set[tuple[int, int, str]] = set()
     max_seq = -1
@@ -302,6 +303,10 @@ def decode(table: EncodingTable) -> EventDataset:
                 triples.add((seq_idx, t + off, sym))
     if max_seq >= table.n_sequences:
         raise TableFormatError("start refers to a sequence beyond the declared count")
+    unknown = sorted(table.multiplicities.keys() - triples)
+    if unknown:
+        seq_idx, t, sym = unknown[0]
+        raise TableFormatError(f"#mult names {seq_idx}:{t}:{sym}, which no row codes")
     names = sorted({sym for _, _, sym in triples})
     alphabet = Alphabet(tuple(names))
     sequences: list[list[Event]] = [[] for _ in range(table.n_sequences)]
@@ -367,6 +372,8 @@ def load_table(handle: IO[str]) -> EncodingTable:
         for part in lines[body_start][len("#mult ") :].split(";"):
             loc, _, m = part.rpartition("=")
             seq, t, sym = loc.split(":", 2)
+            if int(m) < 2:
+                raise TableFormatError(f"#mult gives {loc} multiplicity {m}, below 2")
             multiplicities[(int(seq), int(t), sym)] = int(m)
         body_start += 1
     if len(lines) > body_start and lines[body_start].startswith("#sequences "):

@@ -304,6 +304,18 @@ def test_decode_refuses_a_table_with_an_empty_sequence(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mult", ["0:1:A=0", "0:1:A=-2", "0:9:A=3"])
+def test_decode_refuses_a_multiplicity_line_it_cannot_honour(mult, tmp_path, capsys):
+    # a zero or negative count would drop A@1; a key no row codes would be ignored
+    table = tmp_path / "t.csv"
+    table.write_text(f"size,episode,freq,starts\n#mult {mult}\n1,A,2,0:1;0:2\n", "utf-8")
+    out = tmp_path / "events.tsv"
+    out.write_bytes(b"previous contents\n")
+    assert main(["decode", str(table), "-o", str(out)]) == 3
+    assert out.read_bytes() == b"previous contents\n"
+    assert "error:" in capsys.readouterr().err
+
+
 def test_exit_code_io_error(tmp_path, capsys):
     status = main(["decode", str(tmp_path / "missing.csv")])
     assert status == 4

@@ -404,3 +404,16 @@ def test_load_table_rejects_malformed():
         load_table(io.StringIO("size,episode,freq,starts\n2,A -1-> B,2,0:1\n"))
     with pytest.raises(TableFormatError):
         load_table(io.StringIO("size,episode,freq,starts\n3,A -1-> B,1,0:1\n"))
+
+
+@pytest.mark.parametrize("m", [1, 0, -2])
+def test_load_table_refuses_a_multiplicity_below_two(m):
+    text = f"size,episode,freq,starts\n#mult 0:1:A={m}\n1,A,2,0:1;0:2\n"
+    with pytest.raises(TableFormatError, match="multiplicity"):
+        load_table(io.StringIO(text))
+
+
+def test_decode_refuses_a_multiplicity_no_row_codes():
+    text = "size,episode,freq,starts\n#mult 0:9:A=3\n1,A,2,0:1;0:2\n"
+    with pytest.raises(TableFormatError, match="0:9:A"):
+        decode(load_table(io.StringIO(text)))
