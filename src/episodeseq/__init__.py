@@ -47,7 +47,7 @@ from .mdl import (
     select,
     total_length,
 )
-from .candidates import Candidate, CandidateSet, generate_candidates
+from .candidates import Candidate, generate_candidates
 from .hmm import (
     EpisodePairModel,
     PairComparison,

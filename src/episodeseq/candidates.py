@@ -40,27 +40,15 @@ _PRUNE_FREQUENCY = 1
 class Candidate:
     episode: FixedIntervalEpisode
     occurrences: OccurrenceList  # under the active frequency mode
-    frequency: int
     score: int
+
+    @property
+    def frequency(self) -> int:
+        return self.occurrences.total
 
     @property
     def key(self) -> str:
         return str(self.episode)
-
-
-@dataclass(frozen=True)
-class CandidateSet:
-    """Deduplicated candidates in canonical (episode string) order."""
-
-    episodes: tuple[Candidate, ...]
-    max_gap: int
-    mode: FrequencyMode
-
-    def __len__(self) -> int:
-        return len(self.episodes)
-
-    def __iter__(self):
-        return iter(self.episodes)
 
 
 class _DataIndex:
@@ -101,12 +89,13 @@ def generate_candidates(
     data: EventDataset,
     max_gap: int,
     mode: FrequencyMode = FrequencyMode.NON_OVERLAPPED,
-) -> CandidateSet:
+) -> tuple[Candidate, ...]:
     """DFS the episode lattice and return the per-path best episodes.
 
     Along a path the best episode has the highest score, and ties go to the
     longer episode.  Lengths grow strictly along a path, so a node replaces
-    the path's best whenever its score is at least as high.
+    the path's best whenever its score is at least as high.  Candidates
+    are deduplicated and come in canonical (episode string) order.
     """
     if max_gap < 1:
         raise ValueError("max_gap must be >= 1")
@@ -159,8 +148,5 @@ def generate_candidates(
             occ = OccurrenceList(episode, pairs)
             if no_mode:
                 occ = find_no_occurrences(occ)
-            emitted[best_ids, best_gaps] = Candidate(
-                episode, occ, occ.total, score(episode, occ.total)
-            )
-    candidates = sorted(emitted.values(), key=lambda cand: cand.key)
-    return CandidateSet(tuple(candidates), max_gap, mode)
+            emitted[best_ids, best_gaps] = Candidate(episode, occ, score(episode, occ.total))
+    return tuple(sorted(emitted.values(), key=lambda cand: cand.key))

@@ -197,9 +197,6 @@ class FixedIntervalEpisode:
             acc.append(acc[-1] + g)
         return tuple(acc)
 
-    def as_serial(self) -> SerialEpisode:
-        return SerialEpisode(self.event_types)
-
     def __str__(self) -> str:
         return format_episode(self)
 

@@ -83,17 +83,18 @@ class SelectedEpisode:
 
     episode: FixedIntervalEpisode
     starts: tuple[tuple[int, int], ...]
-    frequency: int
     round_index: int
     covered: frozenset[tuple[int, int]]
+
+    @property
+    def frequency(self) -> int:
+        return len(self.starts)
 
 
 @dataclass(frozen=True)
 class SelectionState:
     """Outcome of the greedy selection over one dataset."""
 
-    data: EventDataset
-    mode: FrequencyMode
     selected: tuple[SelectedEpisode, ...]
     n_rounds: int
 
@@ -181,17 +182,11 @@ def select(
             break
         for cand, covered, _ in round_picks:
             selected.append(
-                SelectedEpisode(
-                    cand.episode,
-                    cand.occurrences.starts,
-                    cand.frequency,
-                    round_index,
-                    covered,
-                )
+                SelectedEpisode(cand.episode, cand.occurrences.starts, round_index, covered)
             )
             removed |= covered
         round_index += 1
-    return SelectionState(data, mode, tuple(selected), round_index)
+    return SelectionState(tuple(selected), round_index)
 
 
 def forced_selection(
@@ -208,8 +203,8 @@ def forced_selection(
     for episode in episodes:
         occ = occurrences_for_mode(data, episode, mode)
         cov = cover(data, episode, occ.starts)
-        selected.append(SelectedEpisode(episode, occ.starts, occ.total, 0, cov))
-    return SelectionState(data, mode, tuple(selected), 1 if selected else 0)
+        selected.append(SelectedEpisode(episode, occ.starts, 0, cov))
+    return SelectionState(tuple(selected), 1 if selected else 0)
 
 
 @dataclass(frozen=True)
