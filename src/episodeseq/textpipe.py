@@ -193,22 +193,22 @@ class FeatureMatrix:
 
 def _term_counts(corpus: Corpus, dictionary: Alphabet) -> FeatureMatrix:
     """Raw word counts per document; out-of-dictionary words are left out."""
-    n_words = len(dictionary)
-    # One key per dictionary token, row-major, so sorting orders rows then ids.
-    keys = np.array(
-        [
-            row * n_words + dictionary.index(word)
-            for row, doc in enumerate(corpus.documents)
-            for word in doc
-            if word in dictionary
-        ],
-        dtype=np.intp,
-    )
-    keys, counts = np.unique(keys, return_counts=True)
-    rows, indices = np.divmod(keys, n_words)
     indptr = np.zeros(corpus.n_documents + 1, dtype=np.intp)
-    np.cumsum(np.bincount(rows, minlength=corpus.n_documents), out=indptr[1:])
-    return FeatureMatrix(indptr, indices, counts.astype(float), dictionary)
+    indices: list[int] = []
+    counts: list[int] = []
+    for row, doc in enumerate(corpus.documents):
+        tally: dict[int, int] = {}
+        for word in doc:
+            if word in dictionary:
+                wid = dictionary.index(word)
+                tally[wid] = tally.get(wid, 0) + 1
+        for wid in sorted(tally):
+            indices.append(wid)
+            counts.append(tally[wid])
+        indptr[row + 1] = len(indices)
+    return FeatureMatrix(
+        indptr, np.array(indices, dtype=np.intp), np.array(counts, dtype=float), dictionary
+    )
 
 
 def compute_idf(corpus: Corpus, dictionary: Alphabet) -> np.ndarray:
