@@ -298,7 +298,7 @@ def decode(table: EncodingTable) -> EventDataset:
                 triples.add((seq_idx, t + off, sym))
     if max_seq >= table.n_sequences:
         raise TableFormatError("start refers to a sequence beyond the declared count")
-    unknown = sorted(table.multiplicities.keys() - triples)
+    unknown = sorted(key for key in table.multiplicities if key not in triples)
     if unknown:
         seq_idx, t, sym = unknown[0]
         raise TableFormatError(f"#mult names {seq_idx}:{t}:{sym}, which no row codes")
