@@ -363,6 +363,24 @@ def test_cli_import_loads_no_scipy(tmp_path):
     assert out.decode().strip() == "[]"
 
 
+def test_mine_loads_no_numpy_ma(tmp_path):
+    # numpy.ma costs resident memory; np.unique without return_* outputs
+    # would import it.
+    from episodeseq.datasets import sample_sequence_text
+
+    (tmp_path / "seq.tsv").write_text(sample_sequence_text(), "utf-8")
+    out = _run_python(
+        [
+            "-c",
+            "import sys; from episodeseq.cli import main; "
+            "status = main(['mine', 'seq.tsv', '--max-gap', '5', '-o', 'table.csv']); "
+            "print(status, 'numpy.ma' in sys.modules)",
+        ],
+        tmp_path,
+    )
+    assert out.decode().strip() == "0 False"
+
+
 def test_criterion_11_byte_identical_reruns(tmp_path):
     from episodeseq.datasets import sample_sequence_text
     from episodeseq.textpipe import save_corpus

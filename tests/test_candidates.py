@@ -1,18 +1,22 @@
 import random
+import tracemalloc
 
 import pytest
 
 from episodeseq import (
     Alphabet,
+    hmm,
     EventDataset,
     FrequencyMode,
     find_distinct_starts,
     find_no_occurrences,
     generate_candidates,
     parse_episode,
+    parse_serial_episode,
     score,
 )
 from oracles import (
+    dfs_candidates,
     fixed_interval_starts,
     per_sequence_starts,
     random_planted_dataset,
@@ -141,3 +145,42 @@ def test_candidates_sorted_canonically(sample_data):
 def test_max_gap_validation(sample_data):
     with pytest.raises(ValueError):
         generate_candidates(sample_data, 0)
+
+
+def _oracle_dataset(rng):
+    """1-4 sequences, some empty, of 4 symbols at times -5..12 with duplicates."""
+    sizes = [rng.choice((0, rng.randint(1, 30))) for _ in range(rng.randint(1, 4))]
+    return EventDataset.from_tuples(
+        [[(rng.randint(-5, 12), rng.choice("ABCD")) for _ in range(n)] for n in sizes],
+        Alphabet(tuple("ABCD")),
+    )
+
+
+def test_candidates_equal_dfs_oracle():
+    rng = random.Random(2024)
+    for _ in range(3000):
+        data = _oracle_dataset(rng)
+        max_gap = rng.randint(1, 4)
+        for mode in FrequencyMode:
+            got, want = (
+                [
+                    (c.key, c.frequency, c.score, c.occurrences.starts)
+                    for c in search(data, max_gap, mode)
+                ]
+                for search in (generate_candidates, dfs_candidates)
+            )
+            assert got == want, (data.named_sequences(), max_gap, mode)
+
+
+def test_candidate_search_memory_on_long_trajectory():
+    alpha = parse_serial_episode("A -> B -> C")
+    beta = parse_serial_episode("D -> B -> E")
+    model = hmm.build_model(alpha, beta, hmm.default_pair_alphabet(alpha, beta, 9), 0.25)
+    data = hmm.trajectory_dataset(model, hmm.simulate(model, 10_000, 0))
+    tracemalloc.start()
+    try:
+        generate_candidates(data, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20

@@ -67,6 +67,26 @@ def _duplicates_text() -> str:
     )
 
 
+def _huge_times_text() -> str:
+    # Three sequences near -10**30, 10**30 and -10**30 + 5.  Each holds
+    # bursts of A/B/C/D events 10**25 apart, and every burst carries
+    # A -1-> B -2-> C once, so mined episodes cross no jump.
+    rng = random.Random(1030)
+    sequences = []
+    for base in (-(10**30), 10**30, 5 - 10**30):
+        seq = []
+        for burst in range(rng.randint(2, 4)):
+            origin = base + burst * 10**25
+            at = origin + rng.randint(0, 12)
+            seq += [(at, "A"), (at + 1, "B"), (at + 3, "C")]
+            seq += [
+                (origin + rng.randint(0, 15), rng.choice("ABCD"))
+                for _ in range(rng.randint(6, 14))
+            ]
+        sequences.append(seq)
+    return _events_text(EventDataset.from_tuples(sequences))
+
+
 def _pair_trajectory_case(alpha: str, beta: str, size: int, length: int, seed: int):
     """A ``hmm-score --viterbi`` case on a simulated states-and-symbols file."""
 
@@ -125,6 +145,7 @@ EVENT_INPUTS = {
     "two_class_60": (lambda: _events_text(corpus_to_events(_two_class_train())), 5),
     "planted": (lambda: _events_text(corpus_to_events(make_planted_corpus())), 3),
     "trajectory_2k": (_trajectory_text, 3),
+    "huge_times": (_huge_times_text, 3),
 }
 
 # golden file name -> (input builders by name, argv); "{name}" in argv stands
