@@ -1,6 +1,6 @@
-"""Depth-first enumeration of the fixed-interval episode lattice.
+"""Level-wise search of the fixed-interval episode lattice.
 
-Every symbol present in the data roots one DFS tree.  A node is extended by
+Every symbol present in the data roots one tree.  A node is extended by
 appending a symbol not already in the episode, with any gap in [1, T_g];
 each child's distinct-start list is the subset of the parent's starts whose
 end offset hits an event of the new symbol.  Along every root-to-leaf path
@@ -13,27 +13,26 @@ occur at most once; no user frequency threshold is involved.  (Episodes
 with f <= 2 score at most -3 and are never selected, so keeping the f = 2
 branches only widens the reported candidate set, never the selection.)
 
-Extension joins always use distinct starts.  A node carries one sorted list
-of start times on a global time axis (see ``_DataIndex``); in
-non-overlapped mode its frequency is the greedily filtered count of that
-list.  Occurrence lists and candidates are built only for emitted episodes.
+The trees are searched one depth at a time, as Mannila, Toivonen & Verkamo
+count episodes level-wise (DMKD 1997), by numpy joins over whole depths.
+The joins use distinct starts on one time axis (see ``_Axis``).  In
+non-overlapped mode a node's frequency is the length of the greedy chain
+of non-overlapped starts (Laxman, Sastry & Unnikrishnan, TKDE 2005).
+Occurrence lists and candidates are built only for emitted episodes.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
+
+import numpy as np
 
 from .events import EventDataset, FixedIntervalEpisode
 from .mdl import row_gain, score
-from .occurrences import (
-    FrequencyMode,
-    OccurrenceList,
-    find_no_occurrences,
-    non_overlapped,
-)
+from .occurrences import FrequencyMode, OccurrenceList, find_no_occurrences
 
 _PRUNE_FREQUENCY = 1
+_BLOCK = 1 << 13  # pairs joined at once, in blocks of whole nodes
 
 
 @dataclass(frozen=True)
@@ -51,38 +50,61 @@ class Candidate:
         return str(self.episode)
 
 
-class _DataIndex:
-    """All sequences on one global time axis, with the lookups of the joins.
+class _Axis:
+    """All sequences on one time axis, with the time -> symbols lookup.
 
-    Sequence k is shifted so that its first event falls more than
-    ``max_gap`` after the last event of sequence k-1.  A join looks at most
-    ``max_gap`` past an occurrence's end, and the non-overlap test keeps a
-    start later than the previous occurrence's end, so neither ever crosses
-    a sequence boundary: one sorted list of global times holds an episode's
-    starts in every sequence.
+    The sequences are laid end to end.  A step between consecutive distinct
+    times keeps its length, but a step longer than ``max_gap``, and the step
+    into the next sequence, become ``max_gap + 1``.  A join looks at most
+    ``max_gap`` past an occurrence's end, and the non-overlap test compares
+    a start with an earlier occurrence's end, an event time; so neither
+    crosses such a step, and one sorted array holds an episode's starts in
+    every sequence.  The axis stays small however large the raw times are.
     """
 
     def __init__(self, data: EventDataset, max_gap: int):
-        # symbol id -> sorted distinct global times of its events
-        self.times_by_type: dict[int, list[int]] = {}
-        # global time -> symbol ids present at that time
-        self.types_at_time: dict[int, set[int]] = {}
-        # global time -> (sequence index, time in that sequence)
+        # axis time -> (sequence index, time in that sequence)
         self.pair_at: dict[int, tuple[int, int]] = {}
-        end = None
+        times: list[int] = []  # distinct (axis time, symbol id) events, in time order
+        types: list[int] = []
+        g = -max_gap - 1
         for seq_idx, seq in enumerate(data.sequences):
-            if not seq:
-                continue
-            base = 0 if end is None else end + max_gap + 1 - seq[0].time
+            prev = None
             for ev in seq:
-                # unshifted times keep the events' own int objects
-                g = ev.time + base if base else ev.time
-                self.pair_at[g] = (seq_idx, ev.time)
-                self.types_at_time.setdefault(g, set()).add(ev.event_type)
-                times = self.times_by_type.setdefault(ev.event_type, [])
-                if not times or times[-1] != g:
-                    times.append(g)
-            end = seq[-1].time + base
+                if ev.time != prev:
+                    g += max_gap + 1 if prev is None else min(ev.time - prev, max_gap + 1)
+                    prev = ev.time
+                    self.pair_at[g] = (seq_idx, prev)
+                elif ev.event_type == types[-1]:
+                    continue  # events sharing (time, type) are adjacent
+                times.append(g)
+                types.append(ev.event_type)
+        # Small int types keep a depth's arrays small.
+        self.time_type = np.int32 if g + 2 * max_gap < 2**31 else np.int64
+        self.sym_type = np.min_scalar_type(data.alphabet.size)
+        self.gap_type = np.min_scalar_type(max_gap)
+        self.n_types = data.alphabet.size
+        self.times = np.array(times, self.time_type)
+        self.types = np.array(types, self.sym_type)
+        # CSR: the events at axis time t are [indptr[t], indptr[t + 1]); the
+        # lookup runs to max_gap past the last time.
+        counts = np.bincount(self.times, minlength=g + max_gap + 2)
+        self.indptr = np.zeros(len(counts) + 1, self.time_type)
+        np.cumsum(counts, out=self.indptr[1:])
+
+
+@dataclass
+class _Depth:
+    """The nodes of one depth as parallel arrays, with their starts."""
+
+    ids: np.ndarray  # (n, depth) symbol ids
+    gaps: np.ndarray  # (n, depth - 1)
+    span: np.ndarray
+    f: np.ndarray  # mode frequency
+    best_score: np.ndarray  # score of the path's best node
+    best_ref: np.ndarray  # that node's index among the kept ones; -1: this node
+    node: np.ndarray | None  # (node, start) pairs, sorted by node, then start
+    start: np.ndarray | None
 
 
 def generate_candidates(
@@ -90,63 +112,167 @@ def generate_candidates(
     max_gap: int,
     mode: FrequencyMode = FrequencyMode.NON_OVERLAPPED,
 ) -> tuple[Candidate, ...]:
-    """DFS the episode lattice and return the per-path best episodes.
+    """Search the episode lattice and return the per-path best episodes.
 
     Along a path the best episode has the highest score, and ties go to the
-    longer episode.  Lengths grow strictly along a path, so a node replaces
-    the path's best whenever its score is at least as high.  Candidates
-    are deduplicated and come in canonical (episode string) order.
+    longer episode.  Candidates are deduplicated and come in canonical
+    (episode string) order.
     """
     if max_gap < 1:
         raise ValueError("max_gap must be >= 1")
-    index = _DataIndex(data, max_gap)
-    at_time = index.types_at_time
+    # No gap outgrows the longest sequence; a shorter max_gap keeps the axis short.
+    longest = max((seq[-1].time - seq[0].time for seq in data.sequences if seq), default=0)
+    max_gap = min(max_gap, max(longest, 1))
+    axis = _Axis(data, max_gap)
     no_mode = mode is FrequencyMode.NON_OVERLAPPED
-    deltas = range(1, max_gap + 1)
-    # (type ids, gaps) of each emitted episode -> its candidate
-    emitted: dict[tuple[tuple[int, ...], tuple[int, ...]], Candidate] = {}
-    # Nodes to visit: (type ids, gaps, span, distinct starts, frequency,
-    # the path's best so far as (score, type ids, gaps, starts) or None).
-    stack: list[tuple] = [
-        ((root_type,), (), 0, starts, len(starts), None)
-        for root_type, starts in index.times_by_type.items()
-    ]
-    while stack:
-        type_ids, gaps, ep_span, starts, f, best = stack.pop()
-        node_score = row_gain(len(type_ids), f)
-        if best is None or node_score >= best[0]:
-            best = (node_score, type_ids, gaps, starts)
+    counts = np.bincount(axis.types, minlength=axis.n_types)
+    roots = np.flatnonzero(counts)
+    f = counts[roots]
+    depth: _Depth | None = _Depth(
+        roots[:, None].astype(axis.sym_type),
+        np.empty((len(roots), 0), axis.gap_type),
+        np.zeros(len(roots), axis.time_type),
+        f,
+        row_gain(1, f),
+        np.full(len(roots), -1, np.int32),
+        np.repeat(np.arange(len(roots), dtype=np.int32), f),
+        axis.times[np.argsort(axis.types, kind="stable")],
+    )
+    # Per depth, the nodes that are their own path best: (ids, gaps, CSR of
+    # their starts).  Path-best refs number them across depths.
+    kept: list[tuple[np.ndarray, ...]] = []
+    n_kept = 0
+    leaf_refs = []
+    while depth is not None:
+        own = np.flatnonzero(depth.best_ref < 0)
+        depth.best_ref[own] = np.arange(n_kept, n_kept + len(own))
+        is_own = depth.best_ref[depth.node] >= n_kept
+        n_kept += len(own)
+        ptr = np.searchsorted(depth.node[is_own], np.append(own, len(depth.f)))
+        kept.append((depth.ids[own], depth.gaps[own], ptr, depth.start[is_own]))
+        del own, is_own
+        depth, refs = _extend(depth, axis, max_gap, no_mode)
+        leaf_refs.append(refs)
+    emitted = np.zeros(n_kept, bool)
+    for refs in leaf_refs:
+        emitted[refs] = True
 
-        children: dict[tuple[int, int], list[int]] = defaultdict(list)
-        if f > _PRUNE_FREQUENCY:
-            # Gather extensions from events actually present at reachable
-            # offsets instead of probing the whole alphabet blindly.
-            for t in starts:
-                end = t + ep_span
-                for delta in deltas:
-                    for sym in at_time.get(end + delta, ()):
-                        if sym not in type_ids:
-                            children[sym, delta].append(t)
-
-        explored = False
-        for (sym, delta), child in children.items():
-            child_span = ep_span + delta
-            child_f = len(non_overlapped(child, child_span) if no_mode else child)
-            if child_f <= _PRUNE_FREQUENCY:
-                continue
-            explored = True
-            stack.append(
-                (type_ids + (sym,), gaps + (delta,), child_span, child, child_f, best)
-            )
-        if not explored and (best[1], best[2]) not in emitted:
-            # Leaf of the explored tree: emit this path's best episode.
-            _, best_ids, best_gaps, best_starts = best
-            episode = FixedIntervalEpisode(
-                tuple(data.alphabet.name(i) for i in best_ids), best_gaps
-            )
-            pairs = tuple(map(index.pair_at.__getitem__, best_starts))
+    name = data.alphabet.name
+    candidates = []
+    base = 0
+    for ids, gaps, ptr, starts in kept:
+        for k in np.flatnonzero(emitted[base : base + len(ids)]).tolist():
+            episode = FixedIntervalEpisode(tuple(map(name, ids[k].tolist())), tuple(gaps[k].tolist()))
+            pairs = tuple(map(axis.pair_at.__getitem__, starts[ptr[k] : ptr[k + 1]].tolist()))
             occ = OccurrenceList(episode, pairs)
             if no_mode:
                 occ = find_no_occurrences(occ)
-            emitted[best_ids, best_gaps] = Candidate(episode, occ, score(episode, occ.total))
-    return tuple(sorted(emitted.values(), key=lambda cand: cand.key))
+            candidates.append(Candidate(episode, occ, score(episode, occ.total)))
+        base += len(ids)
+    return tuple(sorted(candidates, key=lambda cand: cand.key))
+
+
+def _extend(depth: _Depth, axis: _Axis, max_gap: int, no_mode: bool):
+    """The next depth (None past the last one), and the path-best refs of
+    the nodes that have no child.  Drops ``depth``'s pairs once joined."""
+    n = len(depth.f)
+    live = np.flatnonzero(depth.f > _PRUNE_FREQUENCY)
+    if not len(live):
+        return None, depth.best_ref
+    ptr = np.zeros(n + 1, np.int64)
+    np.cumsum(np.bincount(depth.node, minlength=n), out=ptr[1:])
+    # Blocks of whole nodes, each starting at a live node every _BLOCK pairs.
+    cuts = ptr[np.append(live[np.flatnonzero(np.diff(ptr[live] // _BLOCK, prepend=-1))], n)]
+    del ptr, live
+    parts = []
+    n_child = 0
+    for a, z in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+        parts.append(_join(depth, axis, max_gap, no_mode, slice(a, z), n_child))
+        n_child += len(parts[-1][0])
+    depth.node = depth.start = None
+    parent, sym, delta, f, node, start = map(np.concatenate, zip(*parts))
+    del parts
+    has_child = np.zeros(n, bool)
+    has_child[parent] = True
+    child_score = row_gain(depth.ids.shape[1] + 1, f.astype(np.int64))
+    take = child_score >= depth.best_score[parent]
+    child = _Depth(
+        np.hstack((depth.ids[parent], sym[:, None])),
+        np.hstack((depth.gaps[parent], delta[:, None])),
+        depth.span[parent] + delta,
+        f,
+        np.where(take, child_score, depth.best_score[parent]),
+        np.where(take, -1, depth.best_ref[parent]),
+        node,
+        start,
+    )
+    return child, depth.best_ref[~has_child]
+
+
+def _join(depth: _Depth, axis: _Axis, max_gap: int, no_mode: bool, pairs: slice, first_child: int):
+    """The children of a block of nodes: parents, symbols, last gaps,
+    frequencies and (node, start) pairs, numbered from ``first_child``."""
+    node, start = depth.node[pairs], depth.start[pairs]
+    live = depth.f[node] > _PRUNE_FREQUENCY
+    node, start = node[live], start[live]
+    end = start + depth.span[node]
+    lo = axis.indptr[end + 1]
+    count = axis.indptr[end + max_gap + 1] - lo
+    # One row per pair and event at most max_gap past the pair's end, grouped
+    # by (node, gap, symbol) with the starts in order.
+    m = axis.n_types
+    total = int(count.sum())
+    pos = np.repeat(np.arange(len(node), dtype=np.int32), count)
+    ev = np.arange(total) + np.repeat(lo - (np.cumsum(count) - count), count)
+    delta = axis.times[ev] - end[pos]
+    key = ((node[pos] - node[:1]).astype(np.int64) * max_gap + (delta - 1)) * m + axis.types[ev]
+    del ev, delta, lo, end
+    order = np.argsort(key, kind="stable")
+    key, pos = key[order], pos[order]
+    del order
+    head = np.empty(total, bool)
+    head[:1] = True
+    np.not_equal(key[1:], key[:-1], out=head[1:])
+    heads = np.flatnonzero(head)
+    size = np.diff(heads, append=total)
+    g_node = node[pos[heads]]
+    g_sym = (key[heads] % m).astype(axis.sym_type)
+    g_delta = (key[heads] // m % max_gap + 1).astype(axis.gap_type)
+    del key
+    # Keep the groups of 2+ starts whose symbol is new to the node, then,
+    # in non-overlapped mode, those with a chain of 2+.
+    ok = (size > _PRUNE_FREQUENCY) & ~(depth.ids[g_node] == g_sym[:, None]).any(axis=1)
+    group = np.cumsum(head, dtype=np.int32) - 1
+    keep = ok[group]
+    group = (np.cumsum(ok, dtype=np.int32) - 1)[group[keep]]
+    starts = start[pos[keep]]
+    g_node, g_sym, g_delta, f = g_node[ok], g_sym[ok], g_delta[ok], size[ok]
+    if no_mode:
+        f = _chain_lengths(starts, group, depth.span[g_node] + g_delta, f)
+        ok = f > _PRUNE_FREQUENCY
+        keep = ok[group]
+        group = (np.cumsum(ok, dtype=np.int32) - 1)[group[keep]]
+        g_node, g_sym, g_delta, f, starts = g_node[ok], g_sym[ok], g_delta[ok], f[ok], starts[keep]
+    return g_node, g_sym, g_delta, f.astype(np.int32), group + first_child, starts
+
+
+def _chain_lengths(starts, group, spans, size):
+    """Greedy non-overlapped count of each group's sorted starts.
+
+    A start's successor is the first start of its group past its
+    occurrence's end; pointer jumping (Wyllie 1979) counts each head's chain.
+    """
+    n = len(starts)
+    if not n:
+        return size
+    width = int(starts.max()) + int(spans.max()) + 1
+    v = group.astype(np.int64) * width + starts
+    nxt = np.searchsorted(v, v + spans[group], side="right")
+    nxt = np.append(np.where(np.append(group, -1)[nxt] == group, nxt, n), n)
+    length = np.ones(n + 1, np.int32)
+    length[n] = 0
+    heads = np.cumsum(size) - size
+    while (nxt[heads] < n).any():
+        length += length[nxt]
+        nxt = nxt[nxt]
+    return length[heads]

@@ -26,7 +26,7 @@ from oracles import (
 
 def test_candidates_contain_frequent_episode(sample_data):
     # brute-force enumeration over sequence (the sorted raw scan) shows
-    # A -2-> B -1-> C has two distinct starts; the DFS must surface it
+    # A -2-> B -1-> C has two distinct starts; the search must surface it
     ep = parse_episode("A -2-> B -1-> C")
     assert len(fixed_interval_starts(raw_events(sample_data), ep.event_types, ep.gaps)) == 2
     cands = generate_candidates(sample_data, 2, FrequencyMode.DISTINCT)
@@ -127,7 +127,7 @@ def test_candidates_deterministic():
 
 
 def test_best_per_path_suppresses_dominated_prefixes():
-    # five clean repetitions: the full episode dominates its own DFS path,
+    # five clean repetitions: the full episode dominates its own search path,
     # so the 2-node prefix (same path) is not emitted
     seq = [(t, s) for k in range(5) for t, s in ((3 * k + 1, "A"), (3 * k + 2, "B"), (3 * k + 3, "C"))]
     data = EventDataset.from_tuples([seq])
@@ -184,3 +184,17 @@ def test_candidate_search_memory_on_long_trajectory():
     finally:
         tracemalloc.stop()
     assert peak <= 8 * 2**20
+
+
+def test_candidates_with_a_gap_beyond_every_sequence():
+    # Gaps past the longest sequence change nothing, and the search's time
+    # axis must not grow with them.
+    rng = random.Random(77)
+    for _ in range(50):
+        data = _oracle_dataset(rng)
+        for mode in FrequencyMode:
+            got, want = (
+                [(c.key, c.occurrences.starts) for c in cands]
+                for cands in (generate_candidates(data, 10**12, mode), dfs_candidates(data, 18, mode))
+            )
+            assert got == want
