@@ -103,7 +103,7 @@ class _Depth:
     f: np.ndarray  # mode frequency
     best_score: np.ndarray  # score of the path's best node
     best_ref: np.ndarray  # that node's index among the kept ones; -1: this node
-    node: np.ndarray | None  # (node, start) pairs, sorted by node, then start
+    ptr: np.ndarray | None  # node k's distinct starts are start[ptr[k] : ptr[k + 1]]
     start: np.ndarray | None
 
 
@@ -135,7 +135,7 @@ def generate_candidates(
         f,
         row_gain(1, f),
         np.full(len(roots), -1, np.int32),
-        np.repeat(np.arange(len(roots), dtype=np.int32), f),
+        np.append(0, np.cumsum(f)),
         axis.times[np.argsort(axis.types, kind="stable")],
     )
     # Per depth, the nodes that are their own path best: (ids, gaps, CSR of
@@ -144,13 +144,13 @@ def generate_candidates(
     n_kept = 0
     leaf_refs = []
     while depth is not None:
-        own = np.flatnonzero(depth.best_ref < 0)
-        depth.best_ref[own] = np.arange(n_kept, n_kept + len(own))
-        is_own = depth.best_ref[depth.node] >= n_kept
-        n_kept += len(own)
-        ptr = np.searchsorted(depth.node[is_own], np.append(own, len(depth.f)))
-        kept.append((depth.ids[own], depth.gaps[own], ptr, depth.start[is_own]))
-        del own, is_own
+        own = depth.best_ref < 0
+        depth.best_ref[own] = np.arange(n_kept, n_kept + own.sum())
+        n_kept += own.sum()
+        size = np.diff(depth.ptr)
+        starts = depth.start[np.repeat(own, size)]
+        kept.append((depth.ids[own], depth.gaps[own], np.append(0, np.cumsum(size[own])), starts))
+        del own, size, starts
         depth, refs = _extend(depth, axis, max_gap, no_mode)
         leaf_refs.append(refs)
     emitted = np.zeros(n_kept, bool)
@@ -174,24 +174,18 @@ def generate_candidates(
 
 def _extend(depth: _Depth, axis: _Axis, max_gap: int, no_mode: bool):
     """The next depth (None past the last one), and the path-best refs of
-    the nodes that have no child.  Drops ``depth``'s pairs once joined."""
+    the nodes that have no child.  Drops ``depth``'s starts once joined."""
     n = len(depth.f)
     live = np.flatnonzero(depth.f > _PRUNE_FREQUENCY)
     if not len(live):
         return None, depth.best_ref
-    ptr = np.zeros(n + 1, np.int64)
-    np.cumsum(np.bincount(depth.node, minlength=n), out=ptr[1:])
-    # Blocks of whole nodes, each starting at a live node every _BLOCK pairs.
-    cuts = ptr[np.append(live[np.flatnonzero(np.diff(ptr[live] // _BLOCK, prepend=-1))], n)]
-    del ptr, live
-    parts = []
-    n_child = 0
-    for a, z in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
-        parts.append(_join(depth, axis, max_gap, no_mode, slice(a, z), n_child))
-        n_child += len(parts[-1][0])
-    depth.node = depth.start = None
-    parent, sym, delta, f, node, start = map(np.concatenate, zip(*parts))
-    del parts
+    # Blocks of whole nodes, each starting at a live node every _BLOCK starts.
+    cuts = live[np.flatnonzero(np.diff(depth.ptr[live] // _BLOCK, prepend=-1))]
+    cuts = np.append(cuts, n).tolist()
+    parts = [_join(depth, axis, max_gap, no_mode, a, z) for a, z in zip(cuts, cuts[1:])]
+    depth.ptr = depth.start = None
+    parent, sym, delta, f, size, start = map(np.concatenate, zip(*parts))
+    del parts, live
     has_child = np.zeros(n, bool)
     has_child[parent] = True
     child_score = row_gain(depth.ids.shape[1] + 1, f.astype(np.int64))
@@ -203,23 +197,24 @@ def _extend(depth: _Depth, axis: _Axis, max_gap: int, no_mode: bool):
         f,
         np.where(take, child_score, depth.best_score[parent]),
         np.where(take, -1, depth.best_ref[parent]),
-        node,
+        np.append(0, np.cumsum(size)),
         start,
     )
     return child, depth.best_ref[~has_child]
 
 
-def _join(depth: _Depth, axis: _Axis, max_gap: int, no_mode: bool, pairs: slice, first_child: int):
-    """The children of a block of nodes: parents, symbols, last gaps,
-    frequencies and (node, start) pairs, numbered from ``first_child``."""
-    node, start = depth.node[pairs], depth.start[pairs]
+def _join(depth: _Depth, axis: _Axis, max_gap: int, no_mode: bool, a: int, z: int):
+    """The children of nodes a..z-1: their parents, symbols, last gaps,
+    frequencies, and the number and the list of their distinct starts."""
+    node = np.repeat(np.arange(a, z, dtype=np.int32), np.diff(depth.ptr[a : z + 1]))
+    start = depth.start[depth.ptr[a] : depth.ptr[z]]
     live = depth.f[node] > _PRUNE_FREQUENCY
     node, start = node[live], start[live]
     end = start + depth.span[node]
     lo = axis.indptr[end + 1]
     count = axis.indptr[end + max_gap + 1] - lo
-    # One row per pair and event at most max_gap past the pair's end, grouped
-    # by (node, gap, symbol) with the starts in order.
+    # One row per start and event at most max_gap past the occurrence's end,
+    # grouped by (node, gap, symbol) with the starts in order.
     m = axis.n_types
     total = int(count.sum())
     pos = np.repeat(np.arange(len(node), dtype=np.int32), count)
@@ -246,14 +241,14 @@ def _join(depth: _Depth, axis: _Axis, max_gap: int, no_mode: bool, pairs: slice,
     keep = ok[group]
     group = (np.cumsum(ok, dtype=np.int32) - 1)[group[keep]]
     starts = start[pos[keep]]
-    g_node, g_sym, g_delta, f = g_node[ok], g_sym[ok], g_delta[ok], size[ok]
+    g_node, g_sym, g_delta, size = g_node[ok], g_sym[ok], g_delta[ok], size[ok]
+    f = size
     if no_mode:
-        f = _chain_lengths(starts, group, depth.span[g_node] + g_delta, f)
+        f = _chain_lengths(starts, group, depth.span[g_node] + g_delta, size)
         ok = f > _PRUNE_FREQUENCY
-        keep = ok[group]
-        group = (np.cumsum(ok, dtype=np.int32) - 1)[group[keep]]
-        g_node, g_sym, g_delta, f, starts = g_node[ok], g_sym[ok], g_delta[ok], f[ok], starts[keep]
-    return g_node, g_sym, g_delta, f.astype(np.int32), group + first_child, starts
+        g_node, g_sym, g_delta, f, size = g_node[ok], g_sym[ok], g_delta[ok], f[ok], size[ok]
+        starts = starts[ok[group]]
+    return g_node, g_sym, g_delta, f.astype(np.int32), size, starts
 
 
 def _chain_lengths(starts, group, spans, size):
