@@ -198,3 +198,22 @@ def test_candidates_with_a_gap_beyond_every_sequence():
                 for cands in (generate_candidates(data, 10**12, mode), dfs_candidates(data, 18, mode))
             )
             assert got == want
+
+
+def test_candidates_equal_dfs_oracle_on_wide_gaps():
+    # Times 100 apart and max_gap 100-400: gaps beyond one byte, and axis
+    # steps that shrink to max_gap + 1.
+    rng = random.Random(4096)
+    for _ in range(100):
+        data = _oracle_dataset(rng)
+        wide = EventDataset.from_tuples(
+            [[(100 * t, name) for t, name in seq] for seq in data.named_sequences()],
+            data.alphabet,
+        )
+        max_gap = 100 * rng.randint(1, 4)
+        for mode in FrequencyMode:
+            got, want = (
+                [(c.key, c.occurrences.starts) for c in search(wide, max_gap, mode)]
+                for search in (generate_candidates, dfs_candidates)
+            )
+            assert got == want
