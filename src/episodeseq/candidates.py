@@ -239,11 +239,11 @@ def _join(depth: _Depth, axis: _Axis, max_gap: int, no_mode: bool, a: int, z: in
     ok = (size > _PRUNE_FREQUENCY) & ~(depth.ids[g_node] == g_sym[:, None]).any(axis=1)
     group = np.cumsum(head, dtype=np.int32) - 1
     keep = ok[group]
-    group = (np.cumsum(ok, dtype=np.int32) - 1)[group[keep]]
     starts = start[pos[keep]]
     g_node, g_sym, g_delta, size = g_node[ok], g_sym[ok], g_delta[ok], size[ok]
     f = size
     if no_mode:
+        group = (np.cumsum(ok, dtype=np.int32) - 1)[group[keep]]
         f = _chain_lengths(starts, group, depth.span[g_node] + g_delta, size)
         ok = f > _PRUNE_FREQUENCY
         g_node, g_sym, g_delta, f, size = g_node[ok], g_sym[ok], g_delta[ok], f[ok], size[ok]
