@@ -10,7 +10,8 @@ from __future__ import annotations
 import random
 from collections import defaultdict
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import groupby, permutations, product
+from operator import itemgetter
 
 import numpy as np
 
@@ -27,8 +28,8 @@ from episodeseq import (
     score,
 )
 from episodeseq.candidates import Candidate
-from episodeseq.mdl import row_gain
-from episodeseq.occurrences import non_overlapped
+from episodeseq.mdl import SelectedEpisode, SelectionState, row_gain
+from episodeseq.occurrences import CoverIntegrityError, non_overlapped
 
 _PRUNE_FREQUENCY = 1
 
@@ -477,3 +478,101 @@ def dfs_candidates(
                 occ = find_no_occurrences(occ)
             emitted[best_ids, best_gaps] = Candidate(episode, occ, score(episode, occ.total))
     return tuple(sorted(emitted.values(), key=lambda cand: cand.key))
+
+
+def _lowest_positions(events) -> dict[tuple[int, int], int]:
+    """(type, time) -> lowest position among ``(position, event)`` pairs.
+
+    The pairs come in increasing position order.
+    """
+    lowest: dict[tuple[int, int], int] = {}
+    for pos, ev in events:
+        lowest.setdefault((ev.event_type, ev.time), pos)
+    return lowest
+
+
+def _lowest_cover(data, episode, starts, lowest) -> frozenset[tuple[int, int]]:
+    """``(sequence, position)`` pairs of the events coded by ``starts``, each
+    node bound to the position ``lowest`` gives for its (type, time)."""
+    type_ids = [data.alphabet.index(sym) for sym in episode.event_types]
+    offsets = episode.offsets()
+    positions: set[tuple[int, int]] = set()
+    for seq_idx, run in groupby(starts, key=itemgetter(0)):
+        at = lowest[seq_idx]
+        for _, t in run:
+            for tid, off in zip(type_ids, offsets):
+                pos = at.get((tid, t + off))
+                if pos is None:
+                    raise CoverIntegrityError(f"no event for start {t} in sequence {seq_idx}")
+                positions.add((seq_idx, pos))
+    return frozenset(positions)
+
+
+def reference_select(
+    data: EventDataset,
+    max_gap: int,
+    max_episodes: int | None = None,
+    mode: FrequencyMode = FrequencyMode.NON_OVERLAPPED,
+) -> SelectionState:
+    """Greedy selection as a plain rebuild of every round, the oracle of
+    ``select``.
+
+    Each round rebuilds the residual ``EventDataset``, mines it with
+    :func:`dfs_candidates`, covers each positive candidate with a
+    ``frozenset`` of ``(sequence, position)`` pairs, and picks by a full
+    scan of the entries after every pick.  Ties go to the higher
+    frequency, then the longer episode, then the canonical order.
+    """
+    removed: set[tuple[int, int]] = set()  # (sequence, position) coded so far
+    selected: list[SelectedEpisode] = []
+    round_index = 0
+    while max_episodes is None or len(selected) < max_episodes:
+        left = [
+            [(pos, ev) for pos, ev in enumerate(seq) if (seq_idx, pos) not in removed]
+            for seq_idx, seq in enumerate(data.sequences)
+        ]
+        res_data = EventDataset(
+            tuple(tuple(ev for _, ev in seq) for seq in left), data.alphabet
+        )
+        if res_data.n_events == 0:
+            break
+        candidates = dfs_candidates(res_data, max_gap, mode)
+        # Candidate covers, in positions of ``data``: each node binds the
+        # lowest-index event with its (type, time) that is still left.
+        entries: list[list] = []
+        lowest = [_lowest_positions(seq) for seq in left]
+        for cand in candidates:
+            if cand.score <= 0:
+                continue
+            cov = _lowest_cover(res_data, cand.episode, cand.occurrences.starts, lowest)
+            entries.append([cand, cov, 0])  # [candidate, cover, penalty]
+
+        round_picks: list[list] = []
+        while entries and (
+            max_episodes is None
+            or len(selected) + len(round_picks) < max_episodes
+        ):
+            best_idx = max(
+                range(len(entries)),
+                key=lambda i: (
+                    entries[i][0].score - entries[i][2],
+                    entries[i][0].frequency,
+                    entries[i][0].episode.length,
+                ),
+            )
+            best = entries[best_idx]
+            if best[0].score - best[2] <= 0:
+                break
+            entries.pop(best_idx)
+            round_picks.append(best)
+            for entry in entries:
+                entry[2] += len(entry[1] & best[1])
+        if not round_picks:
+            break
+        for cand, covered, _ in round_picks:
+            selected.append(
+                SelectedEpisode(cand.episode, cand.occurrences.starts, round_index, covered)
+            )
+            removed |= covered
+        round_index += 1
+    return SelectionState(tuple(selected), round_index)

@@ -1,5 +1,6 @@
 import io
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -15,9 +16,11 @@ from episodeseq import (
     decode,
     encode,
     forced_selection,
+    hmm,
     load_table,
     overlap_score,
     parse_episode,
+    parse_serial_episode,
     save_table,
     score,
     select,
@@ -28,6 +31,7 @@ from oracles import (
     per_sequence_starts,
     random_dataset,
     random_planted_dataset,
+    reference_select,
 )
 
 
@@ -280,6 +284,58 @@ def test_select_covers_bind_lowest_events_left_by_earlier_rounds():
                         assert free, (str(sel.episode), seq_idx, t)
                         expected.add((seq_idx, free[0]))
             assert sel.covered == expected
+
+
+def _reference_dataset(rng: random.Random) -> EventDataset:
+    """1-4 sequences, some empty, over A-C at times -5..15 with duplicates.
+
+    Every other alphabet numbers its symbols out of name order.
+    """
+    names = rng.choice((("A", "B", "C"), ("C", "A", "B")))
+    sequences = []
+    for _ in range(rng.randint(1, 4)):
+        size = 0 if rng.random() < 0.2 else rng.randint(8, 40)
+        seq = [(rng.randint(-5, 15), rng.choice(names)) for _ in range(size)]
+        sequences.append(seq + [rng.choice(seq) for _ in range(rng.randint(0, 4) if seq else 0)])
+    return EventDataset.from_tuples(sequences, Alphabet(names))
+
+
+def test_select_equals_reference_select():
+    rng = random.Random(1978)
+    picks = 0
+    for k in range(3000):
+        data = _reference_dataset(rng)
+        max_gap = rng.randint(1, 4)
+        top_k = (None, 1, 2, 3, 7)[k % 5]
+        for mode in FrequencyMode:
+            got, want = (
+                (
+                    state.n_rounds,
+                    [(str(s.episode), s.starts, s.round_index, s.covered) for s in state.selected],
+                )
+                for state in (
+                    select(data, max_gap, top_k, mode),
+                    reference_select(data, max_gap, top_k, mode),
+                )
+            )
+            assert got == want, (data.named_sequences(), max_gap, top_k, mode)
+            picks += len(got[1])
+    assert picks > 4000  # the selections are not mostly empty
+
+
+def test_select_memory_on_long_trajectory():
+    alpha = parse_serial_episode("A -> B -> C")
+    beta = parse_serial_episode("D -> B -> E")
+    model = hmm.build_model(alpha, beta, hmm.default_pair_alphabet(alpha, beta, 9), 0.25)
+    data = hmm.trajectory_dataset(model, hmm.simulate(model, 10_000, 0))
+    tracemalloc.start()
+    try:
+        select(data, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 1.25x the 7.92 MiB that select peaked at while it rebuilt every round
+    assert peak <= 9.9 * 2**20
 
 
 def test_table_csv_roundtrip(sample_data, sample_episodes):
