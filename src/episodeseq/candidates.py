@@ -18,18 +18,21 @@ count episodes level-wise (DMKD 1997), by numpy joins over whole depths.
 The joins use distinct starts on one time axis (see ``_Axis``).  In
 non-overlapped mode a node's frequency is the length of the greedy chain
 of non-overlapped starts (Laxman, Sastry & Unnikrishnan, TKDE 2005).
-Occurrence lists and candidates are built only for emitted episodes.
+Candidates are built only for emitted episodes, and their occurrence lists
+only when read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Mapping
 
 import numpy as np
 
 from .events import EventDataset, FixedIntervalEpisode
-from .mdl import row_gain, score
-from .occurrences import FrequencyMode, OccurrenceList, find_no_occurrences
+from .mdl import row_gain
+# find_no_occurrences stays bound here for bench/tracer.py (ROADMAP item 7).
+from .occurrences import FrequencyMode, OccurrenceList, find_no_occurrences  # noqa: F401
 
 _PRUNE_FREQUENCY = 1
 _BLOCK = 1 << 13  # pairs joined at once, in blocks of whole nodes
@@ -37,13 +40,21 @@ _BLOCK = 1 << 13  # pairs joined at once, in blocks of whole nodes
 
 @dataclass(frozen=True)
 class Candidate:
+    """An emitted episode with its frequency and score under the search's
+    mode.  Its occurrence pairs are built when read: ``pair_at`` maps each
+    of ``starts``, in order, to a ``(sequence, start time)`` pair."""
+
     episode: FixedIntervalEpisode
-    occurrences: OccurrenceList  # under the active frequency mode
+    frequency: int
     score: int
+    starts: np.ndarray = field(repr=False, compare=False)
+    pair_at: Mapping[int, tuple[int, int]] = field(repr=False, compare=False)
 
     @property
-    def frequency(self) -> int:
-        return self.occurrences.total
+    def occurrences(self) -> OccurrenceList:
+        """The counted occurrences, under the search's mode."""
+        pairs = map(self.pair_at.__getitem__, self.starts.tolist())
+        return OccurrenceList(self.episode, tuple(pairs))
 
     @property
     def key(self) -> str:
@@ -51,7 +62,7 @@ class Candidate:
 
 
 class _Axis:
-    """All sequences on one time axis, with the time -> symbols lookup.
+    """All sequences on one time axis, with one slot per distinct event.
 
     The sequences are laid end to end.  A step between consecutive distinct
     times keeps its length, but a step longer than ``max_gap``, and the step
@@ -59,18 +70,30 @@ class _Axis:
     ``max_gap`` past an occurrence's end, and the non-overlap test compares
     a start with an earlier occurrence's end, an event time; so neither
     crosses such a step, and one sorted array holds an episode's starts in
-    every sequence.  The axis stays small however large the raw times are.
+    every sequence.  The rule also holds for any subset of the events, so
+    one axis serves every residual round of a selection.  The axis stays
+    small however large the raw times are.
+
+    A slot is one distinct (sequence, time, type), keyed for ``searchsorted``
+    in (axis time, type id) order.  It records its first event's sequence
+    and position, and its multiplicity: that event and the copies after it.
     """
 
     def __init__(self, data: EventDataset, max_gap: int):
+        # No gap outgrows the longest sequence; a shorter max_gap keeps the axis short.
+        longest = max((seq[-1].time - seq[0].time for seq in data.sequences if seq), default=0)
+        self.max_gap = max_gap = min(max_gap, max(longest, 1))
+        self.alphabet = data.alphabet
         # axis time -> (sequence index, time in that sequence)
         self.pair_at: dict[int, tuple[int, int]] = {}
-        times: list[int] = []  # distinct (axis time, symbol id) events, in time order
+        times: list[int] = []  # per slot, in time order
         types: list[int] = []
+        first: list[int] = []  # the slot's first event, indexed among all events
+        ends = np.cumsum([len(seq) for seq in data.sequences], dtype=np.int64)
         g = -max_gap - 1
         for seq_idx, seq in enumerate(data.sequences):
             prev = None
-            for ev in seq:
+            for k, ev in enumerate(seq, int(ends[seq_idx]) - len(seq)):
                 if ev.time != prev:
                     g += max_gap + 1 if prev is None else min(ev.time - prev, max_gap + 1)
                     prev = ev.time
@@ -79,18 +102,29 @@ class _Axis:
                     continue  # events sharing (time, type) are adjacent
                 times.append(g)
                 types.append(ev.event_type)
+                first.append(k)
         # Small int types keep a depth's arrays small.
         self.time_type = np.int32 if g + 2 * max_gap < 2**31 else np.int64
         self.sym_type = np.min_scalar_type(data.alphabet.size)
         self.gap_type = np.min_scalar_type(max_gap)
         self.n_types = data.alphabet.size
-        self.times = np.array(times, self.time_type)
-        self.types = np.array(types, self.sym_type)
-        # CSR: the events at axis time t are [indptr[t], indptr[t + 1]); the
-        # lookup runs to max_gap past the last time.
-        counts = np.bincount(self.times, minlength=g + max_gap + 2)
-        self.indptr = np.zeros(len(counts) + 1, self.time_type)
-        np.cumsum(counts, out=self.indptr[1:])
+        self.length = g + max_gap + 2  # the time lookup runs to max_gap past the last time
+        key = np.array(times, np.int64) * self.n_types + types
+        order = np.argsort(key, kind="stable")  # the identity when type ids follow name order
+        first = np.array(first, np.int64)
+        seq = np.searchsorted(ends, first, side="right")
+        self.key, self.seq = key[order], seq[order]
+        self.pos = (first - np.append(0, ends)[seq])[order]
+        self.mult = np.diff(first, append=ends[-1:])[order]  # up to the next slot's first event
+        self.times = (self.key // self.n_types).astype(self.time_type)
+        self.types = (self.key % self.n_types).astype(self.sym_type)
+
+    def cover(self, cand: Candidate) -> np.ndarray:
+        """Slot indices of the events that ``cand``'s occurrences code.  Distinct
+        starts of an injective episode share no event, so no slot repeats."""
+        at = cand.starts.astype(np.int64)[:, None] + cand.episode.offsets()
+        ids = list(map(self.alphabet.index, cand.episode.event_types))
+        return np.searchsorted(self.key, (at * self.n_types + ids).ravel())
 
 
 @dataclass
@@ -120,12 +154,18 @@ def generate_candidates(
     """
     if max_gap < 1:
         raise ValueError("max_gap must be >= 1")
-    # No gap outgrows the longest sequence; a shorter max_gap keeps the axis short.
-    longest = max((seq[-1].time - seq[0].time for seq in data.sequences if seq), default=0)
-    max_gap = min(max_gap, max(longest, 1))
     axis = _Axis(data, max_gap)
-    no_mode = mode is FrequencyMode.NON_OVERLAPPED
-    counts = np.bincount(axis.types, minlength=axis.n_types)
+    return tuple(_search(axis, slice(None), mode is FrequencyMode.NON_OVERLAPPED, False))
+
+
+def _search(axis: _Axis, left, no_mode: bool, positive: bool) -> list[Candidate]:
+    """The per-path best episodes over the slots ``left`` selects, in
+    canonical order; only those with a positive score when ``positive``."""
+    times, types = axis.times[left], axis.types[left]
+    # CSR: the events at axis time t are [indptr[t], indptr[t + 1]).
+    indptr = np.zeros(axis.length + 1, axis.time_type)
+    np.cumsum(np.bincount(times, minlength=axis.length), out=indptr[1:])
+    counts = np.bincount(types, minlength=axis.n_types)
     roots = np.flatnonzero(counts)
     f = counts[roots]
     depth: _Depth | None = _Depth(
@@ -136,10 +176,10 @@ def generate_candidates(
         row_gain(1, f),
         np.full(len(roots), -1, np.int32),
         np.append(0, np.cumsum(f)),
-        axis.times[np.argsort(axis.types, kind="stable")],
+        times[np.argsort(types, kind="stable")],
     )
-    # Per depth, the nodes that are their own path best: (ids, gaps, CSR of
-    # their starts).  Path-best refs number them across depths.
+    # Per depth, the nodes that are their own path best: (ids, gaps, f, and
+    # the sizes and list of their starts).  Path-best refs number them across depths.
     kept: list[tuple[np.ndarray, ...]] = []
     n_kept = 0
     leaf_refs = []
@@ -149,30 +189,34 @@ def generate_candidates(
         n_kept += own.sum()
         size = np.diff(depth.ptr)
         starts = depth.start[np.repeat(own, size)]
-        kept.append((depth.ids[own], depth.gaps[own], np.append(0, np.cumsum(size[own])), starts))
+        kept.append((depth.ids[own], depth.gaps[own], depth.f[own], size[own], starts))
         del own, size, starts
-        depth, refs = _extend(depth, axis, max_gap, no_mode)
+        depth, refs = _extend(depth, axis, (times, types, indptr), no_mode)
         leaf_refs.append(refs)
     emitted = np.zeros(n_kept, bool)
-    for refs in leaf_refs:
-        emitted[refs] = True
+    emitted[np.concatenate(leaf_refs)] = True
 
-    name = data.alphabet.name
+    name = axis.alphabet.name
     candidates = []
     base = 0
-    for ids, gaps, ptr, starts in kept:
-        for k in np.flatnonzero(emitted[base : base + len(ids)]).tolist():
-            episode = FixedIntervalEpisode(tuple(map(name, ids[k].tolist())), tuple(gaps[k].tolist()))
-            pairs = tuple(map(axis.pair_at.__getitem__, starts[ptr[k] : ptr[k + 1]].tolist()))
-            occ = OccurrenceList(episode, pairs)
-            if no_mode:
-                occ = find_no_occurrences(occ)
-            candidates.append(Candidate(episode, occ, score(episode, occ.total)))
+    for ids, gaps, f, size, starts in kept:
+        score = row_gain(ids.shape[1], f.astype(np.int64))
+        out = emitted[base : base + len(ids)] & (score > 0 if positive else True)
         base += len(ids)
-    return tuple(sorted(candidates, key=lambda cand: cand.key))
+        starts = starts[np.repeat(out, size)]
+        if no_mode:
+            spans = gaps[out].sum(axis=1, dtype=np.int64)
+            starts = starts[_chain_members(starts, size[out], spans)]
+        f, score = f[out].tolist(), score[out].tolist()
+        parts = np.split(starts, np.cumsum(f)[:-1])
+        for row, gap_row, *rest in zip(ids[out].tolist(), gaps[out].tolist(), f, score, parts):
+            episode = FixedIntervalEpisode(tuple(map(name, row)), tuple(gap_row))
+            candidates.append(Candidate(episode, *rest, axis.pair_at))
+    candidates.sort(key=lambda cand: cand.key)
+    return candidates
 
 
-def _extend(depth: _Depth, axis: _Axis, max_gap: int, no_mode: bool):
+def _extend(depth: _Depth, axis: _Axis, events, no_mode: bool):
     """The next depth (None past the last one), and the path-best refs of
     the nodes that have no child.  Drops ``depth``'s starts once joined."""
     n = len(depth.f)
@@ -182,7 +226,7 @@ def _extend(depth: _Depth, axis: _Axis, max_gap: int, no_mode: bool):
     # Blocks of whole nodes, each starting at a live node every _BLOCK starts.
     cuts = live[np.flatnonzero(np.diff(depth.ptr[live] // _BLOCK, prepend=-1))]
     cuts = np.append(cuts, n).tolist()
-    parts = [_join(depth, axis, max_gap, no_mode, a, z) for a, z in zip(cuts, cuts[1:])]
+    parts = [_join(depth, axis, events, no_mode, a, z) for a, z in zip(cuts, cuts[1:])]
     depth.ptr = depth.start = None
     parent, sym, delta, f, size, start = map(np.concatenate, zip(*parts))
     del parts, live
@@ -203,24 +247,26 @@ def _extend(depth: _Depth, axis: _Axis, max_gap: int, no_mode: bool):
     return child, depth.best_ref[~has_child]
 
 
-def _join(depth: _Depth, axis: _Axis, max_gap: int, no_mode: bool, a: int, z: int):
+def _join(depth: _Depth, axis: _Axis, events, no_mode: bool, a: int, z: int):
     """The children of nodes a..z-1: their parents, symbols, last gaps,
     frequencies, and the number and the list of their distinct starts."""
+    times, types, indptr = events
+    max_gap = axis.max_gap
     node = np.repeat(np.arange(a, z, dtype=np.int32), np.diff(depth.ptr[a : z + 1]))
     start = depth.start[depth.ptr[a] : depth.ptr[z]]
     live = depth.f[node] > _PRUNE_FREQUENCY
     node, start = node[live], start[live]
     end = start + depth.span[node]
-    lo = axis.indptr[end + 1]
-    count = axis.indptr[end + max_gap + 1] - lo
+    lo = indptr[end + 1]
+    count = indptr[end + max_gap + 1] - lo
     # One row per start and event at most max_gap past the occurrence's end,
     # grouped by (node, gap, symbol) with the starts in order.
     m = axis.n_types
     total = int(count.sum())
     pos = np.repeat(np.arange(len(node), dtype=np.int32), count)
     ev = np.arange(total) + np.repeat(lo - (np.cumsum(count) - count), count)
-    delta = axis.times[ev] - end[pos]
-    key = ((node[pos] - node[:1]).astype(np.int64) * max_gap + (delta - 1)) * m + axis.types[ev]
+    delta = times[ev] - end[pos]
+    key = ((node[pos] - node[:1]).astype(np.int64) * max_gap + (delta - 1)) * m + types[ev]
     del ev, delta, lo, end
     order = np.argsort(key, kind="stable")
     key, pos = key[order], pos[order]
@@ -244,30 +290,34 @@ def _join(depth: _Depth, axis: _Axis, max_gap: int, no_mode: bool, a: int, z: in
     f = size
     if no_mode:
         group = (np.cumsum(ok, dtype=np.int32) - 1)[group[keep]]
-        f = _chain_lengths(starts, group, depth.span[g_node] + g_delta, size)
+        member = _chain_members(starts, size, depth.span[g_node] + g_delta)
+        f = np.add.reduceat(member, np.cumsum(size) - size, dtype=np.int32)
         ok = f > _PRUNE_FREQUENCY
         g_node, g_sym, g_delta, f, size = g_node[ok], g_sym[ok], g_delta[ok], f[ok], size[ok]
         starts = starts[ok[group]]
     return g_node, g_sym, g_delta, f.astype(np.int32), size, starts
 
 
-def _chain_lengths(starts, group, spans, size):
-    """Greedy non-overlapped count of each group's sorted starts.
+def _chain_members(starts, size, spans):
+    """Mask of the starts on each group's greedy non-overlapped chain.
 
-    A start's successor is the first start of its group past its
-    occurrence's end; pointer jumping (Wyllie 1979) counts each head's chain.
+    The groups hold ``size`` sorted starts each.  A start's successor is
+    the first start of its group past its occurrence's end.  By pointer
+    doubling (Wyllie 1979), the starts marked so far, those fewer than 2**k
+    steps past a group's head, add their successors 2**k steps on.
     """
     n = len(starts)
-    if not n:
-        return size
-    width = int(starts.max()) + int(spans.max()) + 1
-    v = group.astype(np.int64) * width + starts
+    group = np.repeat(np.arange(len(size)), size)
+    width = int(starts.max(initial=0)) + int(spans.max(initial=0)) + 1
+    v = group * width + starts
     nxt = np.searchsorted(v, v + spans[group], side="right")
     nxt = np.append(np.where(np.append(group, -1)[nxt] == group, nxt, n), n)
-    length = np.ones(n + 1, np.int32)
-    length[n] = 0
-    heads = np.cumsum(size) - size
-    while (nxt[heads] < n).any():
-        length += length[nxt]
+    marked = new = np.cumsum(size) - size
+    while len(new):
+        new = nxt[marked]
+        new = new[new < n]
+        marked = np.concatenate((marked, new))
         nxt = nxt[nxt]
-    return length[heads]
+    member = np.zeros(n, bool)
+    member[marked] = True
+    return member

@@ -12,14 +12,20 @@ f*N - (2N + 1 + f); its overlap-score subtracts, for every episode already
 picked this round, the number of data events their occurrences share.
 Selection greedily adds the best positive-overlap-score candidate, deletes
 the covered events, regenerates candidates on the residual data, and stops
-when no candidate helps or the cap on selected episodes is reached.
+when no candidate helps or the cap on selected episodes is reached.  The
+rounds share the search's time axis, and picks come off a lazy-greedy heap.
 """
 
 from __future__ import annotations
 
 import csv
+import heapq
 from dataclasses import dataclass
+from itertools import groupby
+from operator import le, lt
 from typing import IO, Iterable, Sequence
+
+import numpy as np
 
 from .events import (
     Alphabet,
@@ -29,12 +35,7 @@ from .events import (
     format_episode,
     parse_episode,
 )
-from .occurrences import (
-    FrequencyMode,
-    cover,
-    lowest_positions,
-    occurrences_for_mode,
-)
+from .occurrences import FrequencyMode, cover, occurrences_for_mode
 
 
 class TableFormatError(ValueError):
@@ -123,68 +124,52 @@ def select(
     then deletes the events covered by this round's picks.  Rounds repeat
     while compression is still achievable, i.e. while the previous round
     selected at least one episode and the cap is not reached.
+
+    A round counts, per slot of the search's axis, the copies removed so
+    far; a cover binds each slot's lowest copy still left.  Penalties only
+    grow within a round, so stale heap keys are bounds and only the top
+    entry is rescored (Minoux's lazy greedy, 1978).
     """
-    from .candidates import generate_candidates
+    from .candidates import _Axis, _search
 
     if max_gap < 1:
         raise ValueError("max_gap must be >= 1")
     if max_episodes is not None and max_episodes < 1:
         raise ValueError("max_episodes must be >= 1 when given")
 
-    removed: set[tuple[int, int]] = set()  # (sequence, position) coded so far
+    axis = _Axis(data, max_gap)
+    removed = np.zeros(len(axis.mult), np.int64)  # events coded so far, per slot
     selected: list[SelectedEpisode] = []
     round_index = 0
     while max_episodes is None or len(selected) < max_episodes:
-        left = [
-            [(pos, ev) for pos, ev in enumerate(seq) if (seq_idx, pos) not in removed]
-            for seq_idx, seq in enumerate(data.sequences)
-        ]
-        res_data = EventDataset(
-            tuple(tuple(ev for _, ev in seq) for seq in left), data.alphabet
-        )
-        if res_data.n_events == 0:
+        left = removed < axis.mult
+        if not left.any():
             break
-        candidates = generate_candidates(res_data, max_gap, mode)
-        # Candidate covers, in positions of ``data``: each node binds the
-        # lowest-index event with its (type, time) that is still left.
         # Non-positive scores can never yield a positive overlap-score.
-        entries: list[list] = []
-        lowest = [lowest_positions(seq) for seq in left]
-        del left
-        for cand in candidates:
-            if cand.score <= 0:
-                continue
-            cov = cover(res_data, cand.episode, cand.occurrences.starts, lowest)
-            entries.append([cand, cov, 0])  # [candidate, cover, penalty]
-        del lowest  # not needed during the next round's candidate search
-
-        round_picks: list[list] = []
-        while entries and (
-            max_episodes is None
-            or len(selected) + len(round_picks) < max_episodes
-        ):
-            best_idx = max(
-                range(len(entries)),
-                key=lambda i: (
-                    entries[i][0].score - entries[i][2],
-                    entries[i][0].frequency,
-                    entries[i][0].episode.length,
-                ),
-            )
-            best = entries[best_idx]
-            if best[0].score - best[2] <= 0:
+        candidates = _search(axis, left, mode is FrequencyMode.NON_OVERLAPPED, True)
+        covers = [axis.cover(cand) for cand in candidates]
+        picks_at = np.zeros(len(removed), np.int64)  # this round's picks covering each slot
+        heap = [(-c.score, -c.frequency, -c.episode.length, i) for i, c in enumerate(candidates)]
+        heapq.heapify(heap)
+        round_picks: list[int] = []
+        while heap and (max_episodes is None or len(selected) + len(round_picks) < max_episodes):
+            _, f, length, i = heapq.heappop(heap)
+            key = (int(picks_at[covers[i]].sum()) - candidates[i].score, f, length, i)
+            if heap and key > heap[0]:
+                heapq.heappush(heap, key)
+            elif key[0] >= 0:
                 break
-            entries.pop(best_idx)
-            round_picks.append(best)
-            for entry in entries:
-                entry[2] += len(entry[1] & best[1])
+            else:
+                round_picks.append(i)
+                picks_at[covers[i]] += 1
         if not round_picks:
             break
-        for cand, covered, _ in round_picks:
-            selected.append(
-                SelectedEpisode(cand.episode, cand.occurrences.starts, round_index, covered)
-            )
-            removed |= covered
+        for i in round_picks:
+            cand, cov = candidates[i], covers[i]
+            covered = zip(axis.seq[cov].tolist(), (axis.pos[cov] + removed[cov]).tolist())
+            starts = cand.occurrences.starts
+            selected.append(SelectedEpisode(cand.episode, starts, round_index, frozenset(covered)))
+        removed += picks_at > 0
         round_index += 1
     return SelectionState(tuple(selected), round_index)
 
@@ -397,6 +382,14 @@ def load_table(handle: IO[str]) -> EncodingTable:
                 f"frequency field {freq_text} does not match "
                 f"{len(starts)} start entries"
             )
+        # Starts increase strictly, but a 1-node row repeats a start once
+        # for each copy of its event that #mult records.
+        sym = episode.event_types[0] if episode.length == 1 else None
+        if not all(map(lt, starts, starts[1:])) and (
+            not all(map(le, starts, starts[1:]))
+            or any(len(list(r)) > multiplicities.get((*s, sym), 1) for s, r in groupby(starts))
+        ):
+            raise TableFormatError(f"starts of row {episode_text!r} repeat or are out of order")
         for seq_idx, _ in starts:
             max_seq = max(max_seq, seq_idx)
         rows.append(

@@ -10,9 +10,10 @@ sorted distinct starts, keeping each start that clears the previously kept
 occurrence.
 
 Covers bind every node of every counted occurrence to a concrete event
-position, so overlap between two episodes' coded events is a plain set
-intersection.  When several events share (time, type), the lowest-index one
-is bound, which keeps overlap counts deterministic.
+position, so overlap between two episodes' coded events is the size of a
+set intersection (``select`` counts it on slot indices of the search's
+axis instead).  When several events share (time, type), the lowest-index
+one is bound, which keeps overlap counts deterministic.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from itertools import groupby
 from operator import itemgetter, lt
 from typing import Iterable
 
-from .events import Event, EventDataset, FixedIntervalEpisode, SerialEpisode, span
+from .events import EventDataset, FixedIntervalEpisode, SerialEpisode, span
 
 
 class CoverIntegrityError(ValueError):
@@ -148,43 +149,25 @@ def count_no_general(data: EventDataset, episode: SerialEpisode) -> int:
     return count
 
 
-def lowest_positions(
-    events: Iterable[tuple[int, Event]],
-) -> dict[tuple[int, int], int]:
-    """(type, time) -> lowest position among ``(position, event)`` pairs.
-
-    The pairs come in increasing position order.
-    """
-    lowest: dict[tuple[int, int], int] = {}
-    for pos, ev in events:
-        lowest.setdefault((ev.event_type, ev.time), pos)
-    return lowest
-
-
 def cover(
     data: EventDataset,
     episode: FixedIntervalEpisode,
     starts: Iterable[tuple[int, int]],
-    lowest: list[dict[tuple[int, int], int]] | None = None,
 ) -> frozenset[tuple[int, int]]:
     """``(sequence, position)`` pairs of the events coded by the given starts.
 
     ``starts`` are ``(sequence, start time)`` pairs.  Each node binds to the
     lowest-index event with the required (type, time) in its sequence.
-    ``lowest`` holds :func:`lowest_positions` of every sequence, and the
-    returned positions are the ones it holds; callers that cover many
-    episodes on the same data pass it to build it only once.  Raises
-    ``KeyError`` when a symbol of the episode is not in the data's alphabet.
+    Raises ``KeyError`` when a symbol of the episode is not in the data's
+    alphabet.
     """
     type_ids = [data.alphabet.index(sym) for sym in episode.event_types]
     offsets = episode.offsets()
     positions: set[tuple[int, int]] = set()
     for seq_idx, run in groupby(starts, key=itemgetter(0)):
-        at = (
-            lowest[seq_idx]
-            if lowest
-            else lowest_positions(enumerate(data.sequences[seq_idx]))
-        )
+        at: dict[tuple[int, int], int] = {}  # (type, time) -> lowest position
+        for pos, ev in enumerate(data.sequences[seq_idx]):
+            at.setdefault((ev.event_type, ev.time), pos)
         for _, t in run:
             for tid, off in zip(type_ids, offsets):
                 pos = at.get((tid, t + off))

@@ -476,7 +476,10 @@ def dfs_candidates(
             occ = OccurrenceList(episode, pairs)
             if no_mode:
                 occ = find_no_occurrences(occ)
-            emitted[best_ids, best_gaps] = Candidate(episode, occ, score(episode, occ.total))
+            # the pairs themselves, read back by index
+            emitted[best_ids, best_gaps] = Candidate(
+                episode, occ.total, score(episode, occ.total), np.arange(occ.total), occ.starts
+            )
     return tuple(sorted(emitted.values(), key=lambda cand: cand.key))
 
 

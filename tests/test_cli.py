@@ -1,4 +1,7 @@
 import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -302,6 +305,41 @@ def test_decode_refuses_a_table_with_an_empty_sequence(tmp_path, capsys):
     assert main(["decode", str(table), "-o", str(out)]) == 3
     assert out.read_bytes() == b"previous contents\n"
     assert "error:" in capsys.readouterr().err
+
+
+def test_decode_refuses_a_repeated_start(tmp_path, capsys):
+    # A@1 would decode once while the row counts it twice
+    table = tmp_path / "t.csv"
+    table.write_text("size,episode,freq,starts\n1,A,2,0:1;0:1\n", "utf-8")
+    out = tmp_path / "events.tsv"
+    out.write_bytes(b"previous contents\n")
+    assert main(["decode", str(table), "-o", str(out)]) == 3
+    assert out.read_bytes() == b"previous contents\n"
+    assert "error:" in capsys.readouterr().err
+
+
+def test_decode_refuses_a_huge_sequence_count_before_allocating(tmp_path):
+    table = tmp_path / "t.csv"
+    table.write_text("size,episode,freq,starts\n#sequences 99999999999\n1,A,1,0:1\n", "utf-8")
+    out = tmp_path / "events.tsv"
+    out.write_bytes(b"previous contents\n")
+    # The child caps its own address space at 1 GiB, so an allocation per
+    # declared sequence fails fast instead of exhausting the machine.
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from episodeseq.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    child = subprocess.run(
+        [sys.executable, "-c", script, "decode", str(table), "-o", str(out)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert child.returncode == 3, child.stderr
+    assert "empty sequence" in child.stderr
+    assert out.read_bytes() == b"previous contents\n"
 
 
 @pytest.mark.parametrize("mult", ["0:1:A=0", "0:1:A=-2", "0:9:A=3"])

@@ -296,7 +296,8 @@ def _reference_dataset(rng: random.Random) -> EventDataset:
     for _ in range(rng.randint(1, 4)):
         size = 0 if rng.random() < 0.2 else rng.randint(8, 40)
         seq = [(rng.randint(-5, 15), rng.choice(names)) for _ in range(size)]
-        sequences.append(seq + [rng.choice(seq) for _ in range(rng.randint(0, 4) if seq else 0)])
+        copies = rng.randint(0, 4) if seq else 0
+        sequences.append(seq + [rng.choice(seq) for _ in range(copies)])
     return EventDataset.from_tuples(sequences, Alphabet(names))
 
 
@@ -467,6 +468,29 @@ def test_load_table_refuses_a_multiplicity_below_two(m):
     text = f"size,episode,freq,starts\n#mult 0:1:A={m}\n1,A,2,0:1;0:2\n"
     with pytest.raises(TableFormatError, match="multiplicity"):
         load_table(io.StringIO(text))
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "1,A,2,0:1;0:1\n",
+        "1,A,2,0:2;0:1\n",
+        "#mult 0:1:A=2\n1,A,3,0:1;0:1;0:1\n",
+        "#mult 0:1:A=2\n2,A -1-> B,2,0:1;0:1\n",
+    ],
+)
+def test_load_table_refuses_repeated_or_unordered_starts(body):
+    with pytest.raises(TableFormatError, match="starts of row"):
+        load_table(io.StringIO("size,episode,freq,starts\n" + body))
+
+
+def test_load_table_takes_a_start_once_per_recorded_copy():
+    text = "size,episode,freq,starts\n#mult 0:1:A=2\n1,A,3,0:1;0:1;0:3\n"
+    table = load_table(io.StringIO(text))
+    assert decode(table) == EventDataset.from_tuples([[(1, "A"), (1, "A"), (3, "A")]])
+    again = io.StringIO()
+    save_table(table, again)
+    assert again.getvalue() == text
 
 
 def test_decode_refuses_a_multiplicity_no_row_codes():
