@@ -216,7 +216,7 @@ def _search(axis: _Axis, left, no_mode: bool, positive: bool) -> list[Candidate]
     return candidates
 
 
-def _extend(depth: _Depth, axis: _Axis, events, no_mode: bool):
+def _extend(depth: _Depth, axis: _Axis, events: tuple, no_mode: bool):
     """The next depth (None past the last one), and the path-best refs of
     the nodes that have no child.  Drops ``depth``'s starts once joined."""
     n = len(depth.f)
@@ -247,7 +247,7 @@ def _extend(depth: _Depth, axis: _Axis, events, no_mode: bool):
     return child, depth.best_ref[~has_child]
 
 
-def _join(depth: _Depth, axis: _Axis, events, no_mode: bool, a: int, z: int):
+def _join(depth: _Depth, axis: _Axis, events: tuple, no_mode: bool, a: int, z: int):
     """The children of nodes a..z-1: their parents, symbols, last gaps,
     frequencies, and the number and the list of their distinct starts."""
     times, types, indptr = events
