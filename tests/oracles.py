@@ -28,7 +28,15 @@ from episodeseq import (
     score,
 )
 from episodeseq.candidates import Candidate
-from episodeseq.mdl import SelectedEpisode, SelectionState, row_gain
+from episodeseq.events import DataValidationError
+from episodeseq.mdl import (
+    EncodingTable,
+    SelectedEpisode,
+    SelectionState,
+    TableFormatError,
+    TableRow,
+    row_gain,
+)
 from episodeseq.occurrences import CoverIntegrityError, non_overlapped
 
 _PRUNE_FREQUENCY = 1
@@ -579,3 +587,68 @@ def reference_select(
             removed |= covered
         round_index += 1
     return SelectionState(tuple(selected), round_index)
+
+
+def reference_canonical(sequences, alphabet: Alphabet) -> tuple[tuple[Event, ...], ...]:
+    """Each sequence sorted by (time, symbol name) after a per-event check of
+    its type ids: the oracle of ``EventDataset``'s canonical order."""
+    m = alphabet.size
+    canonical = []
+    for seq in sequences:
+        for ev in seq:
+            if not 0 <= ev.event_type < m:
+                raise DataValidationError(
+                    f"event type id {ev.event_type} outside alphabet of size {m}"
+                )
+        canonical.append(
+            tuple(sorted(seq, key=lambda e: (e.time, alphabet.name(e.event_type))))
+        )
+    return tuple(canonical)
+
+
+def reference_encode(data: EventDataset, selection: SelectionState) -> EncodingTable:
+    """The encoding table built by a walk over every event, the oracle of
+    ``encode``: selected rows in selection order, then one 1-node row per
+    symbol with uncovered events, in symbol order."""
+    covered = selection.covered_positions
+    rows = [TableRow(sel.episode, sel.starts, residual=False) for sel in selection.selected]
+    leftovers: dict[str, list[tuple[int, int]]] = {}
+    counts: dict[tuple[int, int, str], int] = {}
+    for seq_idx, seq in enumerate(data.sequences):
+        for pos, ev in enumerate(seq):
+            name = data.alphabet.name(ev.event_type)
+            counts[(seq_idx, ev.time, name)] = counts.get((seq_idx, ev.time, name), 0) + 1
+            if (seq_idx, pos) not in covered:
+                leftovers.setdefault(name, []).append((seq_idx, ev.time))
+    for name in sorted(leftovers):
+        starts = tuple(sorted(leftovers[name]))
+        rows.append(TableRow(FixedIntervalEpisode((name,), ()), starts, residual=True))
+    multiplicities = {key: m for key, m in counts.items() if m > 1}
+    return EncodingTable(tuple(rows), multiplicities, data.n_sequences)
+
+
+def reference_decode(table: EncodingTable) -> EventDataset:
+    """A table expanded through a set of (sequence, time, symbol) triples,
+    the oracle of ``decode`` on the tables it accepts."""
+    triples: set[tuple[int, int, str]] = set()
+    max_seq = -1
+    for row in table.rows:
+        offsets = row.episode.offsets()
+        for seq_idx, t in row.starts:
+            if seq_idx < 0:
+                raise TableFormatError(f"negative sequence index {seq_idx}")
+            max_seq = max(max_seq, seq_idx)
+            for sym, off in zip(row.episode.event_types, offsets):
+                triples.add((seq_idx, t + off, sym))
+    if max_seq >= table.n_sequences:
+        raise TableFormatError("start refers to a sequence beyond the declared count")
+    unknown = sorted(key for key in table.multiplicities if key not in triples)
+    if unknown:
+        seq_idx, t, sym = unknown[0]
+        raise TableFormatError(f"#mult names {seq_idx}:{t}:{sym}, which no row codes")
+    alphabet = Alphabet(tuple(sorted({sym for _, _, sym in triples})))
+    sequences: list[list[Event]] = [[] for _ in range(table.n_sequences)]
+    for seq_idx, t, sym in triples:
+        copies = table.multiplicities.get((seq_idx, t, sym), 1)
+        sequences[seq_idx].extend([Event(alphabet.index(sym), t)] * copies)
+    return EventDataset(reference_canonical(sequences, alphabet), alphabet)

@@ -15,6 +15,7 @@ from episodeseq import (
     parse_serial_episode,
     score,
 )
+from episodeseq.candidates import _Axis, _search
 from oracles import (
     dfs_candidates,
     fixed_interval_starts,
@@ -170,6 +171,31 @@ def test_candidates_equal_dfs_oracle():
                 for search in (generate_candidates, dfs_candidates)
             )
             assert got == want, (data.named_sequences(), max_gap, mode)
+
+
+def test_positive_search_equals_positive_dfs_candidates():
+    # select's search stops extending at f = 2 but must emit the same
+    # positive-score candidates as the full search.
+    rng = random.Random(1997)
+    positive = 0
+    for _ in range(3000):
+        data = _oracle_dataset(rng)
+        max_gap = rng.randint(1, 4)
+        axis = _Axis(data, max_gap)
+        for mode in FrequencyMode:
+            no_mode = mode is FrequencyMode.NON_OVERLAPPED
+            got = [
+                (c.key, c.frequency, c.score, c.occurrences.starts)
+                for c in _search(axis, slice(None), no_mode, True)
+            ]
+            want = [
+                (c.key, c.frequency, c.score, c.occurrences.starts)
+                for c in dfs_candidates(data, max_gap, mode)
+                if c.score > 0
+            ]
+            assert got == want, (data.named_sequences(), max_gap, mode)
+            positive += len(got)
+    assert positive > 1000
 
 
 def test_candidate_search_memory_on_long_trajectory():

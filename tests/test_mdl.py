@@ -31,6 +31,9 @@ from oracles import (
     per_sequence_starts,
     random_dataset,
     random_planted_dataset,
+    reference_canonical,
+    reference_decode,
+    reference_encode,
     reference_select,
 )
 
@@ -324,6 +327,57 @@ def test_select_equals_reference_select():
     assert picks > 4000  # the selections are not mostly empty
 
 
+def _io_dataset(rng):
+    """0-4 sequences, some empty, of unsorted events with repeats, over an
+    alphabet that numbers every other symbol out of name order, at times in
+    -5..12 around 0 or +-10**30."""
+    names = rng.choice((("A", "B", "C", "D"), ("C", "A", "D", "B")))
+    sequences = []
+    for _ in range(rng.randint(0, 4)):
+        base = rng.choice((0, 0, 10**30, -(10**30)))
+        size = 0 if rng.random() < 0.25 else rng.randint(1, 30)
+        seq = [Event(rng.randrange(4), base + rng.randint(-5, 12)) for _ in range(size)]
+        if seq:
+            seq += [rng.choice(seq) for _ in range(rng.randint(0, 4))]
+        sequences.append(tuple(seq))
+    return tuple(sequences), Alphabet(names)
+
+
+def _io_selection(rng, data, k):
+    """``select``'s picks, or, every third case, 2-4 forced multi-node episodes
+    that may share events."""
+    if k % 3:
+        mode = rng.choice(list(FrequencyMode))
+        return select(data, rng.randint(1, 4), rng.choice((None, 2)), mode)
+    episodes = []
+    for _ in range(rng.randint(2, 4)):
+        symbols = rng.sample(data.alphabet.symbols, rng.randint(2, 3))
+        gaps = " ".join(f"-{rng.randint(1, 2)}-> {sym}" for sym in symbols[1:])
+        episodes.append(parse_episode(f"{symbols[0]} {gaps}"))
+    return forced_selection(data, episodes, rng.choice(list(FrequencyMode)))
+
+
+def test_io_path_equals_reference():
+    rng = random.Random(2005)
+    overlapping = 0
+    for k in range(3000):
+        raw, alphabet = _io_dataset(rng)
+        data = EventDataset(raw, alphabet)
+        assert data.sequences == reference_canonical(raw, alphabet), raw
+        selection = _io_selection(rng, data, k)
+        table, want = encode(data, selection), reference_encode(data, selection)
+        assert [(r.episode, r.starts, r.residual) for r in table.rows] == [
+            (r.episode, r.starts, r.residual) for r in want.rows
+        ]
+        assert table.multiplicities == want.multiplicities
+        assert table.n_sequences == want.n_sequences
+        got, want = decode(table), reference_decode(table)
+        assert (got.sequences, got.alphabet) == (want.sequences, want.alphabet)
+        covers = [sel.covered for sel in selection.selected]
+        overlapping += any(a & b for a, b in combinations(covers, 2))
+    assert overlapping > 150
+
+
 def test_select_memory_on_long_trajectory():
     alpha = parse_serial_episode("A -> B -> C")
     beta = parse_serial_episode("D -> B -> E")
@@ -337,6 +391,26 @@ def test_select_memory_on_long_trajectory():
         tracemalloc.stop()
     # 1.25x the 7.92 MiB that select peaked at while it rebuilt every round
     assert peak <= 9.9 * 2**20
+
+
+def test_encode_and_decode_memory_on_long_trajectory():
+    alpha = parse_serial_episode("A -> B -> C")
+    beta = parse_serial_episode("D -> B -> E")
+    model = hmm.build_model(alpha, beta, hmm.default_pair_alphabet(alpha, beta, 9), 0.25)
+    data = hmm.trajectory_dataset(model, hmm.simulate(model, 10_000, 0))
+    selection = select(data, 3)
+    peaks = []
+    for step in (lambda: encode(data, selection), lambda: decode(table)):
+        tracemalloc.start()
+        try:
+            table = step()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # 1.25x the peaks of the per-event encode (1.42 MiB) and of the decode
+    # that gathered a set of (sequence, time, symbol) triples (2.78 MiB)
+    assert peaks[0] <= 1.25 * 1.42 * 2**20
+    assert peaks[1] <= 1.25 * 2.78 * 2**20
 
 
 def test_table_csv_roundtrip(sample_data, sample_episodes):
