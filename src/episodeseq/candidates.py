@@ -162,6 +162,7 @@ def _search(axis: _Axis, left, no_mode: bool, positive: bool) -> list[Candidate]
     """The per-path best episodes over the slots ``left`` selects, in
     canonical order; only those with a positive score when ``positive``."""
     times, types = axis.times[left], axis.types[left]
+    prune = _PRUNE_FREQUENCY + positive  # descendants of an f = 2 node score -3
     # CSR: the events at axis time t are [indptr[t], indptr[t + 1]).
     indptr = np.zeros(axis.length + 1, axis.time_type)
     np.cumsum(np.bincount(times, minlength=axis.length), out=indptr[1:])
@@ -191,7 +192,7 @@ def _search(axis: _Axis, left, no_mode: bool, positive: bool) -> list[Candidate]
         starts = depth.start[np.repeat(own, size)]
         kept.append((depth.ids[own], depth.gaps[own], depth.f[own], size[own], starts))
         del own, size, starts
-        depth, refs = _extend(depth, axis, (times, types, indptr), no_mode)
+        depth, refs = _extend(depth, axis, (times, types, indptr), no_mode, prune)
         leaf_refs.append(refs)
     emitted = np.zeros(n_kept, bool)
     emitted[np.concatenate(leaf_refs)] = True
@@ -216,17 +217,18 @@ def _search(axis: _Axis, left, no_mode: bool, positive: bool) -> list[Candidate]
     return candidates
 
 
-def _extend(depth: _Depth, axis: _Axis, events: tuple, no_mode: bool):
-    """The next depth (None past the last one), and the path-best refs of
-    the nodes that have no child.  Drops ``depth``'s starts once joined."""
+def _extend(depth: _Depth, axis: _Axis, events: tuple, no_mode: bool, prune: int):
+    """The next depth (None past the last one) from the nodes with f > ``prune``,
+    and the path-best refs of the nodes that have no child.  Drops
+    ``depth``'s starts once joined."""
     n = len(depth.f)
-    live = np.flatnonzero(depth.f > _PRUNE_FREQUENCY)
+    live = np.flatnonzero(depth.f > prune)
     if not len(live):
         return None, depth.best_ref
     # Blocks of whole nodes, each starting at a live node every _BLOCK starts.
     cuts = live[np.flatnonzero(np.diff(depth.ptr[live] // _BLOCK, prepend=-1))]
     cuts = np.append(cuts, n).tolist()
-    parts = [_join(depth, axis, events, no_mode, a, z) for a, z in zip(cuts, cuts[1:])]
+    parts = [_join(depth, axis, events, no_mode, prune, a, z) for a, z in zip(cuts, cuts[1:])]
     depth.ptr = depth.start = None
     parent, sym, delta, f, size, start = map(np.concatenate, zip(*parts))
     del parts, live
@@ -247,14 +249,14 @@ def _extend(depth: _Depth, axis: _Axis, events: tuple, no_mode: bool):
     return child, depth.best_ref[~has_child]
 
 
-def _join(depth: _Depth, axis: _Axis, events: tuple, no_mode: bool, a: int, z: int):
+def _join(depth: _Depth, axis: _Axis, events: tuple, no_mode: bool, prune: int, a: int, z: int):
     """The children of nodes a..z-1: their parents, symbols, last gaps,
     frequencies, and the number and the list of their distinct starts."""
     times, types, indptr = events
     max_gap = axis.max_gap
     node = np.repeat(np.arange(a, z, dtype=np.int32), np.diff(depth.ptr[a : z + 1]))
     start = depth.start[depth.ptr[a] : depth.ptr[z]]
-    live = depth.f[node] > _PRUNE_FREQUENCY
+    live = depth.f[node] > prune
     node, start = node[live], start[live]
     end = start + depth.span[node]
     lo = indptr[end + 1]
@@ -282,7 +284,7 @@ def _join(depth: _Depth, axis: _Axis, events: tuple, no_mode: bool, a: int, z: i
     del key
     # Keep the groups of 2+ starts whose symbol is new to the node, then,
     # in non-overlapped mode, those with a chain of 2+.
-    ok = (size > _PRUNE_FREQUENCY) & ~(depth.ids[g_node] == g_sym[:, None]).any(axis=1)
+    ok = (size > _PRUNE_FREQUENCY) & np.all([c[g_node] != g_sym for c in depth.ids.T], axis=0)
     group = np.cumsum(head, dtype=np.int32) - 1
     keep = ok[group]
     starts = start[pos[keep]]
@@ -302,12 +304,18 @@ def _chain_members(starts, size, spans):
     """Mask of the starts on each group's greedy non-overlapped chain.
 
     The groups hold ``size`` sorted starts each.  A start's successor is
-    the first start of its group past its occurrence's end.  By pointer
-    doubling (Wyllie 1979), the starts marked so far, those fewer than 2**k
-    steps past a group's head, add their successors 2**k steps on.
+    the first start of its group past its occurrence's end.  Where no start
+    of a group falls within the previous one's occurrence, all are on the
+    chain.  Elsewhere, by pointer doubling (Wyllie 1979), the starts marked
+    so far, fewer than 2**k steps past a head, add their successors 2**k on.
     """
-    n = len(starts)
     group = np.repeat(np.arange(len(size)), size)
+    close = (np.diff(starts) <= spans[group[1:]]) & (np.diff(group) == 0)
+    dense = np.bincount(group[1:][close], minlength=len(size)) > 0
+    member = ~dense[group]
+    at = np.flatnonzero(~member)
+    starts, group, size = starts[at], group[at], size[dense]
+    n = len(starts)
     width = int(starts.max(initial=0)) + int(spans.max(initial=0)) + 1
     v = group * width + starts
     nxt = np.searchsorted(v, v + spans[group], side="right")
@@ -318,6 +326,5 @@ def _chain_members(starts, size, spans):
         new = new[new < n]
         marked = np.concatenate((marked, new))
         nxt = nxt[nxt]
-    member = np.zeros(n, bool)
-    member[marked] = True
+    member[at[marked]] = True
     return member

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import partial
+from operator import itemgetter, lt
 from typing import IO, Iterable, NamedTuple
 
 
@@ -67,6 +69,10 @@ class Event(NamedTuple):
     time: int
 
 
+new_event = partial(tuple.__new__, Event)  # skips the namedtuple's Python-level __new__
+_first, _second = itemgetter(0), itemgetter(1)
+
+
 @dataclass(frozen=True, eq=False)
 class EventDataset:
     """One or more event sequences over a shared alphabet.
@@ -84,15 +90,16 @@ class EventDataset:
         m = self.alphabet.size
         canonical = []
         for seq in self.sequences:
-            for ev in seq:
-                if not 0 <= ev.event_type < m:
-                    raise DataValidationError(
-                        f"event type id {ev.event_type} outside alphabet of size {m}"
-                    )
-            ordered = tuple(
-                sorted(seq, key=lambda e: (e.time, self.alphabet.name(e.event_type)))
-            )
-            canonical.append(ordered)
+            low, high = min(map(_first, seq), default=0), max(map(_first, seq), default=-1)
+            if low < 0 or high >= m:
+                raise DataValidationError(
+                    f"event type id {low if low < 0 else high} outside alphabet of size {m}"
+                )
+            # Strictly increasing times leave no tie for the names to break.
+            times = list(map(_second, seq))
+            if not all(map(lt, times, times[1:])):
+                seq = sorted(seq, key=lambda e: (e.time, self.alphabet.name(e.event_type)))
+            canonical.append(tuple(seq))
         object.__setattr__(self, "sequences", tuple(canonical))
 
     @classmethod
@@ -109,8 +116,9 @@ class EventDataset:
         raw = [list(seq) for seq in sequences]
         if alphabet is None:
             alphabet = Alphabet.from_names(name for seq in raw for _, name in seq)
+        index = alphabet.index
         seqs = tuple(
-            tuple(Event(alphabet.index(name), int(t)) for t, name in seq)
+            tuple(map(new_event, zip(map(index, map(_second, seq)), map(int, map(_first, seq)))))
             for seq in raw
         )
         return cls(seqs, alphabet)
@@ -310,8 +318,6 @@ def dump_events(data: EventDataset, handle: IO[str]) -> None:
             raise DataValidationError(
                 f"symbol {sym!r} cannot be written to an event file"
             )
+    names = data.alphabet.symbols
     for i, seq in enumerate(data.sequences):
-        if i > 0:
-            handle.write("\n")
-        for ev in seq:
-            handle.write(f"{ev.time}\t{data.alphabet.name(ev.event_type)}\n")
+        handle.write("\n" * (i > 0) + "".join([f"{t}\t{names[x]}\n" for x, t in seq]))

@@ -21,18 +21,18 @@ from __future__ import annotations
 import csv
 import heapq
 from dataclasses import dataclass
-from itertools import groupby
-from operator import le, lt
+from itertools import accumulate, chain, groupby
+from operator import eq, itemgetter, le, lt
 from typing import IO, Iterable, Sequence
 
 import numpy as np
 
 from .events import (
     Alphabet,
-    Event,
     EventDataset,
     FixedIntervalEpisode,
     format_episode,
+    new_event,
     parse_episode,
 )
 from .occurrences import FrequencyMode, cover, occurrences_for_mode
@@ -98,13 +98,6 @@ class SelectionState:
 
     selected: tuple[SelectedEpisode, ...]
     n_rounds: int
-
-    @property
-    def covered_positions(self) -> frozenset[tuple[int, int]]:
-        out: set[tuple[int, int]] = set()
-        for sel in self.selected:
-            out |= sel.covered
-        return frozenset(out)
 
     def episodes(self) -> tuple[FixedIntervalEpisode, ...]:
         return tuple(sel.episode for sel in self.selected)
@@ -234,27 +227,35 @@ def encode(data: EventDataset, selection: SelectionState) -> EncodingTable:
     One row per selected episode, in selection order, followed by one
     1-node row per event type still uncovered, in symbol order.
     """
-    covered = selection.covered_positions
-    rows = [
-        TableRow(sel.episode, sel.starts, residual=False)
-        for sel in selection.selected
-    ]
-    leftovers: dict[str, list[tuple[int, int]]] = {}
-    counts: dict[tuple[int, int, str], int] = {}
-    for seq_idx, seq in enumerate(data.sequences):
-        for pos, ev in enumerate(seq):
-            name = data.alphabet.name(ev.event_type)
-            counts[(seq_idx, ev.time, name)] = (
-                counts.get((seq_idx, ev.time, name), 0) + 1
-            )
-            if (seq_idx, pos) not in covered:
-                leftovers.setdefault(name, []).append((seq_idx, ev.time))
-    for name in sorted(leftovers):
-        starts = tuple(sorted(leftovers[name]))
-        rows.append(
-            TableRow(FixedIntervalEpisode((name,), ()), starts, residual=True)
-        )
-    multiplicities = {key: m for key, m in counts.items() if m > 1}
+    rows = [TableRow(sel.episode, sel.starts, residual=False) for sel in selection.selected]
+    # The events in canonical order: by sequence, time, then name.
+    events = list(chain.from_iterable(data.sequences))
+    types = np.fromiter(map(itemgetter(0), events), np.int64, len(events))
+    times = list(map(itemgetter(1), events))
+    lengths = list(map(len, data.sequences))
+    seqs = np.repeat(np.arange(len(lengths)), lengths)
+    first = list(accumulate(lengths, initial=0))
+    covered = np.zeros(len(events), bool)
+    covered[[first[s] + p for sel in selection.selected for s, p in sel.covered]] = True
+    names = data.alphabet.symbols
+    rank = np.argsort(sorted(range(len(names)), key=names.__getitem__))
+    # Leftovers grouped by name, each group in (sequence, time) order.
+    left = np.flatnonzero(~covered)
+    left = left[np.argsort(rank[types[left]], kind="stable")]
+    pairs = list(zip(seqs[left].tolist(), map(times.__getitem__, left.tolist())))
+    cuts = np.flatnonzero(np.diff(types[left], prepend=-1)).tolist()
+    for a, z in zip(cuts, [*cuts[1:], len(left)]):
+        episode = FixedIntervalEpisode((names[types[left[a]]],), ())
+        rows.append(TableRow(episode, tuple(pairs[a:z]), residual=True))
+    # Copies of one (sequence, time, type) are adjacent.
+    same = np.fromiter(map(eq, times, times[1:]), bool, max(len(times) - 1, 0))
+    heads = np.flatnonzero(np.append(True, ~same | (np.diff(types) != 0) | (np.diff(seqs) != 0)))
+    copies = np.diff(heads, append=len(times))
+    dup = copies > 1
+    multiplicities = {
+        (int(seqs[i]), times[i], names[types[i]]): m
+        for i, m in zip(heads[dup].tolist(), copies[dup].tolist())
+    }
     return EncodingTable(tuple(rows), multiplicities, data.n_sequences)
 
 
@@ -268,32 +269,58 @@ def decode(table: EncodingTable) -> EventDataset:
 
     Every row's starts are expanded through the episode's gaps; events
     coded by several rows collapse to the multiplicity the original data
-    had (1 unless listed in the table's multiplicity map).  A multiplicity
-    for an event no row codes raises :class:`TableFormatError`.
+    had (1 unless listed in the table's multiplicity map).  Raises
+    :class:`TableFormatError` for a multiplicity that names an event no row
+    codes, and for an event that 1-node rows code more often than its
+    multiplicity, less one if a multi-node row codes it too.
     """
-    triples: set[tuple[int, int, str]] = set()
-    max_seq = -1
+    alphabet = Alphabet.from_names(
+        [sym for row in table.rows if row.starts for sym in row.episode.event_types]
+        + [sym for _, _, sym in table.multiplicities]
+    )
+    # Entries of (sequence, time, symbol id, episode size, copies): one per
+    # row node and start, then one per #mult key, with size 0.
+    seqs, times, blocks = [], [], []  # blocks: (entries, symbol id, episode size, copies)
     for row in table.rows:
-        offsets = row.episode.offsets()
-        for seq_idx, t in row.starts:
-            if seq_idx < 0:
-                raise TableFormatError(f"negative sequence index {seq_idx}")
-            max_seq = max(max_seq, seq_idx)
-            for sym, off in zip(row.episode.event_types, offsets):
-                triples.add((seq_idx, t + off, sym))
-    if max_seq >= table.n_sequences:
-        raise TableFormatError("start refers to a sequence beyond the declared count")
-    unknown = sorted(key for key in table.multiplicities if key not in triples)
-    if unknown:
-        seq_idx, t, sym = unknown[0]
-        raise TableFormatError(f"#mult names {seq_idx}:{t}:{sym}, which no row codes")
-    names = sorted({sym for _, _, sym in triples})
-    alphabet = Alphabet(tuple(names))
-    sequences: list[list[Event]] = [[] for _ in range(table.n_sequences)]
-    for seq_idx, t, sym in triples:
-        copies = table.multiplicities.get((seq_idx, t, sym), 1)
-        sequences[seq_idx].extend([Event(alphabet.index(sym), t)] * copies)
-    return EventDataset(tuple(tuple(seq) for seq in sequences), alphabet)
+        if not row.starts:
+            continue
+        t = list(map(itemgetter(1), row.starts))
+        seqs += list(map(itemgetter(0), row.starts)) * row.size
+        for sym, off in zip(row.episode.event_types, row.episode.offsets()):
+            times += map(off.__add__, t)
+            blocks.append((len(t), alphabet.index(sym), row.size, 1))
+    low, high, n = min(seqs, default=0), max(seqs, default=-1), table.n_sequences
+    if low < 0 or high >= n:
+        raise TableFormatError(f"start in sequence {low if low < 0 else high}, outside 0..{n - 1}")
+    for (s, t, sym), m in table.multiplicities.items():
+        if not 0 <= s <= high:
+            raise TableFormatError(f"rows and #mult disagree on the copies of {s}:{t}:{sym}")
+        seqs.append(s)
+        times.append(t)
+        blocks.append((1, alphabet.index(sym), 0, m))
+    count, sym, size, m = np.array(blocks, np.int64).reshape(-1, 4).T
+    sym, size, m = (np.repeat(x, count) for x in (sym, size, m))
+    seq = np.array(seqs, np.int64)
+    rank = dict(zip(sorted(times), range(len(times))))  # equal times share one
+    t_rank = np.fromiter(map(rank.__getitem__, times), np.int64, len(times))  # orders any ints
+    order = np.lexsort((sym, t_rank, seq))
+    key = np.stack((seq, t_rank, sym))[:, order]
+    heads = np.flatnonzero((np.diff(key, prepend=-1) != 0).any(axis=0))  # ranks are >= 0
+    del rank, t_rank, key
+    first = order[heads]
+    copies = np.maximum.reduceat(m[order], heads)
+    one_node = np.add.reduceat(size[order] == 1, heads, dtype=np.int64)
+    size = np.maximum.reduceat(size[order], heads)  # 0: only #mult names the event
+    # Multi-node rows may code one copy of an event, 1-node rows the others.
+    bad = np.flatnonzero((size == 0) | (one_node > copies - (size > 1)))
+    if len(bad):
+        i = first[bad[0]]
+        where = f"{seq[i]}:{times[i]}:{alphabet.name(sym[i])}"
+        raise TableFormatError(f"rows and #mult disagree on the copies of {where}")
+    at = np.repeat(first, copies)  # one entry per decoded event
+    events = list(map(new_event, zip(sym[at].tolist(), map(times.__getitem__, at.tolist()))))
+    ends = np.cumsum(np.bincount(seq[at], minlength=n)).tolist()
+    return EventDataset(tuple(tuple(events[a:z]) for a, z in zip([0, *ends], ends)), alphabet)
 
 
 TABLE_HEADER = ["size", "episode", "freq", "starts"]

@@ -610,7 +610,7 @@ def reference_encode(data: EventDataset, selection: SelectionState) -> EncodingT
     """The encoding table built by a walk over every event, the oracle of
     ``encode``: selected rows in selection order, then one 1-node row per
     symbol with uncovered events, in symbol order."""
-    covered = selection.covered_positions
+    covered = set().union(*(sel.covered for sel in selection.selected))
     rows = [TableRow(sel.episode, sel.starts, residual=False) for sel in selection.selected]
     leftovers: dict[str, list[tuple[int, int]]] = {}
     counts: dict[tuple[int, int, str], int] = {}
