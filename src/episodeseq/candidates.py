@@ -8,10 +8,11 @@ the highest-scoring episode is emitted, so the candidate set holds one
 "best" episode per path, deduplicated.
 
 Extensions are cut once the mode frequency drops below 2.  Frequency only
-shrinks along extensions, so the cut branches consist of episodes that
-occur at most once; no user frequency threshold is involved.  (Episodes
-with f <= 2 score at most -3 and are never selected, so keeping the f = 2
-branches only widens the reported candidate set, never the selection.)
+shrinks along extensions, so the cut branches hold episodes that occur at
+most once; no user frequency threshold is involved.  A positive score needs
+f >= 3, and every f = 2 episode scores -3, so ``select``'s search extends
+only nodes with f >= 3.  It still makes f = 2 children, as leaves, because a
+leaf emits its path best.  ``generate_candidates`` extends f = 2 nodes too.
 
 The trees are searched one depth at a time, as Mannila, Toivonen & Verkamo
 count episodes level-wise (DMKD 1997), by numpy joins over whole depths.

@@ -116,9 +116,8 @@ class EventDataset:
         raw = [list(seq) for seq in sequences]
         if alphabet is None:
             alphabet = Alphabet.from_names(name for seq in raw for _, name in seq)
-        index = alphabet.index
         seqs = tuple(
-            tuple(map(new_event, zip(map(index, map(_second, seq)), map(int, map(_first, seq)))))
+            tuple(map(new_event, [(alphabet.index(name), int(t)) for t, name in seq]))
             for seq in raw
         )
         return cls(seqs, alphabet)

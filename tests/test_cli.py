@@ -1,12 +1,17 @@
+import csv
 import io
 import os
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from episodeseq import load_events
+from episodeseq import decode, load_events, load_table, save_table
 from episodeseq.cli import main
 from episodeseq.datasets import sample_sequence_text
 
@@ -316,6 +321,90 @@ def test_decode_refuses_a_repeated_start(tmp_path, capsys):
     assert main(["decode", str(table), "-o", str(out)]) == 3
     assert out.read_bytes() == b"previous contents\n"
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        # A@1 and B@2 decode once each, but four event codes cover them
+        "2,A -1-> B,1,0:1\n1,A,1,0:1\n1,B,1,0:2\n",
+        "1,A,1,0:1\n1,A,1,0:1\n",
+        "#mult 0:1:A=2\n2,A -1-> B,1,0:1\n1,A,2,0:1;0:1\n1,B,1,0:2\n",
+    ],
+)
+def test_decode_refuses_rows_that_code_an_event_too_often(body, tmp_path, capsys):
+    table = tmp_path / "t.csv"
+    table.write_text("size,episode,freq,starts\n" + body, "utf-8")
+    out = tmp_path / "events.tsv"
+    out.write_bytes(b"previous contents\n")
+    assert main(["decode", str(table), "-o", str(out)]) == 3
+    assert out.read_bytes() == b"previous contents\n"
+    assert "disagree on the copies of 0:1:A" in capsys.readouterr().err
+
+
+GOLDEN_TABLES = sorted((Path(__file__).parent / "golden").glob("*.table.csv"))
+
+
+@st.composite
+def _mutated_golden_table(draw):
+    """A golden table with 1-3 edits that keep its lines in the form
+    ``save_table`` writes: starts dropped, repeated or moved, a row that
+    re-codes a covered event, a changed multiplicity, or extra sequences."""
+    header, *lines = draw(st.sampled_from(GOLDEN_TABLES)).read_text("utf-8").splitlines()
+    comments = [line for line in lines if line.startswith("#")]
+    rows = [[*r[:3], r[3].split(";")] for r in csv.reader(l for l in lines if l[0] != "#")]
+    for _ in range(draw(st.integers(1, 3))):
+        row = draw(st.sampled_from(rows))
+        k = draw(st.integers(0, len(row[3]) - 1))
+        seq, _, t = row[3][k].partition(":")
+        edit = draw(st.sampled_from(["drop", "repeat", "move", "recode", "mult", "sequences"]))
+        if edit == "drop" and len(row[3]) > 1:
+            del row[3][k]
+        elif edit == "repeat":
+            row[3].insert(k, row[3][k])
+        elif edit == "move":
+            row[3][k] = f"{seq}:{int(t) + draw(st.sampled_from([-1, 1]))}"
+        elif edit == "recode":
+            node = draw(st.integers(0, int(row[0]) - 1))
+            episode = row[1].split()
+            off = sum(map(int, (a.strip("->") for a in episode[1 : 2 * node : 2])))
+            rows.append(["1", episode[2 * node], "1", [f"{seq}:{int(t) + off}"]])
+        elif edit == "mult" and comments and comments[0].startswith("#mult "):
+            parts = comments[0][6:].split(";")
+            j = draw(st.integers(0, len(parts) - 1))
+            parts[j] = parts[j].rpartition("=")[0] + f"={draw(st.integers(1, 4))}"
+            comments[0] = "#mult " + ";".join(parts)
+        elif edit == "sequences" and not any(c.startswith("#seq") for c in comments):
+            used = 1 + max(int(p.partition(":")[0]) for r in rows for p in r[3])
+            comments.append(f"#sequences {used + draw(st.integers(1, 2))}")
+        row[2] = str(len(row[3]))
+    body = io.StringIO()
+    csv.writer(body, lineterminator="\n").writerows([*r[:3], ";".join(r[3])] for r in rows)
+    return "\n".join([header, *comments]) + "\n" + body.getvalue()
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(text=_mutated_golden_table())
+def test_mutated_golden_tables_round_trip_or_exit_3(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        table, out = Path(tmp) / "t.csv", Path(tmp) / "events.tsv"
+        table.write_text(text, "utf-8")
+        status = main(["decode", str(table), "-o", str(out)])
+    assert status in (0, 3)
+    if status == 3:
+        return
+    loaded = load_table(io.StringIO(text))
+    again = io.StringIO()
+    save_table(loaded, again)
+    assert again.getvalue() == text
+    coded = sum(row.size * row.frequency for row in loaded.rows)
+    tracemalloc.start()
+    try:
+        decode(loaded)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2**10 + 1024 * coded
 
 
 def test_decode_refuses_a_huge_sequence_count_before_allocating(tmp_path):
