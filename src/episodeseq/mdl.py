@@ -305,7 +305,7 @@ def decode(table: EncodingTable) -> EventDataset:
     t_rank = np.fromiter(map(rank.__getitem__, times), np.int64, len(times))  # orders any ints
     order = np.lexsort((sym, t_rank, seq))
     key = np.stack((seq, t_rank, sym))[:, order]
-    heads = np.flatnonzero((np.diff(key, prepend=-1) != 0).any(axis=0))  # ranks are >= 0
+    heads = np.flatnonzero((np.diff(key, prepend=-1) != 0).any(axis=0))  # keys are >= 0
     del rank, t_rank, key
     first = order[heads]
     copies = np.maximum.reduceat(m[order], heads)
