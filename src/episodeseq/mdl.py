@@ -306,7 +306,6 @@ def decode(table: EncodingTable) -> EventDataset:
     order = np.lexsort((sym, t_rank, seq))
     key = np.stack((seq, t_rank, sym))[:, order]
     heads = np.flatnonzero((np.diff(key, prepend=-1) != 0).any(axis=0))  # keys are >= 0
-    del rank, t_rank, key
     first = order[heads]
     copies = np.maximum.reduceat(m[order], heads)
     one_node = np.add.reduceat(size[order] == 1, heads, dtype=np.int64)
@@ -318,6 +317,7 @@ def decode(table: EncodingTable) -> EventDataset:
         where = f"{seq[i]}:{times[i]}:{alphabet.name(sym[i])}"
         raise TableFormatError(f"rows and #mult disagree on the copies of {where}")
     at = np.repeat(first, copies)  # one entry per decoded event
+    del rank, t_rank, key, order, first, copies, one_node, size, m, bad
     events = list(map(new_event, zip(sym[at].tolist(), map(times.__getitem__, at.tolist()))))
     ends = np.cumsum(np.bincount(seq[at], minlength=n)).tolist()
     return EventDataset(tuple(tuple(events[a:z]) for a, z in zip([0, *ends], ends)), alphabet)
