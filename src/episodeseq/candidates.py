@@ -10,9 +10,9 @@ the highest-scoring episode is emitted, so the candidate set holds one
 Extensions are cut once the mode frequency drops below 2.  Frequency only
 shrinks along extensions, so the cut branches hold episodes that occur at
 most once; no user frequency threshold is involved.  A positive score needs
-f >= 3, and every f = 2 episode scores -3, so ``select``'s search extends
-only nodes with f >= 3.  It still makes f = 2 children, as leaves, because a
-leaf emits its path best.  ``generate_candidates`` extends f = 2 nodes too.
+f >= 3 and an f = 2 episode scores -3, so ``select``'s search extends only
+nodes with f >= 3, but makes f = 2 children as leaves, since a leaf emits
+its path best; ``generate_candidates`` extends f = 2 nodes too.
 
 The trees are searched one depth at a time, as Mannila, Toivonen & Verkamo
 count episodes level-wise (DMKD 1997), by numpy joins over whole depths.
@@ -219,9 +219,8 @@ def _search(axis: _Axis, left, no_mode: bool, positive: bool) -> list[Candidate]
 
 
 def _extend(depth: _Depth, axis: _Axis, events: tuple, no_mode: bool, prune: int):
-    """The next depth (None past the last one) from the nodes with f > ``prune``,
-    and the path-best refs of the nodes that have no child.  Drops
-    ``depth``'s starts once joined."""
+    """The next depth (None past the last one), grown from the nodes with
+    f > ``prune``, and the path-best refs of the nodes that have no child."""
     n = len(depth.f)
     live = np.flatnonzero(depth.f > prune)
     if not len(live):
@@ -230,7 +229,7 @@ def _extend(depth: _Depth, axis: _Axis, events: tuple, no_mode: bool, prune: int
     cuts = live[np.flatnonzero(np.diff(depth.ptr[live] // _BLOCK, prepend=-1))]
     cuts = np.append(cuts, n).tolist()
     parts = [_join(depth, axis, events, no_mode, prune, a, z) for a, z in zip(cuts, cuts[1:])]
-    depth.ptr = depth.start = None
+    depth.ptr = depth.start = None  # joined: the children hold the starts now
     parent, sym, delta, f, size, start = map(np.concatenate, zip(*parts))
     del parts, live
     has_child = np.zeros(n, bool)
@@ -305,18 +304,12 @@ def _chain_members(starts, size, spans):
     """Mask of the starts on each group's greedy non-overlapped chain.
 
     The groups hold ``size`` sorted starts each.  A start's successor is
-    the first start of its group past its occurrence's end.  Where no start
-    of a group falls within the previous one's occurrence, all are on the
-    chain.  Elsewhere, by pointer doubling (Wyllie 1979), the starts marked
-    so far, fewer than 2**k steps past a head, add their successors 2**k on.
+    the first start of its group past its occurrence's end.  By pointer
+    doubling (Wyllie 1979), the starts marked so far, those fewer than 2**k
+    steps past a group's head, add their successors 2**k steps on.
     """
-    group = np.repeat(np.arange(len(size)), size)
-    close = (np.diff(starts) <= spans[group[1:]]) & (np.diff(group) == 0)
-    dense = np.bincount(group[1:][close], minlength=len(size)) > 0
-    member = ~dense[group]
-    at = np.flatnonzero(~member)
-    starts, group, size = starts[at], group[at], size[dense]
     n = len(starts)
+    group = np.repeat(np.arange(len(size)), size)
     width = int(starts.max(initial=0)) + int(spans.max(initial=0)) + 1
     v = group * width + starts
     nxt = np.searchsorted(v, v + spans[group], side="right")
@@ -327,5 +320,6 @@ def _chain_members(starts, size, spans):
         new = new[new < n]
         marked = np.concatenate((marked, new))
         nxt = nxt[nxt]
-    member[at[marked]] = True
+    member = np.zeros(n, bool)
+    member[marked] = True
     return member

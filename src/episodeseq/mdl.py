@@ -225,7 +225,9 @@ def encode(data: EventDataset, selection: SelectionState) -> EncodingTable:
     """Build the encoding table for a dataset under a selection.
 
     One row per selected episode, in selection order, followed by one
-    1-node row per event type still uncovered, in symbol order.
+    1-node row per event type still uncovered, in symbol order.  Raises
+    :class:`TableFormatError`, as :func:`decode` would on the table, when a
+    selected 1-node episode covers an event another selected one covers.
     """
     rows = [TableRow(sel.episode, sel.starts, residual=False) for sel in selection.selected]
     # The events in canonical order: by sequence, time, then name.
@@ -235,12 +237,16 @@ def encode(data: EventDataset, selection: SelectionState) -> EncodingTable:
     lengths = list(map(len, data.sequences))
     seqs = np.repeat(np.arange(len(lengths)), lengths)
     first = list(accumulate(lengths, initial=0))
-    covered = np.zeros(len(events), bool)
-    covered[[first[s] + p for sel in selection.selected for s, p in sel.covered]] = True
+    coded = np.bincount(
+        [first[s] + p for sel in selection.selected for s, p in sel.covered], minlength=len(events)
+    )
+    for sel in selection.selected:  # decode refuses a 1-node row's event coded twice
+        if sel.episode.length == 1 and (coded[[first[s] + p for s, p in sel.covered]] > 1).any():
+            raise TableFormatError(f"episode {sel.episode} codes events another episode codes")
     names = data.alphabet.symbols
     rank = np.argsort(sorted(range(len(names)), key=names.__getitem__))
     # Leftovers grouped by name, each group in (sequence, time) order.
-    left = np.flatnonzero(~covered)
+    left = np.flatnonzero(coded == 0)
     left = left[np.argsort(rank[types[left]], kind="stable")]
     pairs = list(zip(seqs[left].tolist(), map(times.__getitem__, left.tolist())))
     cuts = np.flatnonzero(np.diff(types[left], prepend=-1)).tolist()
@@ -270,9 +276,8 @@ def decode(table: EncodingTable) -> EventDataset:
     Every row's starts are expanded through the episode's gaps; events
     coded by several rows collapse to the multiplicity the original data
     had (1 unless listed in the table's multiplicity map).  Raises
-    :class:`TableFormatError` for a multiplicity that names an event no row
-    codes, and for an event that 1-node rows code more often than its
-    multiplicity, less one if a multi-node row codes it too.
+    :class:`TableFormatError` for a ``#mult`` key no row codes, and when 1-node
+    rows code an event more often than its copies, less one if a longer row does.
     """
     alphabet = Alphabet.from_names(
         [sym for row in table.rows if row.starts for sym in row.episode.event_types]

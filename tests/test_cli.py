@@ -342,6 +342,25 @@ def test_decode_refuses_rows_that_code_an_event_too_often(body, tmp_path, capsys
     assert "disagree on the copies of 0:1:A" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    ("forced", "status"),
+    [("A -1-> B\nA\n", 3), ("A\nA\n", 3), ("A\nB\n", 0), ("A -1-> B\nB -3-> A\n", 0)],
+)
+def test_mine_refuses_forced_one_node_episodes_that_share_events(forced, status, tmp_path, capsys):
+    data, episodes = tmp_path / "seq.tsv", tmp_path / "eps.txt"
+    data.write_text("1\tA\n2\tB\n5\tA\n6\tB\n", "utf-8")
+    episodes.write_text(forced, "utf-8")
+    table, out = tmp_path / "t.csv", tmp_path / "events.tsv"
+    table.write_bytes(b"previous contents\n")
+    assert main(["mine", str(data), "--force-episodes", str(episodes), "-o", str(table)]) == status
+    if status == 3:
+        assert table.read_bytes() == b"previous contents\n"
+        assert "codes events another episode codes" in capsys.readouterr().err
+    else:
+        assert main(["decode", str(table), "-o", str(out)]) == 0
+        assert out.read_bytes() == data.read_bytes()
+
+
 GOLDEN_TABLES = sorted((Path(__file__).parent / "golden").glob("*.table.csv"))
 
 
