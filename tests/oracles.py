@@ -37,9 +37,13 @@ from episodeseq.mdl import (
     TableRow,
     row_gain,
 )
-from episodeseq.occurrences import CoverIntegrityError, non_overlapped
+from episodeseq.occurrences import non_overlapped
 
 _PRUNE_FREQUENCY = 1
+
+
+class CoverIntegrityError(ValueError):
+    """Raised when a claimed occurrence start has no matching data events."""
 
 
 def max_nonoverlap_from_starts(starts: list[int], ep_span: int) -> int:
@@ -517,6 +521,79 @@ def _lowest_cover(data, episode, starts, lowest) -> frozenset[tuple[int, int]]:
                     raise CoverIntegrityError(f"no event for start {t} in sequence {seq_idx}")
                 positions.add((seq_idx, pos))
     return frozenset(positions)
+
+
+def reference_distinct_starts(
+    data: EventDataset, episode: FixedIntervalEpisode
+) -> OccurrenceList:
+    """All ``(sequence, t)`` pairs such that every node's event exists at its
+    offset, found in a set of the data's (sequence, time, type) triples: the
+    oracle of ``find_distinct_starts``.  Raises ``KeyError`` for a symbol
+    outside the data's alphabet.
+    """
+    type_ids = [data.alphabet.index(sym) for sym in episode.event_types]
+    nodes = list(zip(type_ids, episode.offsets()))
+    present = {
+        (seq_idx, ev.time, ev.event_type)
+        for seq_idx, seq in enumerate(data.sequences)
+        for ev in seq
+    }
+    starts = sorted(
+        (seq_idx, t)
+        for seq_idx, t, tid in present
+        if tid == type_ids[0]
+        and all((seq_idx, t + off, k) in present for k, off in nodes)
+    )
+    return OccurrenceList(episode, tuple(starts))
+
+
+def reference_occurrences_for_mode(
+    data: EventDataset, episode: FixedIntervalEpisode, mode: FrequencyMode
+) -> OccurrenceList:
+    """:func:`reference_distinct_starts`, filtered to the greedy
+    non-overlapped chain in non-overlapped mode."""
+    occ = reference_distinct_starts(data, episode)
+    return find_no_occurrences(occ) if mode is FrequencyMode.NON_OVERLAPPED else occ
+
+
+def reference_cover(
+    data: EventDataset, episode: FixedIntervalEpisode, starts
+) -> frozenset[tuple[int, int]]:
+    """``(sequence, position)`` pairs of the events coded by ``(sequence,
+    start time)`` pairs, each node bound to the lowest-index event with its
+    (type, time) in its sequence, found through one dict per sequence.
+    Raises :class:`CoverIntegrityError` for a start whose events are
+    missing, and ``KeyError`` for a symbol outside the data's alphabet.
+    """
+    lowest = [_lowest_positions(enumerate(seq)) for seq in data.sequences]
+    return _lowest_cover(data, episode, starts, lowest)
+
+
+def reference_forced_selection(
+    data: EventDataset,
+    episodes,
+    mode: FrequencyMode = FrequencyMode.NON_OVERLAPPED,
+) -> SelectionState:
+    """One round of the given episodes over the full data, each with its
+    reference occurrences and cover: the oracle of ``forced_selection``."""
+    selected = []
+    for episode in episodes:
+        occ = reference_occurrences_for_mode(data, episode, mode)
+        cov = reference_cover(data, episode, occ.starts)
+        selected.append(SelectedEpisode(episode, occ.starts, 0, cov))
+    return SelectionState(tuple(selected), 1 if selected else 0)
+
+
+def reference_overlap_score(
+    episode: FixedIntervalEpisode,
+    data: EventDataset,
+    selected,
+    mode: FrequencyMode = FrequencyMode.NON_OVERLAPPED,
+) -> int:
+    """Score minus the events each selected episode's reference cover shares
+    with the episode's: the oracle of ``overlap_score``."""
+    own, *others = reference_forced_selection(data, [episode, *selected], mode).selected
+    return score(episode, own.frequency) - sum(len(own.covered & o.covered) for o in others)
 
 
 def reference_select(

@@ -22,6 +22,7 @@ from oracles import (
     per_sequence_starts,
     random_planted_dataset,
     raw_events,
+    reference_distinct_starts,
 )
 
 
@@ -100,7 +101,7 @@ def test_candidate_occurrences_verify_against_recomputation():
                 else _multi_sequence_dataset(rng)
             )
             for cand in generate_candidates(data, 2, mode):
-                occ = find_distinct_starts(data, cand.episode)
+                occ = reference_distinct_starts(data, cand.episode)
                 if mode is FrequencyMode.NON_OVERLAPPED:
                     occ = find_no_occurrences(occ)
                 assert cand.occurrences.starts == occ.starts

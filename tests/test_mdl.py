@@ -11,13 +11,17 @@ from episodeseq import (
     Alphabet,
     Event,
     EventDataset,
+    FixedIntervalEpisode,
     FrequencyMode,
+    OccurrenceList,
     TableFormatError,
     decode,
     encode,
+    find_distinct_starts,
     forced_selection,
     hmm,
     load_table,
+    occurrences_for_mode,
     overlap_score,
     parse_episode,
     parse_serial_episode,
@@ -33,7 +37,10 @@ from oracles import (
     random_planted_dataset,
     reference_canonical,
     reference_decode,
+    reference_distinct_starts,
     reference_encode,
+    reference_forced_selection,
+    reference_overlap_score,
     reference_select,
 )
 
@@ -325,6 +332,73 @@ def test_select_equals_reference_select():
             assert got == want, (data.named_sequences(), max_gap, top_k, mode)
             picks += len(got[1])
     assert picks > 4000  # the selections are not mostly empty
+
+
+def _forced_case(rng):
+    """1-4 sequences, some empty, of A-D events with repeats at times -5..12,
+    each shifted, in a third of the cases, by 0 or +-10**30, and half of
+    those split into bursts 10**25 apart; E is in the alphabet but never
+    occurs.  Then 0-4 episodes of 1-3 nodes, now and then with the unknown
+    symbol Z, and gaps of 1-4, 10**12, or beyond the longest sequence.
+
+    Gaps beyond a burst sequence are left out: a 64-bit time axis cannot
+    hold such a gap, and ``forced_selection`` refuses it (see
+    ``test_forced_selection_refuses_a_gap_too_long_for_the_axis``).
+    """
+    huge = rng.random() < 1 / 3
+    sequences = []
+    for _ in range(rng.randint(1, 4)):
+        base = rng.choice((0, 10**30, -(10**30))) if huge else 0
+        jump = rng.choice((0, 10**25)) if huge else 0
+        size = 0 if rng.random() < 0.2 else rng.randint(1, 30)
+        seq = [
+            (base + rng.randrange(2) * jump + rng.randint(-5, 12), rng.choice("ABCD"))
+            for _ in range(size)
+        ]
+        sequences.append(seq + [rng.choice(seq) for _ in range(rng.randint(0, 3) if seq else 0)])
+    data = EventDataset.from_tuples(sequences, Alphabet(tuple("ABCDE")))
+    longest = max((seq[-1].time - seq[0].time for seq in data.sequences if seq), default=0)
+    beyond = (longest + 1, longest + 3) if longest < 10**12 else (1,)
+    episodes = []
+    for _ in range(rng.randint(0, 4)):
+        symbols = rng.sample("ABCDE" + "Z" * (rng.random() < 0.05), rng.randint(1, 3))
+        gaps = [rng.choice((1, 2, 3, 4, 1, 2, 10**12, *beyond)) for _ in symbols[1:]]
+        episodes.append(FixedIntervalEpisode(tuple(symbols), tuple(gaps)))
+    return data, episodes
+
+
+def test_forced_selection_equals_reference():
+    # forced_selection, overlap_score and the occurrence helpers against the
+    # set-and-dict engine, and so the tables of mine --force-episodes.
+    rng = random.Random(2019)
+    found = unknown = 0
+    for _ in range(3000):
+        data, episodes = _forced_case(rng)
+        for mode in FrequencyMode:
+            try:
+                want = reference_forced_selection(data, episodes, mode)
+            except KeyError:
+                unknown += 1
+                with pytest.raises(KeyError):
+                    forced_selection(data, episodes, mode)
+                continue
+            assert forced_selection(data, episodes, mode) == want, (data.named_sequences(), episodes)
+            for episode, sel in zip(episodes, want.selected):
+                got = occurrences_for_mode(data, episode, mode)
+                assert got == OccurrenceList(episode, sel.starts)
+                found += bool(sel.starts)
+            if episodes:
+                got = overlap_score(episodes[0], data, episodes[1:], mode)
+                assert got == reference_overlap_score(episodes[0], data, episodes[1:], mode)
+        for episode in episodes:
+            try:
+                want = reference_distinct_starts(data, episode)
+            except KeyError:
+                with pytest.raises(KeyError):
+                    find_distinct_starts(data, episode)
+                continue
+            assert find_distinct_starts(data, episode) == want
+    assert found > 3000 and unknown > 50
 
 
 def _io_dataset(rng):

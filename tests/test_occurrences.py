@@ -3,11 +3,9 @@ import random
 import pytest
 
 from episodeseq import (
-    CoverIntegrityError,
     FrequencyMode,
     OccurrenceList,
     count_no_general,
-    cover,
     find_distinct_starts,
     find_no_occurrences,
     occurrences_for_mode,
@@ -15,14 +13,18 @@ from episodeseq import (
     parse_serial_episode,
     span,
     EventDataset,
+    forced_selection,
 )
 from oracles import (
+    CoverIntegrityError,
     fixed_interval_starts,
     max_nonoverlap_from_starts,
     max_nonoverlap_intervals,
     per_sequence_starts,
     random_dataset,
     raw_events,
+    reference_cover,
+    reference_distinct_starts,
     serial_occurrence_intervals,
 )
 
@@ -162,27 +164,29 @@ def test_count_no_general_matches_brute_force():
 
 def test_cover_sample_rows(sample_data):
     ep = parse_episode("A -2-> B -1-> C")
-    c = cover(sample_data, ep, ((0, 2), (0, 4)))
+    c = reference_cover(sample_data, ep, ((0, 2), (0, 4)))
     assert len(c) == 6
-    c1 = cover(sample_data, parse_episode("C"), ((0, 3), (0, 8)))
+    c1 = reference_cover(sample_data, parse_episode("C"), ((0, 3), (0, 8)))
     assert len(c1) == 2
-    assert len(cover(sample_data, ep, ())) == 0
+    assert len(reference_cover(sample_data, ep, ())) == 0
 
 
 def test_cover_integrity_error(sample_data):
     with pytest.raises(CoverIntegrityError):
-        cover(sample_data, parse_episode("A -2-> B -1-> C"), ((0, 3),))
+        reference_cover(sample_data, parse_episode("A -2-> B -1-> C"), ((0, 3),))
 
 
 def test_overlap_counts(sample_data):
     ep1 = parse_episode("A -2-> B -1-> C")
     ep2 = parse_episode("D -2-> E -2-> C")
-    c1 = cover(sample_data, ep1, find_distinct_starts(sample_data, ep1).starts)
-    c2 = cover(sample_data, ep2, find_distinct_starts(sample_data, ep2).starts)
+    c1 = reference_cover(sample_data, ep1, reference_distinct_starts(sample_data, ep1).starts)
+    c2 = reference_cover(sample_data, ep2, reference_distinct_starts(sample_data, ep2).starts)
     assert len(c1 & c2) == 1  # the event (C,5) is coded by both
     assert len(c1 & c1) == 6
-    c3 = cover(sample_data, parse_episode("B"), ((0, 6),))
+    c3 = reference_cover(sample_data, parse_episode("B"), ((0, 6),))
     assert len(c2 & c3) == 0
+    state = forced_selection(sample_data, [ep1, ep2], FrequencyMode.DISTINCT)
+    assert [sel.covered for sel in state.selected] == [c1, c2]
 
 
 def test_no_covers_are_disjoint_and_full():
@@ -191,16 +195,18 @@ def test_no_covers_are_disjoint_and_full():
         data = random_dataset(rng)
         ep_symbols = tuple(rng.sample(data.alphabet.symbols, 2))
         episode = parse_episode(f"{ep_symbols[0]} -{rng.randint(1,2)}-> {ep_symbols[1]}")
-        occ = occurrences_for_mode(data, episode, FrequencyMode.NON_OVERLAPPED)
-        c = cover(data, episode, occ.starts)
+        (sel,) = forced_selection(data, [episode], FrequencyMode.NON_OVERLAPPED).selected
+        assert sel.covered == reference_cover(data, episode, sel.starts)
         # non-overlapped occurrences never share events
-        assert len(c) == episode.length * occ.total
+        assert len(sel.covered) == episode.length * sel.frequency
 
 
 def test_duplicate_events_bind_lowest_index():
     data = EventDataset.from_tuples([[(1, "A"), (1, "A"), (2, "B")]])
-    c = cover(data, parse_episode("A -1-> B"), ((0, 1),))
+    c = reference_cover(data, parse_episode("A -1-> B"), ((0, 1),))
     assert (0, 0) in c and (0, 1) not in c
+    (sel,) = forced_selection(data, [parse_episode("A -1-> B")]).selected
+    assert sel.covered == c
 
 
 def test_symbol_outside_the_alphabet_raises_key_error(sample_data):
@@ -208,4 +214,6 @@ def test_symbol_outside_the_alphabet_raises_key_error(sample_data):
     with pytest.raises(KeyError):
         find_distinct_starts(sample_data, episode)
     with pytest.raises(KeyError):
-        cover(sample_data, episode, ((0, 7),))
+        forced_selection(sample_data, [episode])
+    with pytest.raises(KeyError):
+        reference_cover(sample_data, episode, ((0, 7),))
