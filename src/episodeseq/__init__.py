@@ -22,11 +22,9 @@ from .events import (
     span,
 )
 from .occurrences import (
-    CoverIntegrityError,
     FrequencyMode,
     OccurrenceList,
     count_no_general,
-    cover,
     find_distinct_starts,
     find_no_occurrences,
     occurrences_for_mode,

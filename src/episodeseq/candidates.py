@@ -16,7 +16,8 @@ its path best; ``generate_candidates`` extends f = 2 nodes too.
 
 The trees are searched one depth at a time, as Mannila, Toivonen & Verkamo
 count episodes level-wise (DMKD 1997), by numpy joins over whole depths.
-The joins use distinct starts on one time axis (see ``_Axis``).  In
+The joins use distinct starts on the time axis of the occurrences module
+(``occurrences._Axis``), which ``select`` also covers on.  In
 non-overlapped mode a node's frequency is the length of the greedy chain
 of non-overlapped starts (Laxman, Sastry & Unnikrishnan, TKDE 2005).
 Candidates are built only for emitted episodes, and their occurrence lists
@@ -31,12 +32,22 @@ from typing import Mapping
 import numpy as np
 
 from .events import EventDataset, FixedIntervalEpisode
-from .mdl import row_gain
 # find_no_occurrences stays bound here for bench/tracer.py (ROADMAP item 7).
-from .occurrences import FrequencyMode, OccurrenceList, find_no_occurrences  # noqa: F401
+from .occurrences import (  # noqa: F401
+    FrequencyMode,
+    OccurrenceList,
+    _Axis,
+    _chain_members,
+    find_no_occurrences,
+)
 
 _PRUNE_FREQUENCY = 1
 _BLOCK = 1 << 13  # pairs joined at once, in blocks of whole nodes
+
+
+def row_gain(n: int, f: int) -> int:
+    """Coding benefit, f*n - (2n + 1 + f) units, of an n-node episode with frequency f."""
+    return f * n - (2 * n + 1 + f)
 
 
 @dataclass(frozen=True)
@@ -60,72 +71,6 @@ class Candidate:
     @property
     def key(self) -> str:
         return str(self.episode)
-
-
-class _Axis:
-    """All sequences on one time axis, with one slot per distinct event.
-
-    The sequences are laid end to end.  A step between consecutive distinct
-    times keeps its length, but a step longer than ``max_gap``, and the step
-    into the next sequence, become ``max_gap + 1``.  A join looks at most
-    ``max_gap`` past an occurrence's end, and the non-overlap test compares
-    a start with an earlier occurrence's end, an event time; so neither
-    crosses such a step, and one sorted array holds an episode's starts in
-    every sequence.  The rule also holds for any subset of the events, so
-    one axis serves every residual round of a selection.  The axis stays
-    small however large the raw times are.
-
-    A slot is one distinct (sequence, time, type), keyed for ``searchsorted``
-    in (axis time, type id) order.  It records its first event's sequence
-    and position, and its multiplicity: that event and the copies after it.
-    """
-
-    def __init__(self, data: EventDataset, max_gap: int):
-        # No gap outgrows the longest sequence; a shorter max_gap keeps the axis short.
-        longest = max((seq[-1].time - seq[0].time for seq in data.sequences if seq), default=0)
-        self.max_gap = max_gap = min(max_gap, max(longest, 1))
-        self.alphabet = data.alphabet
-        # axis time -> (sequence index, time in that sequence)
-        self.pair_at: dict[int, tuple[int, int]] = {}
-        times: list[int] = []  # per slot, in time order
-        types: list[int] = []
-        first: list[int] = []  # the slot's first event, indexed among all events
-        ends = np.cumsum([len(seq) for seq in data.sequences], dtype=np.int64)
-        g = -max_gap - 1
-        for seq_idx, seq in enumerate(data.sequences):
-            prev = None
-            for k, ev in enumerate(seq, int(ends[seq_idx]) - len(seq)):
-                if ev.time != prev:
-                    g += max_gap + 1 if prev is None else min(ev.time - prev, max_gap + 1)
-                    prev = ev.time
-                    self.pair_at[g] = (seq_idx, prev)
-                elif ev.event_type == types[-1]:
-                    continue  # events sharing (time, type) are adjacent
-                times.append(g)
-                types.append(ev.event_type)
-                first.append(k)
-        # Small int types keep a depth's arrays small.
-        self.time_type = np.int32 if g + 2 * max_gap < 2**31 else np.int64
-        self.sym_type = np.min_scalar_type(data.alphabet.size)
-        self.gap_type = np.min_scalar_type(max_gap)
-        self.n_types = data.alphabet.size
-        self.length = g + max_gap + 2  # the time lookup runs to max_gap past the last time
-        key = np.array(times, np.int64) * self.n_types + types
-        order = np.argsort(key, kind="stable")  # the identity when type ids follow name order
-        first = np.array(first, np.int64)
-        seq = np.searchsorted(ends, first, side="right")
-        self.key, self.seq = key[order], seq[order]
-        self.pos = (first - np.append(0, ends)[seq])[order]
-        self.mult = np.diff(first, append=ends[-1:])[order]  # up to the next slot's first event
-        self.times = (self.key // self.n_types).astype(self.time_type)
-        self.types = (self.key % self.n_types).astype(self.sym_type)
-
-    def cover(self, cand: Candidate) -> np.ndarray:
-        """Slot indices of the events that ``cand``'s occurrences code.  Distinct
-        starts of an injective episode share no event, so no slot repeats."""
-        at = cand.starts.astype(np.int64)[:, None] + cand.episode.offsets()
-        ids = list(map(self.alphabet.index, cand.episode.event_types))
-        return np.searchsorted(self.key, (at * self.n_types + ids).ravel())
 
 
 @dataclass
@@ -298,28 +243,3 @@ def _join(depth: _Depth, axis: _Axis, events: tuple, no_mode: bool, prune: int, 
         g_node, g_sym, g_delta, f, size = g_node[ok], g_sym[ok], g_delta[ok], f[ok], size[ok]
         starts = starts[ok[group]]
     return g_node, g_sym, g_delta, f.astype(np.int32), size, starts
-
-
-def _chain_members(starts, size, spans):
-    """Mask of the starts on each group's greedy non-overlapped chain.
-
-    The groups hold ``size`` sorted starts each.  A start's successor is
-    the first start of its group past its occurrence's end.  By pointer
-    doubling (Wyllie 1979), the starts marked so far, those fewer than 2**k
-    steps past a group's head, add their successors 2**k steps on.
-    """
-    n = len(starts)
-    group = np.repeat(np.arange(len(size)), size)
-    width = int(starts.max(initial=0)) + int(spans.max(initial=0)) + 1
-    v = group * width + starts
-    nxt = np.searchsorted(v, v + spans[group], side="right")
-    nxt = np.append(np.where(np.append(group, -1)[nxt] == group, nxt, n), n)
-    marked = new = np.cumsum(size) - size
-    while len(new):
-        new = nxt[marked]
-        new = new[new < n]
-        marked = np.concatenate((marked, new))
-        nxt = nxt[nxt]
-    member = np.zeros(n, bool)
-    member[marked] = True
-    return member

@@ -15,6 +15,7 @@ import sys
 from contextlib import contextmanager
 from typing import IO
 
+from .candidates import generate_candidates
 from .events import (
     DataValidationError,
     EpisodeSyntaxError,
@@ -98,8 +99,6 @@ def _cmd_mine(args: argparse.Namespace) -> int:
         data = load_events(handle)
     mode = _mode(args.freq_mode)
     if args.dump_candidates:
-        from .candidates import generate_candidates
-
         candidates = generate_candidates(data, args.max_gap, mode)
         with _open_out(args.out) as out:
             for cand in candidates:
@@ -199,8 +198,9 @@ def _cmd_hmm_score(args: argparse.Namespace) -> int:
 
 
 def _cmd_hmm_compare(args: argparse.Namespace) -> int:
-    beta = PairStats(args.n_nodes, args.f_alpha, args.f_beta, args.o_beta)
-    gamma = PairStats(args.n_nodes, args.f_alpha, args.f_gamma, args.o_gamma)
+    # The pair comparison never reads the first episode's frequency.
+    beta = PairStats(args.n_nodes, 0, args.f_beta, args.o_beta)
+    gamma = PairStats(args.n_nodes, 0, args.f_gamma, args.o_gamma)
     result = compare_pairs(beta, gamma, args.eta, args.alphabet_size)
     with _open_out(args.out) as out:
         out.write(f"log_ratio\t{result.log_ratio:.10f}\n")
@@ -273,15 +273,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    mine = sub.add_parser("mine", help="select episodes and emit the encoding table")
-    mine.add_argument("data", help="event data file ('-' for stdin)")
-    mine.add_argument("--max-gap", "-g", type=int, default=5)
-    mine.add_argument("--top-k", "-k", type=int, default=None)
-    mine.add_argument(
+    mining = argparse.ArgumentParser(add_help=False)
+    mining.add_argument("--max-gap", "-g", type=int, default=5)
+    mining.add_argument("--top-k", "-k", type=int, default=None)
+    mining.add_argument(
         "--freq-mode",
         choices=[m.value for m in FrequencyMode],
         default=FrequencyMode.NON_OVERLAPPED.value,
     )
+
+    mine = sub.add_parser(
+        "mine", parents=[mining], help="select episodes and emit the encoding table"
+    )
+    mine.add_argument("data", help="event data file ('-' for stdin)")
     mine.add_argument(
         "--force-episodes",
         metavar="FILE",
@@ -327,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
         "hmm-compare", help="compare two pairings by likelihood ratio"
     )
     hcmp.add_argument("--n-nodes", type=int, required=True)
-    hcmp.add_argument("--f-alpha", type=int, default=0)
     hcmp.add_argument("--f-beta", type=int, required=True)
     hcmp.add_argument("--o-beta", type=int, required=True)
     hcmp.add_argument("--f-gamma", type=int, required=True)
@@ -337,15 +340,10 @@ def build_parser() -> argparse.ArgumentParser:
     hcmp.add_argument("--out", "-o", default=None)
     hcmp.set_defaults(func=_cmd_hmm_compare)
 
-    dct = sub.add_parser("dict", help="mine a reduced dictionary from a corpus")
-    dct.add_argument("corpus", help="corpus file: '<label>\\t<tok tok ...>' lines")
-    dct.add_argument("--max-gap", "-g", type=int, default=5)
-    dct.add_argument("--top-k", "-k", type=int, default=None)
-    dct.add_argument(
-        "--freq-mode",
-        choices=[m.value for m in FrequencyMode],
-        default=FrequencyMode.NON_OVERLAPPED.value,
+    dct = sub.add_parser(
+        "dict", parents=[mining], help="mine a reduced dictionary from a corpus"
     )
+    dct.add_argument("corpus", help="corpus file: '<label>\\t<tok tok ...>' lines")
     dct.add_argument("--out", "-o", default=None)
     dct.set_defaults(func=_cmd_dict)
 

@@ -35,7 +35,8 @@ from .events import (
     new_event,
     parse_episode,
 )
-from .occurrences import FrequencyMode, cover, occurrences_for_mode
+from .candidates import _search, row_gain
+from .occurrences import FrequencyMode, _Axis, cover
 
 
 class TableFormatError(ValueError):
@@ -49,11 +50,6 @@ def score(episode: FixedIntervalEpisode, frequency: int) -> int:
     events with 1-node episodes.
     """
     return row_gain(episode.length, frequency)
-
-
-def row_gain(n: int, f: int) -> int:
-    """:func:`score` of an n-node episode with frequency f."""
-    return f * n - (2 * n + 1 + f)
 
 
 def overlap_score(
@@ -123,8 +119,6 @@ def select(
     grow within a round, so stale heap keys are bounds and only the top
     entry is rescored (Minoux's lazy greedy, 1978).
     """
-    from .candidates import _Axis, _search
-
     if max_gap < 1:
         raise ValueError("max_gap must be >= 1")
     if max_episodes is not None and max_episodes < 1:
@@ -140,7 +134,7 @@ def select(
             break
         # Non-positive scores can never yield a positive overlap-score.
         candidates = _search(axis, left, mode is FrequencyMode.NON_OVERLAPPED, True)
-        covers = [axis.cover(cand) for cand in candidates]
+        covers = [cover(axis, cand.episode, cand.starts) for cand in candidates]
         picks_at = np.zeros(len(removed), np.int64)  # this round's picks covering each slot
         heap = [(-c.score, -c.frequency, -c.episode.length, i) for i, c in enumerate(candidates)]
         heapq.heapify(heap)
@@ -159,12 +153,18 @@ def select(
             break
         for i in round_picks:
             cand, cov = candidates[i], covers[i]
-            covered = zip(axis.seq[cov].tolist(), (axis.pos[cov] + removed[cov]).tolist())
-            starts = cand.occurrences.starts
-            selected.append(SelectedEpisode(cand.episode, starts, round_index, frozenset(covered)))
+            selected.append(_selected(axis, cand.episode, cand.starts, cov, removed[cov], round_index))
         removed += picks_at > 0
         round_index += 1
     return SelectionState(tuple(selected), round_index)
+
+
+def _selected(axis: _Axis, episode, starts, cov, skipped, round_index: int) -> SelectedEpisode:
+    """The pick of ``episode`` at axis times ``starts`` with slot cover ``cov``,
+    whose events bind past the ``skipped`` copies of each slot."""
+    pairs = tuple(map(axis.pair_at.__getitem__, starts.tolist()))
+    covered = zip(axis.seq[cov].tolist(), (axis.pos[cov] + skipped).tolist())
+    return SelectedEpisode(episode, pairs, round_index, frozenset(covered))
 
 
 def forced_selection(
@@ -175,13 +175,14 @@ def forced_selection(
     """Selection state for a user-specified episode set, bypassing search.
 
     All episodes are treated as one round over the full data, so their
-    covers may overlap, exactly as when scoring an arbitrary set.
+    covers may overlap, exactly as when scoring an arbitrary set.  They
+    share one axis, whose ``max_gap`` is the list's largest gap.
     """
+    axis = _Axis(data, max((g for episode in episodes for g in episode.gaps), default=1))
     selected = []
     for episode in episodes:
-        occ = occurrences_for_mode(data, episode, mode)
-        cov = cover(data, episode, occ.starts)
-        selected.append(SelectedEpisode(episode, occ.starts, 0, cov))
+        starts = axis.starts(episode, mode is FrequencyMode.NON_OVERLAPPED)
+        selected.append(_selected(axis, episode, starts, cover(axis, episode, starts), 0, 0))
     return SelectionState(tuple(selected), 1 if selected else 0)
 
 

@@ -1,4 +1,4 @@
-"""Occurrence detection, non-overlapped filtering, and covers.
+"""The occurrences of fixed-interval episodes, on one time axis.
 
 For an injective fixed-interval episode, occurrences starting at different
 times are distinct, so a sorted tuple of ``(sequence index, start time)``
@@ -9,11 +9,11 @@ maximal non-overlapped subset is obtained greedily from each sequence's
 sorted distinct starts, keeping each start that clears the previously kept
 occurrence.
 
-Covers bind every node of every counted occurrence to a concrete event
-position, so overlap between two episodes' coded events is the size of a
-set intersection (``select`` counts it on slot indices of the search's
-axis instead).  When several events share (time, type), the lowest-index
-one is bound, which keeps overlap counts deterministic.
+Starts and covers are found on an :class:`_Axis`, the one occurrence
+representation that the candidate search, ``select`` and
+``forced_selection`` share.  A cover is an array of the axis's slots, one
+per distinct (sequence, time, type), each bound to its lowest-index event,
+which keeps overlap counts deterministic.
 """
 
 from __future__ import annotations
@@ -24,11 +24,9 @@ from itertools import groupby
 from operator import itemgetter, lt
 from typing import Iterable
 
+import numpy as np
+
 from .events import EventDataset, FixedIntervalEpisode, SerialEpisode, span
-
-
-class CoverIntegrityError(ValueError):
-    """Raised when a claimed occurrence start has no matching data events."""
 
 
 class FrequencyMode(str, Enum):
@@ -54,31 +52,6 @@ class OccurrenceList:
     def total(self) -> int:
         """Occurrence count across all sequences (the episode frequency)."""
         return len(self.starts)
-
-
-def find_distinct_starts(
-    data: EventDataset, episode: FixedIntervalEpisode
-) -> OccurrenceList:
-    """All ``(sequence, t)`` pairs such that every node's event exists at its offset.
-
-    Node i must match an event of its type at time t + sum(gaps[:i]) in the
-    same sequence.  Raises ``KeyError`` when a symbol of the episode is not
-    in the data's alphabet.
-    """
-    type_ids = [data.alphabet.index(sym) for sym in episode.event_types]
-    nodes = list(zip(type_ids, episode.offsets()))
-    present = {
-        (seq_idx, ev.time, ev.event_type)
-        for seq_idx, seq in enumerate(data.sequences)
-        for ev in seq
-    }
-    starts = sorted(
-        (seq_idx, t)
-        for seq_idx, t, tid in present
-        if tid == type_ids[0]
-        and all((seq_idx, t + off, k) in present for k, off in nodes)
-    )
-    return OccurrenceList(episode, tuple(starts))
 
 
 def non_overlapped(starts: Iterable[int], ep_span: int) -> list[int]:
@@ -112,11 +85,16 @@ def find_no_occurrences(occ: OccurrenceList) -> OccurrenceList:
 def occurrences_for_mode(
     data: EventDataset, episode: FixedIntervalEpisode, mode: FrequencyMode
 ) -> OccurrenceList:
-    """Occurrence list under the requested frequency mode."""
-    occ = find_distinct_starts(data, episode)
-    if mode is FrequencyMode.NON_OVERLAPPED:
-        occ = find_no_occurrences(occ)
-    return occ
+    """Occurrence list under the requested frequency mode.  Raises
+    ``KeyError`` when a symbol of the episode is not in the data's alphabet."""
+    axis = _Axis(data, max(episode.gaps, default=1))
+    starts = axis.starts(episode, mode is FrequencyMode.NON_OVERLAPPED)
+    return OccurrenceList(episode, tuple(map(axis.pair_at.__getitem__, starts.tolist())))
+
+
+def find_distinct_starts(data: EventDataset, episode: FixedIntervalEpisode) -> OccurrenceList:
+    """All ``(sequence, t)`` pairs such that node i's event is at t + sum(gaps[:i])."""
+    return occurrences_for_mode(data, episode, FrequencyMode.DISTINCT)
 
 
 def count_no_general(data: EventDataset, episode: SerialEpisode) -> int:
@@ -149,32 +127,112 @@ def count_no_general(data: EventDataset, episode: SerialEpisode) -> int:
     return count
 
 
-def cover(
-    data: EventDataset,
-    episode: FixedIntervalEpisode,
-    starts: Iterable[tuple[int, int]],
-) -> frozenset[tuple[int, int]]:
-    """``(sequence, position)`` pairs of the events coded by the given starts.
+class _Axis:
+    """All sequences on one time axis, with one slot per distinct event.
 
-    ``starts`` are ``(sequence, start time)`` pairs.  Each node binds to the
-    lowest-index event with the required (type, time) in its sequence.
-    Raises ``KeyError`` when a symbol of the episode is not in the data's
-    alphabet.
+    The sequences are laid end to end.  A step between consecutive distinct
+    times keeps its length, but a step longer than ``max_gap``, and the step
+    into the next sequence, become ``max_gap + 1``.  A join looks at most
+    ``max_gap`` past an occurrence's end, and the non-overlap test compares
+    a start with an earlier occurrence's end, an event time; so neither
+    crosses such a step, and one sorted array holds an episode's starts in
+    every sequence.  The rule also holds for any subset of the events, so
+    one axis serves every residual round of a selection.  The axis stays
+    small however large the raw times are.
+
+    A slot is one distinct (sequence, time, type), keyed for ``searchsorted``
+    in (axis time, type id) order.  It records its first event's sequence
+    and position, and its multiplicity: that event and the copies after it.
     """
-    type_ids = [data.alphabet.index(sym) for sym in episode.event_types]
-    offsets = episode.offsets()
-    positions: set[tuple[int, int]] = set()
-    for seq_idx, run in groupby(starts, key=itemgetter(0)):
-        at: dict[tuple[int, int], int] = {}  # (type, time) -> lowest position
-        for pos, ev in enumerate(data.sequences[seq_idx]):
-            at.setdefault((ev.event_type, ev.time), pos)
-        for _, t in run:
-            for tid, off in zip(type_ids, offsets):
-                pos = at.get((tid, t + off))
-                if pos is None:
-                    raise CoverIntegrityError(
-                        f"no event of type {data.alphabet.name(tid)} at time "
-                        f"{t + off} in sequence {seq_idx} for start {t}"
-                    )
-                positions.add((seq_idx, pos))
-    return frozenset(positions)
+
+    def __init__(self, data: EventDataset, max_gap: int):
+        # No gap outgrows the longest sequence; a shorter max_gap keeps the axis short.
+        longest = max((seq[-1].time - seq[0].time for seq in data.sequences if seq), default=0)
+        self.max_gap = max_gap = min(max_gap, max(longest, 1))
+        self.alphabet = data.alphabet
+        # axis time -> (sequence index, time in that sequence)
+        self.pair_at: dict[int, tuple[int, int]] = {}
+        times: list[int] = []  # per slot, in time order
+        types: list[int] = []
+        first: list[int] = []  # the slot's first event, indexed among all events
+        ends = np.cumsum([len(seq) for seq in data.sequences], dtype=np.int64)
+        g = -max_gap - 1
+        for seq_idx, seq in enumerate(data.sequences):
+            prev = None
+            for k, ev in enumerate(seq, int(ends[seq_idx]) - len(seq)):
+                if ev.time != prev:
+                    g += max_gap + 1 if prev is None else min(ev.time - prev, max_gap + 1)
+                    prev = ev.time
+                    self.pair_at[g] = (seq_idx, prev)
+                elif ev.event_type == types[-1]:
+                    continue  # events sharing (time, type) are adjacent
+                times.append(g)
+                types.append(ev.event_type)
+                first.append(k)
+        if (g + max_gap + 1) * data.alphabet.size >= 2**63:
+            raise ValueError(f"times too far apart for a 64-bit axis at max_gap {max_gap}")
+        # Small int types keep a depth's arrays small.
+        self.time_type = np.int32 if g + 2 * max_gap < 2**31 else np.int64
+        self.sym_type = np.min_scalar_type(data.alphabet.size)
+        self.gap_type = np.min_scalar_type(max_gap)
+        self.n_types = data.alphabet.size
+        self.length = g + max_gap + 2  # the time lookup runs to max_gap past the last time
+        key = np.array(times, np.int64) * self.n_types + types
+        order = np.argsort(key, kind="stable")  # the identity when type ids follow name order
+        first = np.array(first, np.int64)
+        seq = np.searchsorted(ends, first, side="right")
+        self.key, self.seq = key[order], seq[order]
+        self.pos = (first - np.append(0, ends)[seq])[order]
+        self.mult = np.diff(first, append=ends[-1:])[order]  # up to the next slot's first event
+        self.times = (self.key // self.n_types).astype(self.time_type)
+        self.types = (self.key % self.n_types).astype(self.sym_type)
+
+    def starts(self, episode: FixedIntervalEpisode, no_mode: bool) -> np.ndarray:
+        """Axis times of the episode's distinct starts, or of their greedy
+        non-overlapped chain when ``no_mode``.  Each node is looked up at the
+        previous node's matched time plus its gap; a gap past ``max_gap``
+        has no occurrence."""
+        first, *ids = map(self.alphabet.index, episode.event_types)
+        if max(episode.gaps, default=0) > self.max_gap:
+            return np.empty(0, np.int64)
+        start = end = self.times[self.types == first].astype(np.int64)
+        for tid, gap in zip(ids, episode.gaps):
+            hit = np.isin((end + gap) * self.n_types + tid, self.key)
+            start, end = start[hit], end[hit] + gap
+        if no_mode and len(start):
+            start = start[_chain_members(start, np.array([len(start)]), end[:1] - start[:1])]
+        return start
+
+
+def cover(axis: _Axis, episode: FixedIntervalEpisode, starts: np.ndarray) -> np.ndarray:
+    """Slot indices of the events that the occurrences at axis times ``starts``
+    code.  Distinct starts of an injective episode share no event, so no
+    slot repeats."""
+    at = starts.astype(np.int64)[:, None] + episode.offsets()
+    ids = list(map(axis.alphabet.index, episode.event_types))
+    return np.searchsorted(axis.key, (at * axis.n_types + ids).ravel())
+
+
+def _chain_members(starts, size, spans):
+    """Mask of the starts on each group's greedy non-overlapped chain.
+
+    The groups hold ``size`` sorted starts each.  A start's successor is
+    the first start of its group past its occurrence's end.  By pointer
+    doubling (Wyllie 1979), the starts marked so far, those fewer than 2**k
+    steps past a group's head, add their successors 2**k steps on.
+    """
+    n = len(starts)
+    group = np.repeat(np.arange(len(size)), size)
+    width = int(starts.max(initial=0)) + int(spans.max(initial=0)) + 1
+    v = group * width + starts
+    nxt = np.searchsorted(v, v + spans[group], side="right")
+    nxt = np.append(np.where(np.append(group, -1)[nxt] == group, nxt, n), n)
+    marked = new = np.cumsum(size) - size
+    while len(new):
+        new = nxt[marked]
+        new = new[new < n]
+        marked = np.concatenate((marked, new))
+        nxt = nxt[nxt]
+    member = np.zeros(n, bool)
+    member[marked] = True
+    return member

@@ -488,3 +488,16 @@ def test_decoded_output_loads(sample_file, episode_file, tmp_path, capsys):
     decoded = capsys.readouterr().out
     data = load_events(io.StringIO(decoded))
     assert data.n_events == 15
+
+
+def test_mine_refuses_a_gap_too_long_for_a_64_bit_axis(tmp_path, capsys):
+    # The huge_times input spans 10**25 per sequence, so at max_gap 10**20
+    # its time axis would pass 2**63.
+    from test_golden import _huge_times_text
+
+    data, table = tmp_path / "huge.tsv", tmp_path / "t.csv"
+    data.write_text(_huge_times_text(), "utf-8")
+    table.write_bytes(b"previous contents\n")
+    assert main(["mine", str(data), "--max-gap", "100000000000000000000", "-o", str(table)]) == 3
+    assert table.read_bytes() == b"previous contents\n"
+    assert "64-bit axis" in capsys.readouterr().err

@@ -20,6 +20,7 @@ from episodeseq import (
     find_distinct_starts,
     forced_selection,
     hmm,
+    load_events,
     load_table,
     occurrences_for_mode,
     overlap_score,
@@ -399,6 +400,20 @@ def test_forced_selection_equals_reference():
                 continue
             assert find_distinct_starts(data, episode) == want
     assert found > 3000 and unknown > 50
+
+
+def test_forced_selection_refuses_a_gap_too_long_for_the_axis():
+    # Sequences spanning 10**25: a 2 * 10**18 gap would take the shared time
+    # axis past 2**63, so the list is refused whether the episode occurs or not.
+    from test_golden import _huge_times_text
+
+    data = load_events(io.StringIO(_huge_times_text()))
+    for gap in (2 * 10**18, 10**30):
+        with pytest.raises(ValueError, match="64-bit axis"):
+            forced_selection(data, [parse_episode("A -1-> B"), parse_episode(f"C -{gap}-> D")])
+    with pytest.raises(ValueError, match="64-bit axis"):
+        select(data, 10**20)
+    assert forced_selection(data, [parse_episode(f"C -{10**12}-> D")]).selected[0].starts == ()
 
 
 def _io_dataset(rng):
