@@ -15,7 +15,8 @@ from episodeseq import (
     parse_serial_episode,
     score,
 )
-from episodeseq.candidates import _Axis, _search
+from episodeseq.candidates import _search
+from episodeseq.occurrences import _Axis
 from oracles import (
     dfs_candidates,
     fixed_interval_starts,

@@ -340,7 +340,8 @@ def _forced_case(rng):
     each shifted, in a third of the cases, by 0 or +-10**30, and half of
     those split into bursts 10**25 apart; E is in the alphabet but never
     occurs.  Then 0-4 episodes of 1-3 nodes, now and then with the unknown
-    symbol Z, and gaps of 1-4, 10**12, or beyond the longest sequence.
+    symbol Z, and gaps of 1-4, 10**12, or beyond the longest sequence, up
+    to 10**30.
 
     Gaps beyond a burst sequence are left out: a 64-bit time axis cannot
     hold such a gap, and ``forced_selection`` refuses it (see
@@ -359,7 +360,7 @@ def _forced_case(rng):
         sequences.append(seq + [rng.choice(seq) for _ in range(rng.randint(0, 3) if seq else 0)])
     data = EventDataset.from_tuples(sequences, Alphabet(tuple("ABCDE")))
     longest = max((seq[-1].time - seq[0].time for seq in data.sequences if seq), default=0)
-    beyond = (longest + 1, longest + 3) if longest < 10**12 else (1,)
+    beyond = (longest + 1, longest + 3, 10**30) if longest < 10**12 else (1,)
     episodes = []
     for _ in range(rng.randint(0, 4)):
         symbols = rng.sample("ABCDE" + "Z" * (rng.random() < 0.05), rng.randint(1, 3))

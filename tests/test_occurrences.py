@@ -8,7 +8,6 @@ from episodeseq import (
     count_no_general,
     find_distinct_starts,
     find_no_occurrences,
-    occurrences_for_mode,
     parse_episode,
     parse_serial_episode,
     span,
