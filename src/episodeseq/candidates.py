@@ -16,8 +16,11 @@ its path best; ``generate_candidates`` extends f = 2 nodes too.
 
 The trees are searched one depth at a time, as Mannila, Toivonen & Verkamo
 count episodes level-wise (DMKD 1997), by numpy joins over whole depths.
-The joins use distinct starts on the time axis of the occurrences module
-(``occurrences._Axis``), which ``select`` also covers on.  In
+The joins run on the slots of the occurrences module's time axis
+(``occurrences._Axis``), which ``select`` also covers on.  A node keeps,
+per distinct start, the slot row of the occurrence's last event, and a
+child joins a row in the binary-searched window at most ``max_gap`` past
+it, so memory follows the event count, not the time span.  In
 non-overlapped mode a node's frequency is the length of the greedy chain
 of non-overlapped starts (Laxman, Sastry & Unnikrishnan, TKDE 2005).
 Candidates are built only for emitted episodes, and their occurrence lists
@@ -75,7 +78,7 @@ class Candidate:
 
 @dataclass
 class _Depth:
-    """The nodes of one depth as parallel arrays, with their starts."""
+    """The nodes of one depth as parallel arrays, with their occurrences."""
 
     ids: np.ndarray  # (n, depth) symbol ids
     gaps: np.ndarray  # (n, depth - 1)
@@ -83,8 +86,8 @@ class _Depth:
     f: np.ndarray  # mode frequency
     best_score: np.ndarray  # score of the path's best node
     best_ref: np.ndarray  # that node's index among the kept ones; -1: this node
-    ptr: np.ndarray | None  # node k's distinct starts are start[ptr[k] : ptr[k + 1]]
-    start: np.ndarray | None
+    ptr: np.ndarray | None  # node k's occurrences are row[ptr[k] : ptr[k + 1]]
+    row: np.ndarray | None  # per distinct start, in order, the slot row of its last event
 
 
 def generate_candidates(
@@ -109,9 +112,10 @@ def _search(axis: _Axis, left, no_mode: bool, positive: bool) -> list[Candidate]
     canonical order; only those with a positive score when ``positive``."""
     times, types = axis.times[left], axis.types[left]
     prune = _PRUNE_FREQUENCY + positive  # descendants of an f = 2 node score -3
-    # CSR: the events at axis time t are [indptr[t], indptr[t + 1]).
-    indptr = np.zeros(axis.length + 1, axis.time_type)
-    np.cumsum(np.bincount(times, minlength=axis.length), out=indptr[1:])
+    # Row r's window, rows lo[r] to hi[r] - 1: those after its time and at most max_gap past it.
+    row_type = np.int32 if len(times) < 2**31 else np.int64
+    lo = np.searchsorted(times, times, "right").astype(row_type)
+    hi = np.searchsorted(times, times + axis.max_gap, "right").astype(row_type)
     counts = np.bincount(types, minlength=axis.n_types)
     roots = np.flatnonzero(counts)
     f = counts[roots]
@@ -123,10 +127,10 @@ def _search(axis: _Axis, left, no_mode: bool, positive: bool) -> list[Candidate]
         row_gain(1, f),
         np.full(len(roots), -1, np.int32),
         np.append(0, np.cumsum(f)),
-        times[np.argsort(types, kind="stable")],
+        np.argsort(types, kind="stable").astype(row_type),
     )
     # Per depth, the nodes that are their own path best: (ids, gaps, f, and
-    # the sizes and list of their starts).  Path-best refs number them across depths.
+    # the sizes and list of their rows).  Path-best refs number them across depths.
     kept: list[tuple[np.ndarray, ...]] = []
     n_kept = 0
     leaf_refs = []
@@ -135,10 +139,10 @@ def _search(axis: _Axis, left, no_mode: bool, positive: bool) -> list[Candidate]
         depth.best_ref[own] = np.arange(n_kept, n_kept + own.sum())
         n_kept += own.sum()
         size = np.diff(depth.ptr)
-        starts = depth.start[np.repeat(own, size)]
-        kept.append((depth.ids[own], depth.gaps[own], depth.f[own], size[own], starts))
-        del own, size, starts
-        depth, refs = _extend(depth, axis, (times, types, indptr), no_mode, prune)
+        rows = depth.row[np.repeat(own, size)]
+        kept.append((depth.ids[own], depth.gaps[own], depth.f[own], size[own], rows))
+        del own, size, rows
+        depth, refs = _extend(depth, axis, (times, types, lo, hi), no_mode, prune)
         leaf_refs.append(refs)
     emitted = np.zeros(n_kept, bool)
     emitted[np.concatenate(leaf_refs)] = True
@@ -146,13 +150,13 @@ def _search(axis: _Axis, left, no_mode: bool, positive: bool) -> list[Candidate]
     name = axis.alphabet.name
     candidates = []
     base = 0
-    for ids, gaps, f, size, starts in kept:
+    for ids, gaps, f, size, rows in kept:
         score = row_gain(ids.shape[1], f.astype(np.int64))
         out = emitted[base : base + len(ids)] & (score > 0 if positive else True)
         base += len(ids)
-        starts = starts[np.repeat(out, size)]
+        spans = gaps[out].sum(axis=1, dtype=np.int64)
+        starts = times[rows[np.repeat(out, size)]] - np.repeat(spans, size[out])
         if no_mode:
-            spans = gaps[out].sum(axis=1, dtype=np.int64)
             starts = starts[_chain_members(starts, size[out], spans)]
         f, score = f[out].tolist(), score[out].tolist()
         parts = np.split(starts, np.cumsum(f)[:-1])
@@ -174,8 +178,8 @@ def _extend(depth: _Depth, axis: _Axis, events: tuple, no_mode: bool, prune: int
     cuts = live[np.flatnonzero(np.diff(depth.ptr[live] // _BLOCK, prepend=-1))]
     cuts = np.append(cuts, n).tolist()
     parts = [_join(depth, axis, events, no_mode, prune, a, z) for a, z in zip(cuts, cuts[1:])]
-    depth.ptr = depth.start = None  # joined: the children hold the starts now
-    parent, sym, delta, f, size, start = map(np.concatenate, zip(*parts))
+    depth.ptr = depth.row = None  # joined: the children hold the occurrences now
+    parent, sym, delta, f, size, row = map(np.concatenate, zip(*parts))
     del parts, live
     has_child = np.zeros(n, bool)
     has_child[parent] = True
@@ -189,57 +193,59 @@ def _extend(depth: _Depth, axis: _Axis, events: tuple, no_mode: bool, prune: int
         np.where(take, child_score, depth.best_score[parent]),
         np.where(take, -1, depth.best_ref[parent]),
         np.append(0, np.cumsum(size)),
-        start,
+        row,
     )
     return child, depth.best_ref[~has_child]
 
 
 def _join(depth: _Depth, axis: _Axis, events: tuple, no_mode: bool, prune: int, a: int, z: int):
     """The children of nodes a..z-1: their parents, symbols, last gaps,
-    frequencies, and the number and the list of their distinct starts."""
-    times, types, indptr = events
+    frequencies, and the number and the list of their occurrences' rows."""
+    times, types, lo_at, hi_at = events
     max_gap = axis.max_gap
     node = np.repeat(np.arange(a, z, dtype=np.int32), np.diff(depth.ptr[a : z + 1]))
-    start = depth.start[depth.ptr[a] : depth.ptr[z]]
+    row = depth.row[depth.ptr[a] : depth.ptr[z]]
     live = depth.f[node] > prune
-    node, start = node[live], start[live]
-    end = start + depth.span[node]
-    lo = indptr[end + 1]
-    count = indptr[end + max_gap + 1] - lo
-    # One row per start and event at most max_gap past the occurrence's end,
-    # grouped by (node, gap, symbol) with the starts in order.
+    node, row = node[live], row[live]
+    lo = lo_at[row]
+    count = hi_at[row] - lo
+    # One entry per occurrence and row in its end's window, grouped by
+    # (node, gap, symbol) with the starts in order.
     m = axis.n_types
     total = int(count.sum())
     pos = np.repeat(np.arange(len(node), dtype=np.int32), count)
-    ev = np.arange(total) + np.repeat(lo - (np.cumsum(count) - count), count)
-    delta = times[ev] - end[pos]
+    shift = lo - (np.cumsum(count) - count)  # entry k joins row k + shift[pos[k]]
+    ev = np.arange(total) + np.repeat(shift, count)
+    delta = times[ev] - times[row][pos]
     key = ((node[pos] - node[:1]).astype(np.int64) * max_gap + (delta - 1)) * m + types[ev]
-    del ev, delta, lo, end
+    del ev, delta, lo
     order = np.argsort(key, kind="stable")
-    key, pos = key[order], pos[order]
-    del order
+    key = key[order]
     head = np.empty(total, bool)
     head[:1] = True
     np.not_equal(key[1:], key[:-1], out=head[1:])
     heads = np.flatnonzero(head)
     size = np.diff(heads, append=total)
-    g_node = node[pos[heads]]
+    g_node = node[pos[order[heads]]]
     g_sym = (key[heads] % m).astype(axis.sym_type)
     g_delta = (key[heads] // m % max_gap + 1).astype(axis.gap_type)
     del key
     # Keep the groups of 2+ starts whose symbol is new to the node, then,
-    # in non-overlapped mode, those with a chain of 2+.
+    # in non-overlapped mode, those with a chain of 2+.  A node's span is
+    # constant, so the chain on end times is the chain on start times.
     ok = (size > _PRUNE_FREQUENCY) & np.all([c[g_node] != g_sym for c in depth.ids.T], axis=0)
     group = np.cumsum(head, dtype=np.int32) - 1
     keep = ok[group]
-    starts = start[pos[keep]]
+    at = order[keep]
+    rows = (at + shift[pos[at]]).astype(row.dtype)  # a child's row is the row it joined
+    del order, pos, at
     g_node, g_sym, g_delta, size = g_node[ok], g_sym[ok], g_delta[ok], size[ok]
     f = size
     if no_mode:
         group = (np.cumsum(ok, dtype=np.int32) - 1)[group[keep]]
-        member = _chain_members(starts, size, depth.span[g_node] + g_delta)
+        member = _chain_members(times[rows], size, depth.span[g_node] + g_delta)
         f = np.add.reduceat(member, np.cumsum(size) - size, dtype=np.int32)
         ok = f > _PRUNE_FREQUENCY
         g_node, g_sym, g_delta, f, size = g_node[ok], g_sym[ok], g_delta[ok], f[ok], size[ok]
-        starts = starts[ok[group]]
-    return g_node, g_sym, g_delta, f.astype(np.int32), size, starts
+        rows = rows[ok[group]]
+    return g_node, g_sym, g_delta, f.astype(np.int32), size, rows

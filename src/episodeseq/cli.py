@@ -18,7 +18,6 @@ from typing import IO
 from .candidates import generate_candidates
 from .events import (
     DataValidationError,
-    EpisodeSyntaxError,
     dump_events,
     load_events,
     parse_episode,
@@ -38,7 +37,6 @@ from .hmm import (
     viterbi,
 )
 from .mdl import (
-    TableFormatError,
     decode,
     encode,
     forced_selection,
@@ -90,14 +88,10 @@ def _open_in(path: str):
             yield handle
 
 
-def _mode(text: str) -> FrequencyMode:
-    return FrequencyMode(text)
-
-
 def _cmd_mine(args: argparse.Namespace) -> int:
     with _open_in(args.data) as handle:
         data = load_events(handle)
-    mode = _mode(args.freq_mode)
+    mode = FrequencyMode(args.freq_mode)
     if args.dump_candidates:
         candidates = generate_candidates(data, args.max_gap, mode)
         with _open_out(args.out) as out:
@@ -217,7 +211,7 @@ def _cmd_dict(args: argparse.Namespace) -> int:
     with _open_in(args.corpus) as handle:
         train = load_corpus(handle)
     dictionary, selection = mine_dictionary(
-        train, args.max_gap, args.top_k, _mode(args.freq_mode)
+        train, args.max_gap, args.top_k, FrequencyMode(args.freq_mode)
     )
     with _open_out(args.out) as out:
         save_dictionary(dictionary, out)
@@ -369,13 +363,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        EpisodeSyntaxError,
-        DataValidationError,
-        TableFormatError,
-        KeyError,
-        ValueError,
-    ) as exc:
+    except (KeyError, ValueError) as exc:  # validation errors all subclass ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

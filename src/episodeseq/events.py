@@ -2,7 +2,8 @@
 
 Timestamps are integers throughout.  An event dataset may hold several
 sequences; occurrences never cross sequence boundaries.  All types are
-immutable after construction and safe for concurrent reads.
+immutable after construction and safe for concurrent reads.  In an
+episode string, symbols and arrows alternate.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import accumulate
 from operator import itemgetter, lt
 from typing import IO, Iterable, NamedTuple
 
@@ -150,8 +152,8 @@ class EventDataset:
 
 
 @dataclass(frozen=True)
-class SerialEpisode:
-    """Ordered list of distinct event types, no inter-event gaps."""
+class _Episode:
+    """The nodes of a serial episode: at least one, with distinct symbols."""
 
     event_types: tuple[str, ...]
 
@@ -165,44 +167,38 @@ class SerialEpisode:
     def length(self) -> int:
         return len(self.event_types)
 
+
+@dataclass(frozen=True)
+class SerialEpisode(_Episode):
+    """Ordered list of distinct event types, no inter-event gaps."""
+
     def __str__(self) -> str:
         return " -> ".join(self.event_types)
 
 
 @dataclass(frozen=True)
-class FixedIntervalEpisode:
+class FixedIntervalEpisode(_Episode):
     """Serial episode with a prescribed integer gap between consecutive nodes.
 
     An occurrence is fully determined by the time of its first event: node i
     must occur exactly sum(gaps[:i]) time units after the start.
     """
 
-    event_types: tuple[str, ...]
     gaps: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         n = len(self.event_types)
-        if n < 1:
-            raise DataValidationError("episode needs at least one node")
         if len(self.gaps) != n - 1:
             raise DataValidationError(
                 f"{n}-node episode needs {n - 1} gaps, got {len(self.gaps)}"
             )
         if any(g < 1 for g in self.gaps):
             raise DataValidationError("inter-event gaps must be >= 1")
-        if len(set(self.event_types)) != n:
-            raise DataValidationError("episode event types must be distinct")
-
-    @property
-    def length(self) -> int:
-        return len(self.event_types)
 
     def offsets(self) -> tuple[int, ...]:
         """Time offset of each node relative to the start event."""
-        acc = [0]
-        for g in self.gaps:
-            acc.append(acc[-1] + g)
-        return tuple(acc)
+        return tuple(accumulate(self.gaps, initial=0))
 
     def __str__(self) -> str:
         return format_episode(self)
@@ -215,11 +211,30 @@ def span(episode: FixedIntervalEpisode) -> int:
 
 def format_episode(episode: FixedIntervalEpisode) -> str:
     """Canonical episode string, e.g. ``A -2-> B -1-> C``."""
-    parts = [episode.event_types[0]]
-    for gap, sym in zip(episode.gaps, episode.event_types[1:]):
-        parts.append(f"-{gap}->")
-        parts.append(sym)
-    return " ".join(parts)
+    arrows = (f" -{gap}-> {sym}" for gap, sym in zip(episode.gaps, episode.event_types[1:]))
+    return episode.event_types[0] + "".join(arrows)
+
+
+def _plain_int(text: str, error: type[ValueError]) -> int:
+    """The integer ``text`` spells, which must be spelled as ``str`` writes
+    it, so that a file that loads writes back the same; else ``error``."""
+    if str(value := int(text)) != text:
+        raise error(f"expected a plain decimal integer, got {text!r}")
+    return value
+
+
+def _split_episode(text: str, alphabet: Alphabet | None) -> tuple[list[str], list[str]]:
+    """The symbols and the arrows of an episode string, which alternate and
+    begin and end with a symbol; a symbol outside ``alphabet`` raises KeyError."""
+    tokens = text.split()
+    if not tokens:
+        raise EpisodeSyntaxError("empty episode string")
+    if len(tokens) % 2 == 0:
+        raise EpisodeSyntaxError(f"malformed episode string: {text!r}")
+    for sym in tokens[0::2] if alphabet is not None else ():
+        if sym not in alphabet:
+            raise KeyError(f"unknown symbol {sym!r} in episode {text!r}")
+    return tokens[0::2], tokens[1::2]
 
 
 def parse_episode(
@@ -227,32 +242,20 @@ def parse_episode(
 ) -> FixedIntervalEpisode:
     """Parse an episode string of the form ``SYM (-<int>-> SYM)*``.
 
-    Rejects duplicate symbols and non-positive gaps.  When an alphabet is
-    supplied, symbols outside it are rejected as well.
+    Rejects duplicate symbols and gaps that are not positive plain decimal
+    integers.  When an alphabet is supplied, symbols outside it are
+    rejected as well.
     """
-    tokens = text.split()
-    if not tokens:
-        raise EpisodeSyntaxError("empty episode string")
-    symbols = [tokens[0]]
+    symbols, arrows = _split_episode(text, alphabet)
     gaps: list[int] = []
-    rest = tokens[1:]
-    if len(rest) % 2 != 0:
-        raise EpisodeSyntaxError(f"malformed episode string: {text!r}")
-    for arrow, sym in zip(rest[0::2], rest[1::2]):
+    for arrow in arrows:
         m = re.fullmatch(r"-(\d+)->", arrow)
         if m is None:
             raise EpisodeSyntaxError(f"expected '-<int>->' separator, got {arrow!r}")
-        gap = int(m.group(1))
+        gap = _plain_int(m.group(1), EpisodeSyntaxError)
         if gap < 1:
             raise EpisodeSyntaxError(f"gap must be >= 1, got {gap}")
         gaps.append(gap)
-        symbols.append(sym)
-    if len(set(symbols)) != len(symbols):
-        raise DataValidationError(f"episode symbols must be distinct: {text!r}")
-    if alphabet is not None:
-        for sym in symbols:
-            if sym not in alphabet:
-                raise KeyError(f"unknown symbol {sym!r} in episode {text!r}")
     return FixedIntervalEpisode(tuple(symbols), tuple(gaps))
 
 
@@ -260,16 +263,9 @@ def parse_serial_episode(
     text: str, alphabet: Alphabet | None = None
 ) -> SerialEpisode:
     """Parse a gap-free serial episode string like ``A -> B -> C``."""
-    symbols = [tok for tok in text.split() if tok != "->"]
-    arrows = [tok for tok in text.split() if tok == "->"]
-    if not symbols:
-        raise EpisodeSyntaxError("empty episode string")
-    if len(arrows) != len(symbols) - 1:
+    symbols, arrows = _split_episode(text, alphabet)
+    if "->" in symbols or any(arrow != "->" for arrow in arrows):
         raise EpisodeSyntaxError(f"malformed serial episode string: {text!r}")
-    if alphabet is not None:
-        for sym in symbols:
-            if sym not in alphabet:
-                raise KeyError(f"unknown symbol {sym!r} in episode {text!r}")
     return SerialEpisode(tuple(symbols))
 
 

@@ -24,7 +24,8 @@ what the destination indices express.
 
 All likelihoods are computed and returned in log space, so sequences with
 thousands of steps do not underflow.  The analysis behind the pairwise
-comparison requires eta < M / (M + 8); model construction enforces it.
+comparison requires eta < M / (M + 8); model construction and the pair
+comparison both enforce it.
 """
 
 from __future__ import annotations
@@ -55,6 +56,10 @@ class StateKind(str, Enum):
         return self in (StateKind.NOISE1, StateKind.NOISE2, StateKind.NOISE0)
 
 
+# The dense state index runs N0, then one N x N block per kind in this order.
+_BLOCKS = (StateKind.EP1, StateKind.EP2, StateKind.NOISE1, StateKind.NOISE2)
+
+
 @dataclass(frozen=True)
 class StateId:
     """Typed state name; i and j are 1-based episode positions."""
@@ -69,12 +74,7 @@ class StateId:
             return 0
         if not (1 <= self.i <= n_nodes and 1 <= self.j <= n_nodes):
             raise ValueError(f"state {self.label()} out of range for N={n_nodes}")
-        block = {
-            StateKind.EP1: 0,
-            StateKind.EP2: 1,
-            StateKind.NOISE1: 2,
-            StateKind.NOISE2: 3,
-        }[self.kind]
+        block = _BLOCKS.index(self.kind)
         return 1 + block * n_nodes * n_nodes + (self.i - 1) * n_nodes + (self.j - 1)
 
     @classmethod
@@ -83,10 +83,7 @@ class StateId:
             return cls(StateKind.NOISE0)
         block, rest = divmod(index - 1, n_nodes * n_nodes)
         i, j = divmod(rest, n_nodes)
-        kind = (StateKind.EP1, StateKind.EP2, StateKind.NOISE1, StateKind.NOISE2)[
-            block
-        ]
-        return cls(kind, i + 1, j + 1)
+        return cls(_BLOCKS[block], i + 1, j + 1)
 
     def label(self) -> str:
         if self.kind is StateKind.NOISE0:
@@ -145,6 +142,23 @@ def eta_upper_bound(alphabet_size: int) -> float:
     return alphabet_size / (alphabet_size + 8)
 
 
+def _check_eta(eta: float, m: int) -> None:
+    if not 0.0 < eta < eta_upper_bound(m):
+        raise ValueError(
+            f"eta must lie in (0, {eta_upper_bound(m):.6g}) for alphabet size {m}"
+        )
+
+
+def _emission(alpha: SerialEpisode, beta: SerialEpisode, state: StateId) -> str | None:
+    """The symbol an episode state emits; None for a noise state, which
+    emits uniformly over the alphabet."""
+    if state.kind is StateKind.EP1:
+        return alpha.event_types[state.i - 1]
+    if state.kind is StateKind.EP2:
+        return beta.event_types[state.j - 1]
+    return None
+
+
 def build_model(
     alpha: SerialEpisode,
     beta: SerialEpisode,
@@ -162,12 +176,7 @@ def build_model(
             f"episodes must have equal length, got {alpha.length} and {beta.length}"
         )
     m = alphabet.size
-    if not 0.0 < eta < eta_upper_bound(m):
-        raise ValueError(
-            f"eta must lie in (0, {eta_upper_bound(m):.6g}) for alphabet size {m}"
-        )
-    alpha_ids = [alphabet.index(sym) for sym in alpha.event_types]
-    beta_ids = [alphabet.index(sym) for sym in beta.event_types]
+    _check_eta(eta, m)
 
     n_states = 4 * n * n + 1
     succ: list[dict[int, float]] = [{} for _ in range(n_states)]
@@ -177,22 +186,12 @@ def build_model(
     def nxt(k: int) -> int:
         return k % n + 1
 
-    def s1(i: int, j: int) -> int:
-        return StateId(StateKind.EP1, i, j).index(n)
-
-    def s2(i: int, j: int) -> int:
-        return StateId(StateKind.EP2, i, j).index(n)
-
-    def n1(i: int, j: int) -> int:
-        return StateId(StateKind.NOISE1, i, j).index(n)
-
-    def n2(i: int, j: int) -> int:
-        return StateId(StateKind.NOISE2, i, j).index(n)
-
+    # s1(i, j) is the index of S1(i, j), and so on for each block.
+    s1, s2, n1, n2 = (lambda i, j, kind=kind: StateId(kind, i, j).index(n) for kind in _BLOCKS)
     n0 = StateId(StateKind.NOISE0).index(n)
     half = (1.0 - eta) / 2.0
 
-    # Blocks run N0, S1, S2, N1, N2, so each literal lists ascending indices.
+    # N0 precedes the blocks in _BLOCKS order, so each literal lists ascending indices.
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             advance_a = {s1(nxt(i), j): half, s2(nxt(i), j): half}
@@ -209,7 +208,7 @@ def build_model(
     shared_edges: set[tuple[int, int]] = set()
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            if alpha_ids[nxt(i) - 1] != beta_ids[nxt(j) - 1]:
+            if alpha.event_types[nxt(i) - 1] != beta.event_types[nxt(j) - 1]:
                 continue
             src_a = s1(i, nxt(j))
             dst_a = s1(nxt(i), nxt(nxt(j)))
@@ -222,23 +221,20 @@ def build_model(
             shared_edges.add((src_b, dst_b))
 
     shared_initial: int | None = None
-    if alpha_ids[0] != beta_ids[0]:
-        init[n0] = eta
+    init[n0] = eta
+    if alpha.event_types[0] != beta.event_types[0]:
         init[s1(1, 1)] = half
         init[s2(1, 1)] = half
     else:
-        init[n0] = eta
         shared_initial = s1(1, nxt(1))
         init[shared_initial] = 1.0 - eta
 
     for idx in range(n_states):
-        state = StateId.from_index(idx, n)
-        if state.kind is StateKind.EP1:
-            emit[idx, alpha_ids[state.i - 1]] = 1.0
-        elif state.kind is StateKind.EP2:
-            emit[idx, beta_ids[state.j - 1]] = 1.0
-        else:
+        sym = _emission(alpha, beta, StateId.from_index(idx, n))
+        if sym is None:
             emit[idx, :] = 1.0 / m
+        else:
+            emit[idx, alphabet.index(sym)] = 1.0
 
     return EpisodePairModel(
         alpha,
@@ -301,16 +297,8 @@ def trajectory_counts(
     """(noise, unshared-episode, shared-episode) state counts of a path."""
     state_ids = [model.state(idx) for idx in range(model.n_states)]
     n_noise = sum(1 for idx in traj.states if state_ids[idx].kind.is_noise)
-    n_shared = sum(_shared_flags(model, traj.states))
+    n_shared = trajectory_stats(model, traj.states).shared_events
     return n_noise, len(traj) - n_noise - n_shared, n_shared
-
-
-def _shared_flags(model: EpisodePairModel, states: Sequence[int]) -> list[bool]:
-    """Per step, whether its state emits a shared event: the shared initial
-    state at step 0, or an episode state entered along a shared-entry edge."""
-    return [idx == model.shared_initial_state for idx in states[:1]] + [
-        edge in model.shared_entry_edges for edge in zip(states, states[1:])
-    ]
 
 
 def simulate(model: EpisodePairModel, length: int, seed: int) -> Trajectory:
@@ -419,19 +407,12 @@ def closed_form_case2(
     For f occurrences of each episode sharing ``n_shared_events`` events:
     (eta/M)^T * ((1-eta)M/(2 eta))^(N f1 + N f2) * ((1-eta)M/(4 eta))^(-shared).
     """
-    n = model.n_nodes
     if min(f_first, f_second, n_shared_events) < 0:
         raise ValueError("counts must be non-negative")
-    if n * f_first + n * f_second - 2 * n_shared_events < 0:
-        raise ValueError("more shared events than episode events")
-    if n * f_first + n * f_second - n_shared_events > length:
-        raise ValueError("occurrence events exceed the sequence length")
-    eta, m = model.eta, model.alphabet_size
-    return (
-        length * math.log(eta / m)
-        + (n * f_first + n * f_second) * math.log((1.0 - eta) * m / (2.0 * eta))
-        - n_shared_events * math.log((1.0 - eta) * m / (4.0 * eta))
-    )
+    # E episode events, s of them shared, sit in E - s steps: E - 2s
+    # unshared, s shared, and the other T - (E - s) steps are noise.
+    e, s = model.n_nodes * (f_first + f_second), n_shared_events
+    return closed_form_decomposed(model, length - e + s, e - 2 * s, s)
 
 
 def viterbi(model: EpisodePairModel, outputs: Sequence[int]) -> tuple[int, ...]:
@@ -515,26 +496,28 @@ def trajectory_stats(model: EpisodePairModel, states: Sequence[int]) -> PairStat
     """
     n = model.n_nodes
     f_first = f_second = n_shared = 0
-
-    def prev_pos(k: int) -> int:
-        return n if k == 1 else k - 1
-
     state_ids = [model.state(idx) for idx in range(model.n_states)]
-    for idx, is_shared in zip(states, _shared_flags(model, states)):
+    # A step is shared at the shared initial state at step 0, or at an
+    # episode state entered along a shared-entry edge.  A shared step also
+    # ends an occurrence of the other episode when its index wraps to 1.
+    shared = [idx == model.shared_initial_state for idx in states[:1]] + [
+        edge in model.shared_entry_edges for edge in zip(states, states[1:])
+    ]
+    for idx, is_shared in zip(states, shared):
         state = state_ids[idx]
         if state.kind is StateKind.EP1:
             if state.i == n:
                 f_first += 1
             if is_shared:
                 n_shared += 1
-                if prev_pos(state.j) == n:
+                if state.j == 1:
                     f_second += 1
         elif state.kind is StateKind.EP2:
             if state.j == n:
                 f_second += 1
             if is_shared:
                 n_shared += 1
-                if prev_pos(state.i) == n:
+                if state.i == 1:
                     f_first += 1
     return PairStats(n, f_first, f_second, n_shared)
 
@@ -562,8 +545,7 @@ def compare_pairs(
     if stats_beta.n_nodes != stats_gamma.n_nodes:
         raise ValueError("pair statistics must describe equal-length episodes")
     m = alphabet_size
-    if not 0.0 < eta < eta_upper_bound(m):
-        raise ValueError(f"eta must lie in (0, {eta_upper_bound(m):.6g})")
+    _check_eta(eta, m)
     n = stats_beta.n_nodes
     log_ratio = n * (stats_beta.f_second - stats_gamma.f_second) * math.log(
         (1.0 - eta) * m / (2.0 * eta)
@@ -581,7 +563,6 @@ def compare_pairs(
 
 def model_summary(model: EpisodePairModel) -> dict:
     """JSON-compatible dump: states, initial law, sparse transitions, emissions."""
-    n = model.n_nodes
     labels = [model.state(idx).label() for idx in range(model.n_states)]
     transitions = [
         [labels[src], labels[dst], p]
@@ -590,15 +571,10 @@ def model_summary(model: EpisodePairModel) -> dict:
     ]
     emissions = {}
     for idx in range(model.n_states):
-        state = model.state(idx)
-        if state.kind is StateKind.EP1:
-            emissions[labels[idx]] = model.alpha.event_types[state.i - 1]
-        elif state.kind is StateKind.EP2:
-            emissions[labels[idx]] = model.beta.event_types[state.j - 1]
-        else:
-            emissions[labels[idx]] = "*uniform*"
+        sym = _emission(model.alpha, model.beta, model.state(idx))
+        emissions[labels[idx]] = "*uniform*" if sym is None else sym
     return {
-        "n_nodes": n,
+        "n_nodes": model.n_nodes,
         "alphabet": list(model.alphabet.symbols),
         "eta": model.eta,
         "alpha": str(model.alpha),

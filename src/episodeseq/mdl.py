@@ -31,6 +31,7 @@ from .events import (
     Alphabet,
     EventDataset,
     FixedIntervalEpisode,
+    _plain_int,
     format_episode,
     new_event,
     parse_episode,
@@ -373,8 +374,11 @@ def load_table(handle: IO[str]) -> EncodingTable:
     """Read a table written by :func:`save_table`.
 
     Rows of size >= 2 are marked selected and 1-node rows residual; the
-    CSV format does not store that mark separately.
+    CSV format does not store that mark separately.  Every integer field
+    must be spelled as :func:`save_table` writes it.
     """
+    def _int(text: str) -> int:
+        return _plain_int(text, TableFormatError)
     lines = handle.read().splitlines()
     if not lines or lines[0].split(",") != TABLE_HEADER:
         raise TableFormatError("missing table header line")
@@ -385,12 +389,12 @@ def load_table(handle: IO[str]) -> EncodingTable:
         for part in lines[body_start][len("#mult ") :].split(";"):
             loc, _, m = part.rpartition("=")
             seq, t, sym = loc.split(":", 2)
-            if int(m) < 2:
+            if _int(m) < 2:
                 raise TableFormatError(f"#mult gives {loc} multiplicity {m}, below 2")
-            multiplicities[(int(seq), int(t), sym)] = int(m)
+            multiplicities[(_int(seq), _int(t), sym)] = _int(m)
         body_start += 1
     if len(lines) > body_start and lines[body_start].startswith("#sequences "):
-        declared = int(lines[body_start][len("#sequences ") :])
+        declared = _int(lines[body_start][len("#sequences ") :])
         body_start += 1
     rows: list[TableRow] = []
     max_seq = -1
@@ -401,7 +405,7 @@ def load_table(handle: IO[str]) -> EncodingTable:
             raise TableFormatError(f"expected 4 fields, got {record!r}")
         size_text, episode_text, freq_text, starts_text = record
         episode = parse_episode(episode_text)
-        if int(size_text) != episode.length:
+        if _int(size_text) != episode.length:
             raise TableFormatError(
                 f"size field {size_text} does not match episode {episode_text!r}"
             )
@@ -409,8 +413,8 @@ def load_table(handle: IO[str]) -> EncodingTable:
         if starts_text:
             for pair in starts_text.split(";"):
                 seq, _, t = pair.partition(":")
-                starts.append((int(seq), int(t)))
-        if int(freq_text) != len(starts):
+                starts.append((_int(seq), _int(t)))
+        if _int(freq_text) != len(starts):
             raise TableFormatError(
                 f"frequency field {freq_text} does not match "
                 f"{len(starts)} start entries"

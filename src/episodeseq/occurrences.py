@@ -174,9 +174,8 @@ class _Axis:
         # Small int types keep a depth's arrays small.
         self.time_type = np.int32 if g + 2 * max_gap < 2**31 else np.int64
         self.sym_type = np.min_scalar_type(data.alphabet.size)
-        self.gap_type = np.min_scalar_type(max_gap)
+        self.gap_type = np.min_scalar_type(-max_gap)  # signed, so spans stay integers
         self.n_types = data.alphabet.size
-        self.length = g + max_gap + 2  # the time lookup runs to max_gap past the last time
         key = np.array(times, np.int64) * self.n_types + types
         order = np.argsort(key, kind="stable")  # the identity when type ids follow name order
         first = np.array(first, np.int64)

@@ -6,6 +6,7 @@ import pytest
 from episodeseq import (
     Alphabet,
     hmm,
+    Event,
     EventDataset,
     FrequencyMode,
     find_distinct_starts,
@@ -211,6 +212,32 @@ def test_candidate_search_memory_on_long_trajectory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak <= 8 * 2**20
+
+
+def test_candidate_search_memory_does_not_grow_with_time_scale():
+    # Times and max_gap 1000 times larger give the same candidates, gaps
+    # scaled, in about the same memory: the search looks up a window over
+    # the events, not a table with an entry per time step.
+    alpha = parse_serial_episode("A -> B -> C")
+    beta = parse_serial_episode("D -> B -> E")
+    model = hmm.build_model(alpha, beta, hmm.default_pair_alphabet(alpha, beta, 9), 0.25)
+    data = hmm.trajectory_dataset(model, hmm.simulate(model, 10_000, 0))
+    scaled = EventDataset(
+        tuple(tuple(Event(x, 1000 * t) for x, t in seq) for seq in data.sequences), data.alphabet
+    )
+    want = [
+        (c.episode.event_types, tuple(1000 * g for g in c.episode.gaps), c.frequency, c.score)
+        for c in generate_candidates(data, 3)
+    ]
+    tracemalloc.start()
+    try:
+        cands = generate_candidates(scaled, 3000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [(c.episode.event_types, c.episode.gaps, c.frequency, c.score) for c in cands] == want
+    assert len(want) > 200
     assert peak <= 8 * 2**20
 
 

@@ -1,6 +1,7 @@
 import csv
 import io
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -109,6 +110,16 @@ def test_hmm_sim_deterministic(capsys):
     assert capsys.readouterr().out == first
     states_line, symbols_line = first.strip().splitlines()
     assert len(states_line.split()) == len(symbols_line.split()) == 10
+
+
+@pytest.mark.parametrize("alpha", ["-> A B", "A B ->", "A -> -> B", "A -> ->"])
+def test_hmm_sim_refuses_misplaced_arrows(alpha, tmp_path, capsys):
+    out = tmp_path / "traj.txt"
+    out.write_bytes(b"previous contents\n")
+    argv = ["hmm-sim", "--alpha", alpha, "--beta", "C -> D", "--alphabet-size", "6"]
+    assert main([*argv, "--eta", "0.3", "--length", "5", "--seed", "1", "--out", str(out)]) == 3
+    assert out.read_bytes() == b"previous contents\n"
+    assert "error:" in capsys.readouterr().err
 
 
 def test_hmm_sim_different_seed_differs(capsys):
@@ -364,11 +375,17 @@ def test_mine_refuses_forced_one_node_episodes_that_share_events(forced, status,
 GOLDEN_TABLES = sorted((Path(__file__).parent / "golden").glob("*.table.csv"))
 
 
+def _arabic(text: str) -> str:
+    """``text`` with Arabic-Indic digits, which ``int`` reads as ASCII ones."""
+    return text.translate({ord("0") + d: 0x660 + d for d in range(10)})
+
+
 @st.composite
 def _mutated_golden_table(draw):
     """A golden table with 1-3 edits that keep its lines in the form
     ``save_table`` writes: starts dropped, repeated or moved, a row that
-    re-codes a covered event, a changed multiplicity, or extra sequences."""
+    re-codes a covered event, a changed multiplicity, extra sequences, or
+    an integer in another spelling that ``int`` reads the same."""
     header, *lines = draw(st.sampled_from(GOLDEN_TABLES)).read_text("utf-8").splitlines()
     comments = [line for line in lines if line.startswith("#")]
     rows = [[*r[:3], r[3].split(";")] for r in csv.reader(l for l in lines if l[0] != "#")]
@@ -376,7 +393,9 @@ def _mutated_golden_table(draw):
         row = draw(st.sampled_from(rows))
         k = draw(st.integers(0, len(row[3]) - 1))
         seq, _, t = row[3][k].partition(":")
-        edit = draw(st.sampled_from(["drop", "repeat", "move", "recode", "mult", "sequences"]))
+        edit = draw(
+            st.sampled_from(["drop", "repeat", "move", "recode", "mult", "sequences", "spelling"])
+        )
         if edit == "drop" and len(row[3]) > 1:
             del row[3][k]
         elif edit == "repeat":
@@ -396,6 +415,17 @@ def _mutated_golden_table(draw):
         elif edit == "sequences" and not any(c.startswith("#seq") for c in comments):
             used = 1 + max(int(p.partition(":")[0]) for r in rows for p in r[3])
             comments.append(f"#sequences {used + draw(st.integers(1, 2))}")
+        elif edit == "spelling":
+            respell = draw(
+                st.sampled_from([" {}".format, "{} ".format, "+{}".format, "0{}".format, _arabic])
+            )
+            field = draw(st.sampled_from(["size", "gap", "seq", "time"]))
+            if field == "size":
+                row[0] = respell(row[0])
+            elif field == "gap":
+                row[1] = re.sub(r"-(\d+)->", r"-0\1->", row[1], count=1)
+            else:
+                row[3][k] = f"{respell(seq)}:{t}" if field == "seq" else f"{seq}:{respell(t)}"
         row[2] = str(len(row[3]))
     body = io.StringIO()
     csv.writer(body, lineterminator="\n").writerows([*r[:3], ";".join(r[3])] for r in rows)
@@ -426,13 +456,8 @@ def test_mutated_golden_tables_round_trip_or_exit_3(text):
     assert peak <= 64 * 2**10 + 1024 * coded
 
 
-def test_decode_refuses_a_huge_sequence_count_before_allocating(tmp_path):
-    table = tmp_path / "t.csv"
-    table.write_text("size,episode,freq,starts\n#sequences 99999999999\n1,A,1,0:1\n", "utf-8")
-    out = tmp_path / "events.tsv"
-    out.write_bytes(b"previous contents\n")
-    # The child caps its own address space at 1 GiB, so an allocation per
-    # declared sequence fails fast instead of exhausting the machine.
+def _capped_main(*argv: str) -> subprocess.CompletedProcess:
+    """Run the CLI in a child process that caps its address space at 1 GiB."""
     script = (
         "import resource, sys\n"
         "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
@@ -441,10 +466,19 @@ def test_decode_refuses_a_huge_sequence_count_before_allocating(tmp_path):
     )
     path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    child = subprocess.run(
-        [sys.executable, "-c", script, "decode", str(table), "-o", str(out)],
-        env=env, capture_output=True, text=True, timeout=60,
+    return subprocess.run(
+        [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, timeout=60
     )
+
+
+def test_decode_refuses_a_huge_sequence_count_before_allocating(tmp_path):
+    table = tmp_path / "t.csv"
+    table.write_text("size,episode,freq,starts\n#sequences 99999999999\n1,A,1,0:1\n", "utf-8")
+    out = tmp_path / "events.tsv"
+    out.write_bytes(b"previous contents\n")
+    # An allocation per declared sequence fails fast in the capped child
+    # instead of exhausting the machine.
+    child = _capped_main("decode", str(table), "-o", str(out))
     assert child.returncode == 3, child.stderr
     assert "empty sequence" in child.stderr
     assert out.read_bytes() == b"previous contents\n"
@@ -460,6 +494,53 @@ def test_decode_refuses_a_multiplicity_line_it_cannot_honour(mult, tmp_path, cap
     assert main(["decode", str(table), "-o", str(out)]) == 3
     assert out.read_bytes() == b"previous contents\n"
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "2,A -01-> B,1,0:1",
+        "2,A -1-> B,+1,0:1",
+        "02,A -1-> B,1,0:1",
+        "2,A -1-> B,1,0:1_0",
+        "2,A -1-> B,1, 0:1",
+        "2,A -1-> B,1,0:-0",
+        "2,A -1-> B,1,0:\u0661",
+        "#sequences 02\n1,A,1,0:1",
+        "#mult 0:1:A=02\n1,A,2,0:1;0:1",
+        "#mult 00:1:A=2\n1,A,2,0:1;0:1",
+    ],
+)
+def test_decode_refuses_an_integer_not_in_plain_decimal(body, tmp_path, capsys):
+    # The table would load, but save_table would write other bytes.
+    table = tmp_path / "t.csv"
+    table.write_text(f"size,episode,freq,starts\n{body}\n", "utf-8")
+    out = tmp_path / "events.tsv"
+    out.write_bytes(b"previous contents\n")
+    assert main(["decode", str(table), "-o", str(out)]) == 3
+    assert out.read_bytes() == b"previous contents\n"
+    assert "plain decimal" in capsys.readouterr().err
+
+
+def test_mine_with_a_huge_gap_runs_in_bounded_memory(tmp_path):
+    # On the huge_times input the search's windows stay as small as its
+    # slots: mine at max_gap 10**12 fits in 1 GiB and its table decodes
+    # back to the input, and a gap of 2 * 10**16 finds the candidates that
+    # max_gap 16 finds, since no step inside a burst is longer.
+    from test_golden import _huge_times_text
+
+    data, table, out = tmp_path / "huge.tsv", tmp_path / "t.csv", tmp_path / "d.tsv"
+    data.write_text(_huge_times_text(), "utf-8")
+    child = _capped_main("mine", str(data), "--max-gap", "1000000000000", "-o", str(table))
+    assert child.returncode == 0, child.stderr
+    assert _capped_main("decode", str(table), "-o", str(out)).returncode == 0
+    assert load_events(io.StringIO(out.read_text("utf-8"))) == load_events(io.StringIO(data.read_text("utf-8")))
+    dumps = [
+        _capped_main("mine", str(data), "--dump-candidates", "--max-gap", gap)
+        for gap in ("16", "20000000000000000")
+    ]
+    assert [d.returncode for d in dumps] == [0, 0], dumps[1].stderr
+    assert dumps[0].stdout == dumps[1].stdout and dumps[0].stdout
 
 
 def test_exit_code_io_error(tmp_path, capsys):

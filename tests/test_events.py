@@ -69,8 +69,16 @@ def test_parse_episode_checks_alphabet():
 def test_parse_serial_episode():
     ep = parse_serial_episode("A -> B -> C")
     assert ep.event_types == ("A", "B", "C")
+    # Symbols and arrows alternate, so no arrow leads, trails or doubles.
+    for bad in ("A -> -> B", "-> A B", "A B ->", "A -> ->", "A B", "A -1-> B", ""):
+        with pytest.raises(EpisodeSyntaxError):
+            parse_serial_episode(bad)
+
+
+@pytest.mark.parametrize("gap", ["01", "+1", "1_0", "\u0661", "00"])
+def test_parse_episode_refuses_a_gap_not_in_plain_decimal(gap):
     with pytest.raises(EpisodeSyntaxError):
-        parse_serial_episode("A -> -> B")
+        parse_episode(f"A -{gap}-> B")
 
 
 _symbol = st.text(alphabet="abcdefgXYZ09", min_size=1, max_size=4)
@@ -105,7 +113,11 @@ def test_fixed_interval_invariants():
     with pytest.raises(DataValidationError):
         FixedIntervalEpisode((), ())
     with pytest.raises(DataValidationError):
+        FixedIntervalEpisode(("A", "B", "A"), (1, 1))
+    with pytest.raises(DataValidationError):
         SerialEpisode(("A", "A"))
+    with pytest.raises(DataValidationError):
+        SerialEpisode(())
 
 
 def test_alphabet_invariants():
