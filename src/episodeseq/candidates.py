@@ -101,8 +101,6 @@ def generate_candidates(
     longer episode.  Candidates are deduplicated and come in canonical
     (episode string) order.
     """
-    if max_gap < 1:
-        raise ValueError("max_gap must be >= 1")
     axis = _Axis(data, max_gap)
     return tuple(_search(axis, slice(None), mode is FrequencyMode.NON_OVERLAPPED, False))
 
@@ -154,7 +152,7 @@ def _search(axis: _Axis, left, no_mode: bool, positive: bool) -> list[Candidate]
         score = row_gain(ids.shape[1], f.astype(np.int64))
         out = emitted[base : base + len(ids)] & (score > 0 if positive else True)
         base += len(ids)
-        spans = gaps[out].sum(axis=1, dtype=np.int64)
+        spans = gaps[out].sum(axis=1, dtype=axis.time_type)
         starts = times[rows[np.repeat(out, size)]] - np.repeat(spans, size[out])
         if no_mode:
             starts = starts[_chain_members(starts, size[out], spans)]
@@ -174,8 +172,11 @@ def _extend(depth: _Depth, axis: _Axis, events: tuple, no_mode: bool, prune: int
     live = np.flatnonzero(depth.f > prune)
     if not len(live):
         return None, depth.best_ref
-    # Blocks of whole nodes, each starting at a live node every _BLOCK starts.
-    cuts = live[np.flatnonzero(np.diff(depth.ptr[live] // _BLOCK, prepend=-1))]
+    # Blocks of whole nodes, each starting at a live node every _BLOCK starts
+    # and every `step` nodes, so that _join's keys stay below 2**63.
+    step = (2**63 - 1) // (axis.max_gap * axis.n_types)
+    cuts = np.diff(depth.ptr[live] // _BLOCK, prepend=-1) | np.diff(live // step, prepend=-1)
+    cuts = live[np.flatnonzero(cuts)]
     cuts = np.append(cuts, n).tolist()
     parts = [_join(depth, axis, events, no_mode, prune, a, z) for a, z in zip(cuts, cuts[1:])]
     depth.ptr = depth.row = None  # joined: the children hold the occurrences now
@@ -209,16 +210,15 @@ def _join(depth: _Depth, axis: _Axis, events: tuple, no_mode: bool, prune: int, 
     node, row = node[live], row[live]
     lo = lo_at[row]
     count = hi_at[row] - lo
-    # One entry per occurrence and row in its end's window, grouped by
-    # (node, gap, symbol) with the starts in order.
+    # One entry per occurrence and row ev in its end's window, grouped by
+    # (node, gap, symbol) with the starts in order: the key is
+    # ((node - a) * max_gap + gap - 1) * m + symbol, gap = times[ev] - times[row].
     m = axis.n_types
     total = int(count.sum())
-    pos = np.repeat(np.arange(len(node), dtype=np.int32), count)
-    shift = lo - (np.cumsum(count) - count)  # entry k joins row k + shift[pos[k]]
-    ev = np.arange(total) + np.repeat(shift, count)
-    delta = times[ev] - times[row][pos]
-    key = ((node[pos] - node[:1]).astype(np.int64) * max_gap + (delta - 1)) * m + types[ev]
-    del ev, delta, lo
+    ev = (np.arange(total) + np.repeat(lo - (np.cumsum(count) - count), count)).astype(row.dtype)
+    base = (node - a).astype(np.int64) * max_gap - times[row] - 1
+    key = (np.repeat(base, count) + times[ev]) * m + types[ev]
+    del lo, base
     order = np.argsort(key, kind="stable")
     key = key[order]
     head = np.empty(total, bool)
@@ -226,7 +226,7 @@ def _join(depth: _Depth, axis: _Axis, events: tuple, no_mode: bool, prune: int, 
     np.not_equal(key[1:], key[:-1], out=head[1:])
     heads = np.flatnonzero(head)
     size = np.diff(heads, append=total)
-    g_node = node[pos[order[heads]]]
+    g_node = (a + key[heads] // (max_gap * m)).astype(np.int32)
     g_sym = (key[heads] % m).astype(axis.sym_type)
     g_delta = (key[heads] // m % max_gap + 1).astype(axis.gap_type)
     del key
@@ -236,9 +236,8 @@ def _join(depth: _Depth, axis: _Axis, events: tuple, no_mode: bool, prune: int, 
     ok = (size > _PRUNE_FREQUENCY) & np.all([c[g_node] != g_sym for c in depth.ids.T], axis=0)
     group = np.cumsum(head, dtype=np.int32) - 1
     keep = ok[group]
-    at = order[keep]
-    rows = (at + shift[pos[at]]).astype(row.dtype)  # a child's row is the row it joined
-    del order, pos, at
+    rows = ev[order[keep]]  # a child's row is the row it joined
+    del order, ev
     g_node, g_sym, g_delta, size = g_node[ok], g_sym[ok], g_delta[ok], size[ok]
     f = size
     if no_mode:

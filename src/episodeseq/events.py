@@ -11,7 +11,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import accumulate
 from operator import itemgetter, lt
 from typing import IO, Iterable, NamedTuple
 
@@ -198,7 +197,10 @@ class FixedIntervalEpisode(_Episode):
 
     def offsets(self) -> tuple[int, ...]:
         """Time offset of each node relative to the start event."""
-        return tuple(accumulate(self.gaps, initial=0))
+        acc = [0]
+        for g in self.gaps:
+            acc.append(acc[-1] + g)
+        return tuple(acc)
 
     def __str__(self) -> str:
         return format_episode(self)
@@ -211,16 +213,22 @@ def span(episode: FixedIntervalEpisode) -> int:
 
 def format_episode(episode: FixedIntervalEpisode) -> str:
     """Canonical episode string, e.g. ``A -2-> B -1-> C``."""
-    arrows = (f" -{gap}-> {sym}" for gap, sym in zip(episode.gaps, episode.event_types[1:]))
-    return episode.event_types[0] + "".join(arrows)
+    parts = [episode.event_types[0]]
+    for gap, sym in zip(episode.gaps, episode.event_types[1:]):
+        parts.append(f"-{gap}->")
+        parts.append(sym)
+    return " ".join(parts)
+
+
+_PLAIN = r"(?:-?[1-9][0-9]*|0)"  # an integer as ``str`` writes it
 
 
 def _plain_int(text: str, error: type[ValueError]) -> int:
     """The integer ``text`` spells, which must be spelled as ``str`` writes
     it, so that a file that loads writes back the same; else ``error``."""
-    if str(value := int(text)) != text:
+    if re.fullmatch(_PLAIN, text) is None:
         raise error(f"expected a plain decimal integer, got {text!r}")
-    return value
+    return int(text)
 
 
 def _split_episode(text: str, alphabet: Alphabet | None) -> tuple[list[str], list[str]]:

@@ -295,9 +295,7 @@ def trajectory_counts(
     model: EpisodePairModel, traj: Trajectory
 ) -> tuple[int, int, int]:
     """(noise, unshared-episode, shared-episode) state counts of a path."""
-    state_ids = [model.state(idx) for idx in range(model.n_states)]
-    n_noise = sum(1 for idx in traj.states if state_ids[idx].kind.is_noise)
-    n_shared = trajectory_stats(model, traj.states).shared_events
+    *_, n_shared, n_noise = _walk(model, traj.states)
     return n_noise, len(traj) - n_noise - n_shared, n_shared
 
 
@@ -494,8 +492,14 @@ def trajectory_stats(model: EpisodePairModel, states: Sequence[int]) -> PairStat
     shared event.  Occurrences still open when the sequence ends are not
     counted.
     """
+    return PairStats(model.n_nodes, *_walk(model, states)[:3])
+
+
+def _walk(model: EpisodePairModel, states: Sequence[int]) -> tuple[int, int, int, int]:
+    """Complete occurrences of each episode, shared events and noise steps
+    along a state sequence, counted in one pass."""
     n = model.n_nodes
-    f_first = f_second = n_shared = 0
+    f_first = f_second = n_shared = n_noise = 0
     state_ids = [model.state(idx) for idx in range(model.n_states)]
     # A step is shared at the shared initial state at step 0, or at an
     # episode state entered along a shared-entry edge.  A shared step also
@@ -519,7 +523,9 @@ def trajectory_stats(model: EpisodePairModel, states: Sequence[int]) -> PairStat
                 n_shared += 1
                 if state.i == 1:
                     f_first += 1
-    return PairStats(n, f_first, f_second, n_shared)
+        else:
+            n_noise += 1
+    return f_first, f_second, n_shared, n_noise
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import heapq
+import re
 from dataclasses import dataclass
 from itertools import accumulate, chain, groupby
 from operator import eq, itemgetter, le, lt
@@ -31,6 +32,7 @@ from .events import (
     Alphabet,
     EventDataset,
     FixedIntervalEpisode,
+    _PLAIN,
     _plain_int,
     format_episode,
     new_event,
@@ -120,12 +122,10 @@ def select(
     grow within a round, so stale heap keys are bounds and only the top
     entry is rescored (Minoux's lazy greedy, 1978).
     """
-    if max_gap < 1:
-        raise ValueError("max_gap must be >= 1")
+    axis = _Axis(data, max_gap)
     if max_episodes is not None and max_episodes < 1:
         raise ValueError("max_episodes must be >= 1 when given")
 
-    axis = _Axis(data, max_gap)
     removed = np.zeros(len(axis.mult), np.int64)  # events coded so far, per slot
     selected: list[SelectedEpisode] = []
     round_index = 0
@@ -331,6 +331,8 @@ def decode(table: EncodingTable) -> EventDataset:
 
 
 TABLE_HEADER = ["size", "episode", "freq", "starts"]
+# A row's starts field: seq:time pairs joined by ";", every integer plain.
+_STARTS = re.compile(rf"{_PLAIN}:{_PLAIN}(?:;{_PLAIN}:{_PLAIN})*")
 
 
 def save_table(table: EncodingTable, handle: IO[str]) -> None:
@@ -411,9 +413,12 @@ def load_table(handle: IO[str]) -> EncodingTable:
             )
         starts: list[tuple[int, int]] = []
         if starts_text:
-            for pair in starts_text.split(";"):
-                seq, _, t = pair.partition(":")
-                starts.append((_int(seq), _int(t)))
+            if _STARTS.fullmatch(starts_text) is None:
+                raise TableFormatError(
+                    f"starts of row {episode_text!r} are not seq:time pairs in plain decimal"
+                )
+            ints = list(map(int, starts_text.replace(":", ";").split(";")))
+            starts = list(zip(ints[0::2], ints[1::2]))
         if _int(freq_text) != len(starts):
             raise TableFormatError(
                 f"frequency field {freq_text} does not match "
@@ -427,8 +432,8 @@ def load_table(handle: IO[str]) -> EncodingTable:
             or any(len(list(r)) > multiplicities.get((*s, sym), 1) for s, r in groupby(starts))
         ):
             raise TableFormatError(f"starts of row {episode_text!r} repeat or are out of order")
-        for seq_idx, _ in starts:
-            max_seq = max(max_seq, seq_idx)
+        if starts:
+            max_seq = max(max_seq, starts[-1][0])  # the starts are in order
         rows.append(
             TableRow(episode, tuple(starts), residual=episode.length == 1)
         )

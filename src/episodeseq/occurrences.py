@@ -146,6 +146,8 @@ class _Axis:
     """
 
     def __init__(self, data: EventDataset, max_gap: int):
+        if max_gap < 1:
+            raise ValueError("max_gap must be >= 1")
         # No gap outgrows the longest sequence; a shorter max_gap keeps the axis short.
         longest = max((seq[-1].time - seq[0].time for seq in data.sequences if seq), default=0)
         self.max_gap = max_gap = min(max_gap, max(longest, 1))
@@ -220,9 +222,17 @@ def _chain_members(starts, size, spans):
     doubling (Wyllie 1979), the starts marked so far, those fewer than 2**k
     steps past a group's head, add their successors 2**k steps on.
     """
+    width = int(starts.max(initial=0)) + int(spans.max(initial=0)) + 1
+    step = (2**63 - 1) // width  # groups keyed at once, so that no key reaches 2**63
+    if len(size) > step:
+        first = range(0, len(size), step)
+        at = np.append(0, np.cumsum(size))[[*first, len(size)]].tolist()
+        return np.concatenate([
+            _chain_members(starts[a:b], size[k : k + step], spans[k : k + step])
+            for k, a, b in zip(first, at, at[1:])
+        ])
     n = len(starts)
     group = np.repeat(np.arange(len(size)), size)
-    width = int(starts.max(initial=0)) + int(spans.max(initial=0)) + 1
     v = group * width + starts
     nxt = np.searchsorted(v, v + spans[group], side="right")
     nxt = np.append(np.where(np.append(group, -1)[nxt] == group, nxt, n), n)

@@ -9,12 +9,15 @@ from episodeseq import (
     Event,
     EventDataset,
     FrequencyMode,
+    decode,
+    encode,
     find_distinct_starts,
     find_no_occurrences,
     generate_candidates,
     parse_episode,
     parse_serial_episode,
     score,
+    select,
 )
 from episodeseq.candidates import _search
 from episodeseq.occurrences import _Axis
@@ -253,6 +256,41 @@ def test_candidates_with_a_gap_beyond_every_sequence():
                 for cands in (generate_candidates(data, 10**12, mode), dfs_candidates(data, 18, mode))
             )
             assert got == want
+
+
+def test_candidates_on_gaps_near_the_int64_limit():
+    # Five runs of A B C D, 2.5 * 10**17 apart, mined at max_gap 10**18:
+    # a join key or chain key that packed all nodes or groups at once would
+    # pass 2**63.  The candidates must be those of runs 100 apart at
+    # max_gap 400, with each k * apart + d read as k * 100 + d.
+    def runs(apart):
+        ev = [(k * apart + i, sym) for k in range(5) for i, sym in enumerate("ABCD")]
+        return EventDataset.from_tuples([ev], Alphabet(tuple("ABCD")))
+
+    def near(t, apart):
+        k = (t + 10) // apart
+        return k * 100 + t - k * apart
+
+    apart = 25 * 10**16
+    for mode in FrequencyMode:
+        want = sorted(
+            (c.episode.event_types, c.episode.gaps, c.frequency, c.score, c.occurrences.starts)
+            for c in generate_candidates(runs(100), 400, mode)
+        )
+        got = sorted(
+            (
+                c.episode.event_types,
+                tuple(near(g, apart) for g in c.episode.gaps),
+                c.frequency,
+                c.score,
+                tuple((s, near(t, apart)) for s, t in c.occurrences.starts),
+            )
+            for c in generate_candidates(runs(apart), 4 * apart, mode)
+        )
+        assert got == want
+        assert any(gap > 90 for c in want for gap in c[1])  # some gap spans runs
+        data = runs(apart)
+        assert decode(encode(data, select(data, 4 * apart, mode=mode))) == data
 
 
 def test_candidates_equal_dfs_oracle_on_wide_gaps():
