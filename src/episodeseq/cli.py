@@ -80,11 +80,11 @@ def _open_out(path: str | None):
 
 
 @contextmanager
-def _open_in(path: str):
+def _open_in(path: str, newline: str | None = None):
     if path == "-":
         yield sys.stdin
     else:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8", newline=newline) as handle:
             yield handle
 
 
@@ -120,7 +120,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
 
 
 def _cmd_decode(args: argparse.Namespace) -> int:
-    with _open_in(args.table) as handle:
+    with _open_in(args.table, newline="") as handle:  # load_table sees CRLF line ends
         table = load_table(handle)
     # Refused before decode allocates the sequences that no row refers to.
     if len({seq for row in table.rows for seq, _ in row.starts}) < table.n_sequences:

@@ -220,17 +220,6 @@ def format_episode(episode: FixedIntervalEpisode) -> str:
     return " ".join(parts)
 
 
-_PLAIN = r"(?:-?[1-9][0-9]*|0)"  # an integer as ``str`` writes it
-
-
-def _plain_int(text: str, error: type[ValueError]) -> int:
-    """The integer ``text`` spells, which must be spelled as ``str`` writes
-    it, so that a file that loads writes back the same; else ``error``."""
-    if re.fullmatch(_PLAIN, text) is None:
-        raise error(f"expected a plain decimal integer, got {text!r}")
-    return int(text)
-
-
 def _split_episode(text: str, alphabet: Alphabet | None) -> tuple[list[str], list[str]]:
     """The symbols and the arrows of an episode string, which alternate and
     begin and end with a symbol; a symbol outside ``alphabet`` raises KeyError."""
@@ -250,21 +239,15 @@ def parse_episode(
 ) -> FixedIntervalEpisode:
     """Parse an episode string of the form ``SYM (-<int>-> SYM)*``.
 
-    Rejects duplicate symbols and gaps that are not positive plain decimal
-    integers.  When an alphabet is supplied, symbols outside it are
-    rejected as well.
+    Rejects duplicate symbols and gaps that are not positive integers
+    spelled as ``str`` writes them (``-01->`` and ``-+1->`` are refused).
+    When an alphabet is supplied, symbols outside it are rejected as well.
     """
     symbols, arrows = _split_episode(text, alphabet)
-    gaps: list[int] = []
     for arrow in arrows:
-        m = re.fullmatch(r"-(\d+)->", arrow)
-        if m is None:
-            raise EpisodeSyntaxError(f"expected '-<int>->' separator, got {arrow!r}")
-        gap = _plain_int(m.group(1), EpisodeSyntaxError)
-        if gap < 1:
-            raise EpisodeSyntaxError(f"gap must be >= 1, got {gap}")
-        gaps.append(gap)
-    return FixedIntervalEpisode(tuple(symbols), tuple(gaps))
+        if re.fullmatch(r"-[1-9][0-9]*->", arrow) is None:
+            raise EpisodeSyntaxError(f"gap {arrow!r} is not -<n>-> with n >= 1 in plain decimal")
+    return FixedIntervalEpisode(tuple(symbols), tuple(int(arrow[1:-2]) for arrow in arrows))
 
 
 def parse_serial_episode(

@@ -143,6 +143,8 @@ def eta_upper_bound(alphabet_size: int) -> float:
 
 
 def _check_eta(eta: float, m: int) -> None:
+    if m < 1:  # below -8, M / (M + 8) is positive again
+        raise ValueError(f"alphabet size must be at least 1, got {m}")
     if not 0.0 < eta < eta_upper_bound(m):
         raise ValueError(
             f"eta must lie in (0, {eta_upper_bound(m):.6g}) for alphabet size {m}"

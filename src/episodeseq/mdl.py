@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import csv
 import heapq
-import re
+import io
 from dataclasses import dataclass
-from itertools import accumulate, chain, groupby
+from itertools import accumulate, chain, groupby, zip_longest
 from operator import eq, itemgetter, le, lt
 from typing import IO, Iterable, Sequence
 
@@ -32,8 +32,6 @@ from .events import (
     Alphabet,
     EventDataset,
     FixedIntervalEpisode,
-    _PLAIN,
-    _plain_int,
     format_episode,
     new_event,
     parse_episode,
@@ -331,8 +329,28 @@ def decode(table: EncodingTable) -> EventDataset:
 
 
 TABLE_HEADER = ["size", "episode", "freq", "starts"]
-# A row's starts field: seq:time pairs joined by ";", every integer plain.
-_STARTS = re.compile(rf"{_PLAIN}:{_PLAIN}(?:;{_PLAIN}:{_PLAIN})*")
+
+
+def _table_text(table: EncodingTable) -> str:
+    """The one text :func:`save_table` writes and :func:`load_table` accepts for ``table``."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(TABLE_HEADER)
+    if table.multiplicities:
+        parts = [
+            f"{seq}:{t}:{sym}={m}"
+            for (seq, t, sym), m in sorted(table.multiplicities.items())
+        ]
+        out.write("#mult " + ";".join(parts) + "\n")
+    used = max((seq for row in table.rows for seq, _ in row.starts), default=-1) + 1
+    if table.n_sequences != used:
+        out.write(f"#sequences {table.n_sequences}\n")
+    for row in table.rows:
+        starts = ";".join(f"{seq}:{t}" for seq, t in row.starts)
+        writer.writerow(
+            [row.size, format_episode(row.episode), row.frequency, starts]
+        )
+    return out.getvalue()
 
 
 def save_table(table: EncodingTable, handle: IO[str]) -> None:
@@ -340,8 +358,9 @@ def save_table(table: EncodingTable, handle: IO[str]) -> None:
 
     Start lists are ``;``-separated ``seq:time`` pairs.  When the coded
     data held duplicate events, their multiplicities follow the header as
-    one ``#mult`` comment line.  A ``#sequences N`` comment line follows
-    when the data has sequences after the last one any row refers to.
+    one ``#mult`` comment line, its keys sorted.  A ``#sequences N`` comment
+    line follows when the data has sequences after the last one any row
+    refers to.  Every line ends in ``\\n`` and every integer is plain decimal.
 
     Raises :class:`TableFormatError`, before writing anything, when a row
     symbol holds whitespace or a ``#mult`` symbol holds ``;``: the table
@@ -354,76 +373,44 @@ def save_table(table: EncodingTable, handle: IO[str]) -> None:
     for _, _, sym in table.multiplicities:
         if ";" in sym:
             raise TableFormatError(f"duplicated symbol {sym!r} holds ';'")
-    writer = csv.writer(handle, lineterminator="\n")
-    writer.writerow(TABLE_HEADER)
-    if table.multiplicities:
-        parts = [
-            f"{seq}:{t}:{sym}={m}"
-            for (seq, t, sym), m in sorted(table.multiplicities.items())
-        ]
-        handle.write("#mult " + ";".join(parts) + "\n")
-    used = max((seq for row in table.rows for seq, _ in row.starts), default=-1) + 1
-    if table.n_sequences != used:
-        handle.write(f"#sequences {table.n_sequences}\n")
-    for row in table.rows:
-        starts = ";".join(f"{seq}:{t}" for seq, t in row.starts)
-        writer.writerow(
-            [row.size, format_episode(row.episode), row.frequency, starts]
-        )
+    handle.write(_table_text(table))
 
 
 def load_table(handle: IO[str]) -> EncodingTable:
-    """Read a table written by :func:`save_table`.
+    """Read a table, whose text must be exactly what :func:`save_table` writes.
 
     Rows of size >= 2 are marked selected and 1-node rows residual; the
-    CSV format does not store that mark separately.  Every integer field
-    must be spelled as :func:`save_table` writes it.
+    CSV format does not store that mark separately.  Raises
+    :class:`TableFormatError` for a multiplicity below 2, for starts that
+    repeat or fall out of order, for ``#sequences`` at or below a sequence
+    that a start refers to, and for any other text that :func:`save_table`
+    would not write back byte for byte, naming the first line that differs.
     """
-    def _int(text: str) -> int:
-        return _plain_int(text, TableFormatError)
-    lines = handle.read().splitlines()
-    if not lines or lines[0].split(",") != TABLE_HEADER:
-        raise TableFormatError("missing table header line")
+    text = handle.read()
+    body = text.splitlines()[1:]  # the header is compared with the rest, last
+    has_mult = body and body[0].startswith("#mult ")
     multiplicities: dict[tuple[int, int, str], int] = {}
-    declared: int | None = None
-    body_start = 1
-    if len(lines) > body_start and lines[body_start].startswith("#mult "):
-        for part in lines[body_start][len("#mult ") :].split(";"):
-            loc, _, m = part.rpartition("=")
-            seq, t, sym = loc.split(":", 2)
-            if _int(m) < 2:
-                raise TableFormatError(f"#mult gives {loc} multiplicity {m}, below 2")
-            multiplicities[(_int(seq), _int(t), sym)] = _int(m)
-        body_start += 1
-    if len(lines) > body_start and lines[body_start].startswith("#sequences "):
-        declared = _int(lines[body_start][len("#sequences ") :])
-        body_start += 1
+    for part in body.pop(0)[len("#mult ") :].split(";") if has_mult else ():
+        loc, _, m = part.rpartition("=")
+        key = loc.split(":", 2)
+        if len(key) != 3:
+            raise TableFormatError(f"#mult entry {part!r} is not seq:time:symbol=count")
+        if int(m) < 2:
+            raise TableFormatError(f"#mult gives {loc} multiplicity {m}, below 2")
+        multiplicities[(int(key[0]), int(key[1]), key[2])] = int(m)
+    has_count = body and body[0].startswith("#sequences ")
+    declared = int(body.pop(0)[len("#sequences ") :]) if has_count else None
     rows: list[TableRow] = []
-    max_seq = -1
-    for record in csv.reader(lines[body_start:]):
-        if not record:
+    for line in body:
+        if not line:
             continue
+        head, *tail = line.rsplit(",", 2)  # long starts outgrow csv's field size limit
+        record = [*next(csv.reader([head]), []), *tail]
         if len(record) != 4:
             raise TableFormatError(f"expected 4 fields, got {record!r}")
-        size_text, episode_text, freq_text, starts_text = record
-        episode = parse_episode(episode_text)
-        if _int(size_text) != episode.length:
-            raise TableFormatError(
-                f"size field {size_text} does not match episode {episode_text!r}"
-            )
-        starts: list[tuple[int, int]] = []
-        if starts_text:
-            if _STARTS.fullmatch(starts_text) is None:
-                raise TableFormatError(
-                    f"starts of row {episode_text!r} are not seq:time pairs in plain decimal"
-                )
-            ints = list(map(int, starts_text.replace(":", ";").split(";")))
-            starts = list(zip(ints[0::2], ints[1::2]))
-        if _int(freq_text) != len(starts):
-            raise TableFormatError(
-                f"frequency field {freq_text} does not match "
-                f"{len(starts)} start entries"
-            )
+        episode = parse_episode(record[1])
+        ints = list(map(int, record[3].replace(":", ";").split(";"))) if record[3] else []
+        starts = list(zip(ints[0::2], ints[1::2]))
         # Starts increase strictly, but a 1-node row repeats a start once
         # for each copy of its event that #mult records.
         sym = episode.event_types[0] if episode.length == 1 else None
@@ -431,15 +418,23 @@ def load_table(handle: IO[str]) -> EncodingTable:
             not all(map(le, starts, starts[1:]))
             or any(len(list(r)) > multiplicities.get((*s, sym), 1) for s, r in groupby(starts))
         ):
-            raise TableFormatError(f"starts of row {episode_text!r} repeat or are out of order")
-        if starts:
-            max_seq = max(max_seq, starts[-1][0])  # the starts are in order
+            raise TableFormatError(f"starts of row {record[1]!r} repeat or are out of order")
         rows.append(
             TableRow(episode, tuple(starts), residual=episode.length == 1)
         )
+    max_seq = max((row.starts[-1][0] for row in rows if row.starts), default=-1)  # starts in order
     if declared is not None and declared <= max_seq:
         raise TableFormatError(
             f"#sequences {declared} but a start refers to sequence {max_seq}"
         )
     n_sequences = max_seq + 1 if declared is None else declared
-    return EncodingTable(tuple(rows), multiplicities, n_sequences)
+    table = EncodingTable(tuple(rows), multiplicities, n_sequences)
+    lines, canonical = text.splitlines(True), _table_text(table).splitlines(True)
+    if lines != canonical:
+        pairs = zip_longest(lines, canonical, fillvalue="")
+        n, got, want = next((n, *p) for n, p in enumerate(pairs, 1) if p[0] != p[1])
+        raise TableFormatError(
+            f"line {n} is not as save_table writes it (LF line ends, integers in plain "
+            f"decimal): expected {want!r}, got {got!r}"
+        )
+    return table

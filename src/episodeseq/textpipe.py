@@ -193,22 +193,15 @@ class FeatureMatrix:
 
 def _term_counts(corpus: Corpus, dictionary: Alphabet) -> FeatureMatrix:
     """Raw word counts per document; out-of-dictionary words are left out."""
-    indptr = np.zeros(corpus.n_documents + 1, dtype=np.intp)
-    indices: list[int] = []
-    counts: list[int] = []
-    for row, doc in enumerate(corpus.documents):
-        tally: dict[int, int] = {}
-        for word in doc:
-            if word in dictionary:
-                wid = dictionary.index(word)
-                tally[wid] = tally.get(wid, 0) + 1
-        for wid in sorted(tally):
-            indices.append(wid)
-            counts.append(tally[wid])
-        indptr[row + 1] = len(indices)
-    return FeatureMatrix(
-        indptr, np.array(indices, dtype=np.intp), np.array(counts, dtype=float), dictionary
-    )
+    n, docs = len(dictionary), corpus.documents
+    ids = dict(zip(dictionary.symbols, range(n)))
+    # One document-major key per in-dictionary token: document * n + word id.
+    keys = np.array([r * n + ids[w] for r, d in enumerate(docs) for w in d if w in ids], np.intp)
+    keys = keys[np.lexsort((keys,))]  # np.sort's quicksort would map 0.3 MiB more code
+    heads = np.flatnonzero(np.diff(keys, prepend=-1))
+    indptr = np.searchsorted(keys[heads], np.arange(len(docs) + 1) * n)
+    counts = np.diff(heads, append=len(keys)).astype(float)
+    return FeatureMatrix(indptr, keys[heads] % max(n, 1), counts, dictionary)
 
 
 def compute_idf(corpus: Corpus, dictionary: Alphabet) -> np.ndarray:

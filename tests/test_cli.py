@@ -211,6 +211,15 @@ def test_hmm_compare_output(capsys):
     assert "overlap_score_1[beta]\t29" in out
 
 
+@pytest.mark.parametrize("size", ["-8", "-100"])
+def test_hmm_compare_refuses_an_alphabet_size_below_one(size, capsys):
+    # Below -8, M / (M + 8) is positive again and eta passes its bound.
+    argv = ["hmm-compare", "--n-nodes", "3", "--f-beta", "10", "--o-beta", "1"]
+    argv += ["--f-gamma", "8", "--o-gamma", "4", "--eta", "0.2", "--alphabet-size", size]
+    assert main(argv) == 3
+    assert f"alphabet size must be at least 1, got {size}" in capsys.readouterr().err
+
+
 def test_dict_and_classify(tmp_path, capsys):
     train = tmp_path / "train.tsv"
     test = tmp_path / "test.tsv"
@@ -382,19 +391,24 @@ def _arabic(text: str) -> str:
 
 @st.composite
 def _mutated_golden_table(draw):
-    """A golden table with 1-3 edits that keep its lines in the form
-    ``save_table`` writes: starts dropped, repeated or moved, a row that
-    re-codes a covered event, a changed multiplicity, extra sequences, or
-    an integer in another spelling that ``int`` reads the same."""
+    """A golden table with 1-3 edits: starts dropped, repeated or moved, a
+    row that re-codes a covered event, a changed multiplicity, extra
+    sequences, an integer in another spelling that ``int`` reads the same,
+    or a form ``save_table`` never writes: a blank line, CRLF line ends,
+    ``#mult`` keys shuffled or repeated, or a ``#sequences`` line that the
+    rows imply."""
     header, *lines = draw(st.sampled_from(GOLDEN_TABLES)).read_text("utf-8").splitlines()
     comments = [line for line in lines if line.startswith("#")]
     rows = [[*r[:3], r[3].split(";")] for r in csv.reader(l for l in lines if l[0] != "#")]
+    forms = set()  # edits of the finished text
     for _ in range(draw(st.integers(1, 3))):
         row = draw(st.sampled_from(rows))
         k = draw(st.integers(0, len(row[3]) - 1))
         seq, _, t = row[3][k].partition(":")
         edit = draw(
-            st.sampled_from(["drop", "repeat", "move", "recode", "mult", "sequences", "spelling"])
+            st.sampled_from(
+                ["drop", "repeat", "move", "recode", "mult", "sequences", "spelling", "form"]
+            )
         )
         if edit == "drop" and len(row[3]) > 1:
             del row[3][k]
@@ -426,10 +440,30 @@ def _mutated_golden_table(draw):
                 row[1] = re.sub(r"-(\d+)->", r"-0\1->", row[1], count=1)
             else:
                 row[3][k] = f"{respell(seq)}:{t}" if field == "seq" else f"{seq}:{respell(t)}"
+        elif edit == "form":
+            form = draw(st.sampled_from(["blank", "crlf", "shuffle", "repeat key", "implied"]))
+            has_mult = comments and comments[0].startswith("#mult ")
+            mult = comments[0][6:].split(";") if has_mult else []
+            if form in ("blank", "crlf"):
+                forms.add(form)
+            elif form == "shuffle" and len(mult) > 1:
+                comments[0] = "#mult " + ";".join(draw(st.permutations(mult)))
+            elif form == "repeat key" and mult:
+                j = draw(st.integers(0, len(mult) - 1))
+                again = mult[j].rpartition("=")[0] + f"={draw(st.integers(2, 4))}"
+                comments[0] = "#mult " + ";".join([*mult[: j + 1], again, *mult[j + 1 :]])
+            elif form == "implied" and not any(c.startswith("#seq") for c in comments):
+                used = 1 + max(int(p.partition(":")[0]) for r in rows for p in r[3])
+                comments.append(f"#sequences {used}")
         row[2] = str(len(row[3]))
     body = io.StringIO()
     csv.writer(body, lineterminator="\n").writerows([*r[:3], ";".join(r[3])] for r in rows)
-    return "\n".join([header, *comments]) + "\n" + body.getvalue()
+    text = "\n".join([header, *comments]) + "\n" + body.getvalue()
+    if "blank" in forms:
+        lines = text.split("\n")
+        at = draw(st.integers(1, len(lines) - 1))
+        text = "\n".join([*lines[:at], "", *lines[at:]])
+    return text.replace("\n", "\r\n") if "crlf" in forms else text
 
 
 @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -520,6 +554,53 @@ def test_decode_refuses_an_integer_not_in_plain_decimal(body, tmp_path, capsys):
     assert main(["decode", str(table), "-o", str(out)]) == 3
     assert out.read_bytes() == b"previous contents\n"
     assert "plain decimal" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("size,episode,freq,starts\n2,A -1-> B,1,0:1\n\n1,A,1,0:5\n", 3),
+        ("size,episode,freq,starts\r\n2,A -1-> B,1,0:1\r\n", 1),
+        ("size,episode,freq,starts\n2,A -1-> B,1,0:1", 2),
+        ('size,episode,freq,starts\n"2",A -1-> B,1,0:1\n', 2),
+        ("size,episode,freq,starts\n#mult 0:3:A=2;0:1:A=2\n1,A,4,0:1;0:1;0:3;0:3\n", 2),
+        ("size,episode,freq,starts\n#mult 0:1:A=2;0:1:A=3\n1,A,3,0:1;0:1;0:1\n", 2),
+        ("size,episode,freq,starts\n#sequences 1\n1,A,1,0:1\n", 2),
+        ("size,episode,freq,starts\n2,A  -1-> B,1,0:1\n", 2),
+        ('size,episode,freq,starts\n1,A",1,0:1\n', 2),
+    ],
+    ids=[
+        "blank-line",
+        "crlf",
+        "no-final-newline",
+        "quoted-field",
+        "mult-keys-out-of-order",
+        "mult-key-repeated",
+        "implied-sequence-count",
+        "episode-spacing",
+        "unquoted-quote-mark",
+    ],
+)
+def test_decode_refuses_a_table_save_table_would_not_write(text, line, tmp_path, capsys):
+    # Each table loads to one that save_table writes as other bytes.
+    table = tmp_path / "t.csv"
+    table.write_bytes(text.encode("utf-8"))
+    out = tmp_path / "events.tsv"
+    out.write_bytes(b"previous contents\n")
+    assert main(["decode", str(table), "-o", str(out)]) == 3
+    assert out.read_bytes() == b"previous contents\n"
+    assert f"error: line {line} " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry", ["0:1:A", "=2", "0:1=2"])
+def test_decode_names_a_malformed_multiplicity_entry(entry, tmp_path, capsys):
+    table = tmp_path / "t.csv"
+    table.write_text(f"size,episode,freq,starts\n#mult {entry}\n1,A,2,0:1;0:1\n", "utf-8")
+    out = tmp_path / "events.tsv"
+    out.write_bytes(b"previous contents\n")
+    assert main(["decode", str(table), "-o", str(out)]) == 3
+    assert out.read_bytes() == b"previous contents\n"
+    assert f"#mult entry {entry!r}" in capsys.readouterr().err
 
 
 def test_mine_with_a_huge_gap_runs_in_bounded_memory(tmp_path):

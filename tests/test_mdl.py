@@ -1,3 +1,4 @@
+import csv
 import io
 import random
 import tracemalloc
@@ -625,6 +626,15 @@ def test_table_round_trips_or_save_refuses(symbols, data):
         assert out.getvalue() == ""
         return
     assert decode(load_table(io.StringIO(out.getvalue()))) == dataset
+
+
+def test_table_with_a_starts_field_longer_than_the_csv_limit_round_trips():
+    data = EventDataset.from_tuples([[(t, "A") for t in range(0, 40000, 2)]])
+    out = io.StringIO()
+    save_table(encode(data, forced_selection(data, [])), out)
+    assert len(out.getvalue()) > csv.field_size_limit()  # one 20,000-start row
+    loaded = load_table(io.StringIO(out.getvalue()))
+    assert decode(loaded) == data
 
 
 def test_load_table_rejects_malformed():
