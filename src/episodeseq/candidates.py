@@ -7,12 +7,15 @@ end offset hits an event of the new symbol.  Along every root-to-leaf path
 the highest-scoring episode is emitted, so the candidate set holds one
 "best" episode per path, deduplicated.
 
-Extensions are cut once the mode frequency drops below 2.  Frequency only
-shrinks along extensions, so the cut branches hold episodes that occur at
-most once; no user frequency threshold is involved.  A positive score needs
-f >= 3 and an f = 2 episode scores -3, so ``select``'s search extends only
-nodes with f >= 3, but makes f = 2 children as leaves, since a leaf emits
-its path best; ``generate_candidates`` extends f = 2 nodes too.
+Children are made only with a mode frequency of 2 or more, and a branch
+that cannot beat its path's best is cut, a branch-and-bound as Morishita &
+Sese bound a statistic over a lattice (PODS 2000).  A descendant of a node
+has f' <= f and at most ``n_max`` nodes, one per symbol type searched, so
+it scores at most ``row_gain(n_max, f)``; a node grows only when that
+reaches its path's best score (and 1, in ``select``'s positive search).
+A cut node emits its path best, which no descendant could beat or tie, so
+the emitted set is that of the uncut search.  An f = 2 node's bound is -3,
+so a positive search extends only nodes with f >= 3.
 
 The trees are searched one depth at a time, as Mannila, Toivonen & Verkamo
 count episodes level-wise (DMKD 1997), by numpy joins over whole depths.
@@ -109,7 +112,6 @@ def _search(axis: _Axis, left, no_mode: bool, positive: bool) -> list[Candidate]
     """The per-path best episodes over the slots ``left`` selects, in
     canonical order; only those with a positive score when ``positive``."""
     times, types = axis.times[left], axis.types[left]
-    prune = _PRUNE_FREQUENCY + positive  # descendants of an f = 2 node score -3
     # Row r's window, rows lo[r] to hi[r] - 1: those after its time and at most max_gap past it.
     row_type = np.int32 if len(times) < 2**31 else np.int64
     lo = np.searchsorted(times, times, "right").astype(row_type)
@@ -140,7 +142,7 @@ def _search(axis: _Axis, left, no_mode: bool, positive: bool) -> list[Candidate]
         rows = depth.row[np.repeat(own, size)]
         kept.append((depth.ids[own], depth.gaps[own], depth.f[own], size[own], rows))
         del own, size, rows
-        depth, refs = _extend(depth, axis, (times, types, lo, hi), no_mode, prune)
+        depth, refs = _extend(depth, axis, (times, types, lo, hi), no_mode, positive, len(roots))
         leaf_refs.append(refs)
     emitted = np.zeros(n_kept, bool)
     emitted[np.concatenate(leaf_refs)] = True
@@ -165,11 +167,16 @@ def _search(axis: _Axis, left, no_mode: bool, positive: bool) -> list[Candidate]
     return candidates
 
 
-def _extend(depth: _Depth, axis: _Axis, events: tuple, no_mode: bool, prune: int):
-    """The next depth (None past the last one), grown from the nodes with
-    f > ``prune``, and the path-best refs of the nodes that have no child."""
+def _extend(
+    depth: _Depth, axis: _Axis, events: tuple, no_mode: bool, positive: bool, n_max: int
+):
+    """The next depth (None past the last one), grown from the nodes whose
+    bound ``row_gain(n_max, f)`` reaches their path's best score (and 1
+    when ``positive``), and the path-best refs of the nodes without a child."""
     n = len(depth.f)
-    live = np.flatnonzero(depth.f > prune)
+    best = np.maximum(depth.best_score, 1) if positive else depth.best_score
+    grow = row_gain(n_max, depth.f.astype(np.int64)) >= best
+    live = np.flatnonzero(grow)
     if not len(live):
         return None, depth.best_ref
     # Blocks of whole nodes, each starting at a live node every _BLOCK starts
@@ -178,7 +185,7 @@ def _extend(depth: _Depth, axis: _Axis, events: tuple, no_mode: bool, prune: int
     cuts = np.diff(depth.ptr[live] // _BLOCK, prepend=-1) | np.diff(live // step, prepend=-1)
     cuts = live[np.flatnonzero(cuts)]
     cuts = np.append(cuts, n).tolist()
-    parts = [_join(depth, axis, events, no_mode, prune, a, z) for a, z in zip(cuts, cuts[1:])]
+    parts = [_join(depth, axis, events, no_mode, grow, a, z) for a, z in zip(cuts, cuts[1:])]
     depth.ptr = depth.row = None  # joined: the children hold the occurrences now
     parent, sym, delta, f, size, row = map(np.concatenate, zip(*parts))
     del parts, live
@@ -199,14 +206,17 @@ def _extend(depth: _Depth, axis: _Axis, events: tuple, no_mode: bool, prune: int
     return child, depth.best_ref[~has_child]
 
 
-def _join(depth: _Depth, axis: _Axis, events: tuple, no_mode: bool, prune: int, a: int, z: int):
-    """The children of nodes a..z-1: their parents, symbols, last gaps,
-    frequencies, and the number and the list of their occurrences' rows."""
+def _join(
+    depth: _Depth, axis: _Axis, events: tuple, no_mode: bool, grow: np.ndarray, a: int, z: int
+):
+    """The children of the ``grow`` nodes among a..z-1: their parents,
+    symbols, last gaps, frequencies, and the number and the list of their
+    occurrences' rows."""
     times, types, lo_at, hi_at = events
     max_gap = axis.max_gap
     node = np.repeat(np.arange(a, z, dtype=np.int32), np.diff(depth.ptr[a : z + 1]))
     row = depth.row[depth.ptr[a] : depth.ptr[z]]
-    live = depth.f[node] > prune
+    live = grow[node]
     node, row = node[live], row[live]
     lo = lo_at[row]
     count = hi_at[row] - lo

@@ -259,24 +259,22 @@ def default_pair_alphabet(
     Episode symbols come first in order of appearance; remaining slots are
     filled with unused capital letters, then generated names.
     """
-    names: list[str] = []
-    for sym in alpha.event_types + beta.event_types:
-        if sym not in names:
-            names.append(sym)
+    names = list(dict.fromkeys(alpha.event_types + beta.event_types))
     if alphabet_size < len(names):
         raise ValueError(
             f"alphabet size {alphabet_size} too small for "
             f"{len(names)} distinct episode symbols"
         )
+    taken = set(names)  # the list keeps the order, the set answers membership
     for letter in "ABCDEFGHIJKLMNOPQRSTUVWXYZ":
         if len(names) == alphabet_size:
             break
-        if letter not in names:
+        if letter not in taken:
             names.append(letter)
     k = 0
     while len(names) < alphabet_size:
         candidate = f"x{k}"
-        if candidate not in names:
+        if candidate not in taken:
             names.append(candidate)
         k += 1
     return Alphabet(tuple(names))
@@ -552,6 +550,8 @@ def compare_pairs(
     """
     if stats_beta.n_nodes != stats_gamma.n_nodes:
         raise ValueError("pair statistics must describe equal-length episodes")
+    if stats_beta.n_nodes < 1:
+        raise ValueError(f"episodes must have at least 1 node, got {stats_beta.n_nodes}")
     m = alphabet_size
     _check_eta(eta, m)
     n = stats_beta.n_nodes

@@ -384,44 +384,51 @@ def load_table(handle: IO[str]) -> EncodingTable:
     :class:`TableFormatError` for a multiplicity below 2, for starts that
     repeat or fall out of order, for ``#sequences`` at or below a sequence
     that a start refers to, and for any other text that :func:`save_table`
-    would not write back byte for byte, naming the first line that differs.
+    would not write back byte for byte, naming the first line that differs;
+    a line that does not parse is named too.
     """
     text = handle.read()
-    body = text.splitlines()[1:]  # the header is compared with the rest, last
-    has_mult = body and body[0].startswith("#mult ")
+    lines = text.splitlines()
     multiplicities: dict[tuple[int, int, str], int] = {}
-    for part in body.pop(0)[len("#mult ") :].split(";") if has_mult else ():
-        loc, _, m = part.rpartition("=")
-        key = loc.split(":", 2)
-        if len(key) != 3:
-            raise TableFormatError(f"#mult entry {part!r} is not seq:time:symbol=count")
-        if int(m) < 2:
-            raise TableFormatError(f"#mult gives {loc} multiplicity {m}, below 2")
-        multiplicities[(int(key[0]), int(key[1]), key[2])] = int(m)
-    has_count = body and body[0].startswith("#sequences ")
-    declared = int(body.pop(0)[len("#sequences ") :]) if has_count else None
+    declared = None
     rows: list[TableRow] = []
-    for line in body:
-        if not line:
-            continue
-        head, *tail = line.rsplit(",", 2)  # long starts outgrow csv's field size limit
-        record = [*next(csv.reader([head]), []), *tail]
-        if len(record) != 4:
-            raise TableFormatError(f"expected 4 fields, got {record!r}")
-        episode = parse_episode(record[1])
-        ints = list(map(int, record[3].replace(":", ";").split(";"))) if record[3] else []
-        starts = list(zip(ints[0::2], ints[1::2]))
-        # Starts increase strictly, but a 1-node row repeats a start once
-        # for each copy of its event that #mult records.
-        sym = episode.event_types[0] if episode.length == 1 else None
-        if not all(map(lt, starts, starts[1:])) and (
-            not all(map(le, starts, starts[1:]))
-            or any(len(list(r)) > multiplicities.get((*s, sym), 1) for s, r in groupby(starts))
-        ):
-            raise TableFormatError(f"starts of row {record[1]!r} repeat or are out of order")
-        rows.append(
-            TableRow(episode, tuple(starts), residual=episode.length == 1)
-        )
+    n = 1  # lines[0], the header, is compared with the rest, last
+    try:
+        if n < len(lines) and lines[n].startswith("#mult "):
+            for part in lines[n][len("#mult ") :].split(";"):
+                loc, _, m = part.rpartition("=")
+                key = loc.split(":", 2)
+                if len(key) != 3:
+                    raise TableFormatError(f"#mult entry {part!r} is not seq:time:symbol=count")
+                if int(m) < 2:
+                    raise TableFormatError(f"#mult gives {loc} multiplicity {m}, below 2")
+                multiplicities[(int(key[0]), int(key[1]), key[2])] = int(m)
+            n += 1
+        if n < len(lines) and lines[n].startswith("#sequences "):
+            declared = int(lines[n][len("#sequences ") :])
+            n += 1
+        for n in range(n, len(lines)):
+            line = lines[n]
+            if not line:
+                continue
+            head, *tail = line.rsplit(",", 2)  # long starts outgrow csv's field size limit
+            record = [*next(csv.reader([head]), []), *tail]
+            if len(record) != 4:
+                raise TableFormatError(f"expected 4 fields, got {record!r}")
+            episode = parse_episode(record[1])
+            ints = list(map(int, record[3].replace(":", ";").split(";"))) if record[3] else []
+            starts = list(zip(ints[0::2], ints[1::2]))
+            # Starts increase strictly, but a 1-node row repeats a start once
+            # for each copy of its event that #mult records.
+            sym = episode.event_types[0] if episode.length == 1 else None
+            if not all(map(lt, starts, starts[1:])) and (
+                not all(map(le, starts, starts[1:]))
+                or any(len(list(r)) > multiplicities.get((*s, sym), 1) for s, r in groupby(starts))
+            ):
+                raise TableFormatError(f"starts of row {record[1]!r} repeat or are out of order")
+            rows.append(TableRow(episode, tuple(starts), residual=episode.length == 1))
+    except ValueError as err:
+        raise TableFormatError(f"line {n + 1}: {err}") from err
     max_seq = max((row.starts[-1][0] for row in rows if row.starts), default=-1)  # starts in order
     if declared is not None and declared <= max_seq:
         raise TableFormatError(

@@ -226,6 +226,26 @@ def random_planted_dataset(
     return data, episode
 
 
+def reference_pair_alphabet(alpha, beta, alphabet_size: int) -> tuple[str, ...]:
+    """The pair alphabet's symbols, built with membership tests on the list:
+    episode symbols in order of appearance, unused capitals, then x0, x1, ..."""
+    names: list[str] = []
+    for sym in alpha.event_types + beta.event_types:
+        if sym not in names:
+            names.append(sym)
+    for letter in "ABCDEFGHIJKLMNOPQRSTUVWXYZ":
+        if len(names) == alphabet_size:
+            break
+        if letter not in names:
+            names.append(letter)
+    k = 0
+    while len(names) < alphabet_size:
+        if f"x{k}" not in names:
+            names.append(f"x{k}")
+        k += 1
+    return tuple(names)
+
+
 def dense_transitions(model) -> np.ndarray:
     """A pair model's successor maps as a dense (S, S) transition matrix."""
     trans = np.zeros((model.n_states, model.n_states))

@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 
@@ -19,6 +20,7 @@ from episodeseq import (
     score,
     select,
 )
+from episodeseq import candidates
 from episodeseq.candidates import _search
 from episodeseq.occurrences import _Axis
 from oracles import (
@@ -180,7 +182,8 @@ def test_candidates_equal_dfs_oracle():
 
 
 def test_positive_search_equals_positive_dfs_candidates():
-    # select's search stops extending at f = 2 but must emit the same
+    # select's search grows a node only while a descendant could reach its
+    # path's best and a positive score, but must emit the same
     # positive-score candidates as the full search.
     rng = random.Random(1997)
     positive = 0
@@ -310,3 +313,72 @@ def test_candidates_equal_dfs_oracle_on_wide_gaps():
                 for search in (generate_candidates, dfs_candidates)
             )
             assert got == want
+
+
+def _deep_planted_dataset(rng):
+    """One sequence over 6-9 symbols: one or two 4-6-node episodes with
+    gaps of 1-3, each planted 3-8 times with an event sometimes missing,
+    among noise events."""
+    symbols = "ABCDEFGHI"[: rng.randint(6, 9)]
+    events = []
+    for _ in range(rng.randint(1, 2)):
+        nodes = rng.sample(symbols, rng.randint(4, 6))
+        offsets = [0, *itertools.accumulate(rng.randint(1, 3) for _ in nodes[1:])]
+        t = rng.randint(0, 10)
+        for _ in range(rng.randint(3, 8)):
+            events += [(t + o, x) for o, x in zip(offsets, nodes) if rng.random() > 0.1]
+            t += offsets[-1] + rng.randint(1, 6)
+    end = max(t for t, _ in events)
+    events += [(rng.randint(0, end), rng.choice(symbols)) for _ in range(rng.randint(0, 40))]
+    return EventDataset.from_tuples([events], Alphabet(tuple(symbols)))
+
+
+def test_searches_equal_dfs_oracle_on_deep_paths():
+    # Up to 9 symbols and 6-node planted episodes: the bound that cuts a
+    # node, row_gain(n_max, f), reaches past the 4 symbols of the other
+    # oracle datasets, and long paths hold nodes on both sides of it.
+    rng = random.Random(31)
+    deep = 0
+    for _ in range(300):
+        data = _deep_planted_dataset(rng)
+        max_gap = rng.randint(2, 4)
+        axis = _Axis(data, max_gap)
+        for mode in FrequencyMode:
+            want = [
+                (c.key, c.frequency, c.score, c.occurrences.starts)
+                for c in dfs_candidates(data, max_gap, mode)
+            ]
+            got = [
+                (c.key, c.frequency, c.score, c.occurrences.starts)
+                for c in generate_candidates(data, max_gap, mode)
+            ]
+            assert got == want, (data.named_sequences(), max_gap, mode)
+            positive = [
+                (c.key, c.frequency, c.score, c.occurrences.starts)
+                for c in _search(axis, slice(None), mode is FrequencyMode.NON_OVERLAPPED, True)
+            ]
+            assert positive == [c for c in want if c[2] > 0], (data.named_sequences(), max_gap)
+            deep += sum(c[0].count("->") >= 3 for c in positive)
+    assert deep > 1000
+
+
+def test_select_search_cuts_branches_that_cannot_beat_their_path_best(monkeypatch):
+    # A node grows only while row_gain(n_max, f) reaches its path's best
+    # (at least 1 in select); with the f >= 3 rule alone select's joins
+    # made 43,014 children here.
+    alpha = parse_serial_episode("A -> B -> C")
+    beta = parse_serial_episode("D -> B -> E")
+    model = hmm.build_model(alpha, beta, hmm.default_pair_alphabet(alpha, beta, 9), 0.25)
+    data = hmm.trajectory_dataset(model, hmm.simulate(model, 10_000, 0))
+    join = candidates._join
+    children = 0
+
+    def counting_join(*args):
+        nonlocal children
+        out = join(*args)
+        children += len(out[0])
+        return out
+
+    monkeypatch.setattr(candidates, "_join", counting_join)
+    assert select(data, 3).selected
+    assert 0 < children <= 20_000

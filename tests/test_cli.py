@@ -220,6 +220,15 @@ def test_hmm_compare_refuses_an_alphabet_size_below_one(size, capsys):
     assert f"alphabet size must be at least 1, got {size}" in capsys.readouterr().err
 
 
+def test_hmm_compare_refuses_episodes_without_nodes(capsys):
+    argv = ["hmm-compare", "--n-nodes", "0", "--f-beta", "3", "--o-beta", "0"]
+    argv += ["--f-gamma", "2", "--o-gamma", "0", "--eta", "0.2", "--alphabet-size", "10"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "at least 1 node, got 0" in captured.err
+
+
 def test_dict_and_classify(tmp_path, capsys):
     train = tmp_path / "train.tsv"
     test = tmp_path / "test.tsv"
@@ -590,6 +599,30 @@ def test_decode_refuses_a_table_save_table_would_not_write(text, line, tmp_path,
     assert main(["decode", str(table), "-o", str(out)]) == 3
     assert out.read_bytes() == b"previous contents\n"
     assert f"error: line {line} " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "body, line",
+    [
+        ("1,A,1,0:x", 2),
+        ("2,A -1-> B,1,0:1\n1,A,1,0:1;y:2", 3),
+        ("1,A,1", 2),
+        ("2,A -0-> B,1,0:1", 2),
+        ("#mult 0:1:A=x\n1,A,2,0:1;0:1", 2),
+        ("#mult 0:x:A=2\n1,A,2,0:1;0:1", 2),
+        ("#sequences x\n1,A,1,0:1", 2),
+        ("#mult 0:1:A=2\n#sequences 1x\n1,A,2,0:1;0:1", 3),
+        ("#mult 0:1:A=2\n1,B,1,0:2\n1,A,2,0:1;0:x", 4),
+    ],
+)
+def test_decode_names_the_line_of_a_parse_error(body, line, tmp_path, capsys):
+    table = tmp_path / "t.csv"
+    table.write_text(f"size,episode,freq,starts\n{body}\n", "utf-8")
+    out = tmp_path / "events.tsv"
+    out.write_bytes(b"previous contents\n")
+    assert main(["decode", str(table), "-o", str(out)]) == 3
+    assert out.read_bytes() == b"previous contents\n"
+    assert f"error: line {line}: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("entry", ["0:1:A", "=2", "0:1=2"])

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -31,7 +32,12 @@ from episodeseq import (
     trajectory_stats,
     viterbi,
 )
-from oracles import dense_transition_oracle, dense_transitions, dense_viterbi
+from oracles import (
+    dense_transition_oracle,
+    dense_transitions,
+    dense_viterbi,
+    reference_pair_alphabet,
+)
 
 
 def pair_model(alpha="A -> B -> C", beta="D -> B -> E", m=7, eta=0.2):
@@ -504,6 +510,38 @@ def test_compare_pairs_case_b2_closed_form():
 def test_compare_pairs_rejects_mismatched_lengths():
     with pytest.raises(ValueError):
         compare_pairs(PairStats(2, 0, 5, 0), PairStats(3, 0, 5, 0), 0.2, 10)
+
+
+def test_compare_pairs_rejects_zero_node_episodes():
+    with pytest.raises(ValueError, match="at least 1 node, got 0"):
+        compare_pairs(PairStats(0, 0, 3, 0), PairStats(0, 0, 2, 0), 0.2, 10)
+
+
+@pytest.mark.parametrize(
+    "alpha, beta",
+    [
+        ("A -> B -> C", "D -> B -> E"),
+        ("x1 -> Q -> x0", "x3 -> A -> Z"),
+        ("Z -> x2", "Y -> x0"),
+    ],
+)
+def test_default_pair_alphabet_keeps_the_list_built_order(alpha, beta):
+    # Episode symbols that are also filler names (a capital, x<k>) appear once.
+    a, b = parse_serial_episode(alpha), parse_serial_episode(beta)
+    distinct = len(set(a.event_types + b.event_types))
+    for size in range(distinct, distinct + 40):
+        assert default_pair_alphabet(a, b, size).symbols == reference_pair_alphabet(a, b, size)
+
+
+def test_default_pair_alphabet_is_linear_in_its_size():
+    # A membership test on the list made this quadratic: 3.5 s at 20,000.
+    a, b = parse_serial_episode("x1 -> Q -> C"), parse_serial_episode("D -> x5 -> E")
+    start = time.perf_counter()
+    alphabet = default_pair_alphabet(a, b, 200_000)
+    assert time.perf_counter() - start < 2.0
+    assert alphabet.size == 200_000
+    # 6 episode symbols and 22 capitals, then x0 to x199973 without x1 and x5
+    assert alphabet.symbols[-1] == "x199973"
 
 
 def test_ordering_grid_agreement_medium():
