@@ -7,7 +7,8 @@ single noise parameter eta fixes every probability: from any state the
 transition into a noise state has probability eta, and the remainder is
 split equally among the reachable episode states.  Each state has at most
 three successors, so the model keeps one successor map per state rather
-than an S x S matrix.
+than an S x S matrix, and one emitted symbol id per state (-1 for noise)
+rather than an S x M matrix: its memory is O(S + M).
 
 State S1(i,j) emits the first episode's i-th symbol while the second
 episode is waiting at position j; S2(i,j) emits the second episode's j-th
@@ -50,10 +51,6 @@ class StateKind(str, Enum):
     NOISE1 = "N1"
     NOISE2 = "N2"
     NOISE0 = "N0"
-
-    @property
-    def is_noise(self) -> bool:
-        return self in (StateKind.NOISE1, StateKind.NOISE2, StateKind.NOISE0)
 
 
 # The dense state index runs N0, then one N x N block per kind in this order.
@@ -102,10 +99,13 @@ class StateId:
 
 @dataclass(frozen=True)
 class EpisodePairModel:
-    """The pair model: successor maps, initial law, and emissions.
+    """The pair model: successor maps, initial law, and emitted symbols.
 
     ``successors[s]`` maps each state reachable from ``s`` to its transition
     probability, every one positive, in ascending state index order.
+    ``symbols[s]`` is the id of the one symbol episode state ``s`` emits, or
+    -1 for a noise state, which emits each of the M symbols with
+    probability 1/M.
     """
 
     alpha: SerialEpisode
@@ -114,7 +114,7 @@ class EpisodePairModel:
     eta: float
     successors: tuple[dict[int, float], ...]  # (n_states,)
     initial: np.ndarray  # (n_states,)
-    emissions: np.ndarray  # (n_states, M)
+    symbols: tuple[int, ...]  # (n_states,)
     shared_entry_edges: frozenset[tuple[int, int]]
     shared_initial_state: int | None
 
@@ -151,14 +151,10 @@ def _check_eta(eta: float, m: int) -> None:
         )
 
 
-def _emission(alpha: SerialEpisode, beta: SerialEpisode, state: StateId) -> str | None:
-    """The symbol an episode state emits; None for a noise state, which
-    emits uniformly over the alphabet."""
-    if state.kind is StateKind.EP1:
-        return alpha.event_types[state.i - 1]
-    if state.kind is StateKind.EP2:
-        return beta.event_types[state.j - 1]
-    return None
+def _check_ids(ids: Sequence[int], bound: int, what: str) -> None:
+    """Refuse an id outside 0..bound - 1; a lookup would wrap a negative one."""
+    if any(not 0 <= k < bound for k in ids):
+        raise ValueError(f"{what} id outside 0..{bound - 1}")
 
 
 def build_model(
@@ -177,13 +173,12 @@ def build_model(
         raise ValueError(
             f"episodes must have equal length, got {alpha.length} and {beta.length}"
         )
-    m = alphabet.size
-    _check_eta(eta, m)
+    _check_eta(eta, alphabet.size)
 
     n_states = 4 * n * n + 1
     succ: list[dict[int, float]] = [{} for _ in range(n_states)]
     init = np.zeros(n_states)
-    emit = np.zeros((n_states, m))
+    symbols = [-1] * n_states
 
     def nxt(k: int) -> int:
         return k % n + 1
@@ -202,6 +197,8 @@ def build_model(
             succ[s2(i, j)] = {**advance_b, n2(i, j): eta}
             succ[n1(i, j)] = {**advance_a, n1(i, j): eta}
             succ[n2(i, j)] = {**advance_b, n2(i, j): eta}
+            symbols[s1(i, j)] = alphabet.index(alpha.event_types[i - 1])
+            symbols[s2(i, j)] = alphabet.index(beta.event_types[j - 1])
     succ[n0] = {n0: eta, s1(1, 1): half, s2(1, 1): half}
 
     # Shared-event transitions: where the next symbols of both episodes
@@ -231,13 +228,6 @@ def build_model(
         shared_initial = s1(1, nxt(1))
         init[shared_initial] = 1.0 - eta
 
-    for idx in range(n_states):
-        sym = _emission(alpha, beta, StateId.from_index(idx, n))
-        if sym is None:
-            emit[idx, :] = 1.0 / m
-        else:
-            emit[idx, alphabet.index(sym)] = 1.0
-
     return EpisodePairModel(
         alpha,
         beta,
@@ -245,7 +235,7 @@ def build_model(
         eta,
         tuple(succ),
         init,
-        emit,
+        tuple(symbols),
         frozenset(shared_edges),
         shared_initial,
     )
@@ -307,8 +297,7 @@ def simulate(model: EpisodePairModel, length: int, seed: int) -> Trajectory:
     init_cdf = np.cumsum(model.initial)
     succ_states = [tuple(row) for row in model.successors]
     succ_cdf = [list(itertools.accumulate(row.values())) for row in model.successors]
-    ep_symbol = np.argmax(model.emissions, axis=1).tolist()
-    is_noise = [model.state(idx).kind.is_noise for idx in range(model.n_states)]
+    symbols = model.symbols
     m = model.alphabet_size
 
     # Rounding can leave a cumulative sum just below 1; a draw at or above
@@ -325,7 +314,7 @@ def simulate(model: EpisodePairModel, length: int, seed: int) -> Trajectory:
             k = bisect.bisect_right(succ_cdf[state], rng.random())
             state = dsts[min(k, len(dsts) - 1)]
         states.append(state)
-        outputs.append(int(rng.integers(0, m)) if is_noise[state] else ep_symbol[state])
+        outputs.append(int(rng.integers(0, m)) if symbols[state] < 0 else symbols[state])
     return Trajectory(tuple(states), tuple(outputs))
 
 
@@ -350,15 +339,16 @@ def joint_log_likelihood(
         raise ValueError("output and state sequences must have equal length")
     if len(outputs) == 0:
         raise ValueError("sequences must be non-empty")
-    p = model.initial[states[0]] * model.emissions[states[0], outputs[0]]
-    if p == 0.0:
-        return -math.inf
-    total = math.log(p)
-    for t in range(1, len(states)):
-        p = (
-            model.successors[states[t - 1]].get(states[t], 0.0)
-            * model.emissions[states[t], outputs[t]]
-        )
+    _check_ids(states, model.n_states, "state")
+    _check_ids(outputs, model.alphabet_size, "output symbol")
+    uniform = 1.0 / model.alphabet_size
+    weight = model.initial[states[0]]
+    total = 0.0
+    for t, (state, output) in enumerate(zip(states, outputs)):
+        if t:
+            weight = model.successors[states[t - 1]].get(state, 0.0)
+        symbol = model.symbols[state]
+        p = weight * (uniform if symbol < 0 else float(symbol == output))
         if p == 0.0:
             return -math.inf
         total += math.log(p)
@@ -424,9 +414,7 @@ def viterbi(model: EpisodePairModel, outputs: Sequence[int]) -> tuple[int, ...]:
     """
     if len(outputs) == 0:
         raise ValueError("output sequence must be non-empty")
-    m = model.alphabet_size
-    if any(not 0 <= o < m for o in outputs):
-        raise ValueError("output symbol outside the alphabet")
+    _check_ids(outputs, model.alphabet_size, "output symbol")
     n_states = model.n_states
     # Row d of ``preds`` lists the sources of the edges into d in ascending
     # order; spare slots hold source 0 at log-weight -inf.
@@ -442,19 +430,28 @@ def viterbi(model: EpisodePairModel, outputs: Sequence[int]) -> tuple[int, ...]:
     preds[dst, slot] = src
     log_w = np.full(preds.shape, -np.inf)
     log_w[dst, slot] = np.log(weight)
+    # Emission rows only for the U <= min(M, T) distinct outputs: 1 at the
+    # states that emit the output, 1/M at noise states, 0 elsewhere.
+    row_of = {o: k for k, o in enumerate(dict.fromkeys(outputs))}
+    emit = np.zeros((len(row_of), n_states))
+    for state, symbol in enumerate(model.symbols):
+        if symbol < 0:
+            emit[:, state] = 1.0 / model.alphabet_size
+        elif symbol in row_of:
+            emit[row_of[symbol], state] = 1.0
     with np.errstate(divide="ignore"):
         log_init = np.log(model.initial)
-        log_emit = np.ascontiguousarray(np.log(model.emissions).T)  # (M, S)
+        log_emit = np.log(emit)  # (U, S)
     t_max = len(outputs)
     rows = np.arange(n_states)
-    delta = log_init + log_emit[outputs[0]]
+    delta = log_init + log_emit[row_of[outputs[0]]]
     # Back-pointers are slots in ``preds`` rows, so a small int type holds them.
     back = np.empty((t_max, n_states), np.min_scalar_type(preds.shape[1] - 1))
     for t in range(1, t_max):
         scores = delta[preds] + log_w
         col = scores.argmax(axis=1)
         back[t] = col
-        delta = scores[rows, col] + log_emit[outputs[t]]
+        delta = scores[rows, col] + log_emit[row_of[outputs[t]]]
     path = [int(np.argmax(delta))]
     for t in range(t_max - 1, 0, -1):
         path.append(int(preds[path[-1], back[t, path[-1]]]))
@@ -498,6 +495,7 @@ def trajectory_stats(model: EpisodePairModel, states: Sequence[int]) -> PairStat
 def _walk(model: EpisodePairModel, states: Sequence[int]) -> tuple[int, int, int, int]:
     """Complete occurrences of each episode, shared events and noise steps
     along a state sequence, counted in one pass."""
+    _check_ids(states, model.n_states, "state")
     n = model.n_nodes
     f_first = f_second = n_shared = n_noise = 0
     state_ids = [model.state(idx) for idx in range(model.n_states)]
@@ -577,10 +575,10 @@ def model_summary(model: EpisodePairModel) -> dict:
         for src, row in enumerate(model.successors)
         for dst, p in row.items()
     ]
-    emissions = {}
-    for idx in range(model.n_states):
-        sym = _emission(model.alpha, model.beta, model.state(idx))
-        emissions[labels[idx]] = "*uniform*" if sym is None else sym
+    emissions = {
+        label: "*uniform*" if sym < 0 else model.alphabet.name(sym)
+        for label, sym in zip(labels, model.symbols)
+    }
     return {
         "n_nodes": model.n_nodes,
         "alphabet": list(model.alphabet.symbols),

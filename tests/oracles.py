@@ -321,6 +321,35 @@ def dense_transition_oracle(alpha, beta, alphabet, eta) -> np.ndarray:
     return trans
 
 
+def dense_emission_oracle(alpha, beta, alphabet) -> np.ndarray:
+    """The pair model's (S, M) emission matrix, built densely from the
+    episodes: S1(i, j) emits alpha's i-th symbol, S2(i, j) beta's j-th, and
+    every noise state each of the M symbols with probability 1/M."""
+    n = alpha.length
+    m = alphabet.size
+    emit = np.zeros((4 * n * n + 1, m))
+    for idx in range(emit.shape[0]):
+        state = StateId.from_index(idx, n)
+        if state.kind is StateKind.EP1:
+            emit[idx, alphabet.index(alpha.event_types[state.i - 1])] = 1.0
+        elif state.kind is StateKind.EP2:
+            emit[idx, alphabet.index(beta.event_types[state.j - 1])] = 1.0
+        else:
+            emit[idx, :] = 1.0 / m
+    return emit
+
+
+def dense_emissions(model) -> np.ndarray:
+    """A pair model's per-state symbols as a dense (S, M) emission matrix."""
+    emit = np.zeros((model.n_states, model.alphabet_size))
+    for idx, sym in enumerate(model.symbols):
+        if sym < 0:
+            emit[idx, :] = 1.0 / model.alphabet_size
+        else:
+            emit[idx, sym] = 1.0
+    return emit
+
+
 def dense_viterbi(model, outputs) -> tuple[int, ...]:
     """Viterbi path by the dense O(T·S²) max-product over every state pair.
 
@@ -335,7 +364,7 @@ def dense_viterbi(model, outputs) -> tuple[int, ...]:
     with np.errstate(divide="ignore"):
         log_trans = np.log(dense_transitions(model))
         log_init = np.log(model.initial)
-        log_emit = np.log(model.emissions)
+        log_emit = np.log(dense_emission_oracle(model.alpha, model.beta, model.alphabet))
     t_max = len(outputs)
     n_states = model.n_states
     delta = log_init + log_emit[:, outputs[0]]

