@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import groupby, permutations, product
 from operator import itemgetter
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -753,7 +754,7 @@ def reference_encode(data: EventDataset, selection: SelectionState) -> EncodingT
     return EncodingTable(tuple(rows), multiplicities, data.n_sequences)
 
 
-def reference_decode(table: EncodingTable) -> EventDataset:
+def triples_decode(table: EncodingTable) -> EventDataset:
     """A table expanded through a set of (sequence, time, symbol) triples,
     the oracle of ``decode`` on the tables it accepts."""
     triples: set[tuple[int, int, str]] = set()
@@ -778,3 +779,143 @@ def reference_decode(table: EncodingTable) -> EventDataset:
         copies = table.multiplicities.get((seq_idx, t, sym), 1)
         sequences[seq_idx].extend([Event(alphabet.index(sym), t)] * copies)
     return EventDataset(reference_canonical(sequences, alphabet), alphabet)
+
+
+# --- Frozen per-event implementations ---------------------------------------
+#
+# The per-event loops of ``load_events``, ``_Axis.__init__`` and ``decode`` as
+# they stood before events were held as arrays, kept as oracles of the array
+# code.  ``reference_load_events`` inlines ``EventDataset.from_tuples`` and the
+# constructor's canonical sort (``reference_canonical``), so that no array
+# code runs in any of them.
+
+_new_event = partial(tuple.__new__, Event)
+
+
+def reference_load_events(handle) -> EventDataset:
+    """Event-file text read line by line, the oracle of ``load_events``."""
+    sequences: list[list[tuple[int, str]]] = [[]]
+    for lineno, line in enumerate(handle, start=1):
+        stripped = line.strip()
+        if not stripped:
+            if sequences[-1]:
+                sequences.append([])
+            continue
+        fields = stripped.split("\t")
+        if len(fields) != 2:
+            raise DataValidationError(
+                f"line {lineno}: expected '<time>\\t<event_type>', got {line!r}"
+            )
+        try:
+            t = int(fields[0])
+        except ValueError:
+            raise DataValidationError(f"line {lineno}: bad timestamp {fields[0]!r}")
+        sequences[-1].append((t, fields[1]))
+    if sequences and not sequences[-1]:
+        sequences.pop()
+    alphabet = Alphabet.from_names(name for seq in sequences for _, name in seq)
+    seqs = tuple(
+        tuple(map(_new_event, [(alphabet.index(name), int(t)) for t, name in seq]))
+        for seq in sequences
+    )
+    return EventDataset(reference_canonical(seqs, alphabet), alphabet)
+
+
+def reference_axis(data: EventDataset, max_gap: int) -> SimpleNamespace:
+    """The attributes of ``occurrences._Axis(data, max_gap)``, built by a walk
+    over every event."""
+    self = SimpleNamespace()
+    if max_gap < 1:
+        raise ValueError("max_gap must be >= 1")
+    # No gap outgrows the longest sequence; a shorter max_gap keeps the axis short.
+    longest = max((seq[-1].time - seq[0].time for seq in data.sequences if seq), default=0)
+    self.max_gap = max_gap = min(max_gap, max(longest, 1))
+    self.alphabet = data.alphabet
+    # axis time -> (sequence index, time in that sequence)
+    self.pair_at: dict[int, tuple[int, int]] = {}
+    times: list[int] = []  # per slot, in time order
+    types: list[int] = []
+    first: list[int] = []  # the slot's first event, indexed among all events
+    ends = np.cumsum([len(seq) for seq in data.sequences], dtype=np.int64)
+    g = -max_gap - 1
+    for seq_idx, seq in enumerate(data.sequences):
+        prev = None
+        for k, ev in enumerate(seq, int(ends[seq_idx]) - len(seq)):
+            if ev.time != prev:
+                g += max_gap + 1 if prev is None else min(ev.time - prev, max_gap + 1)
+                prev = ev.time
+                self.pair_at[g] = (seq_idx, prev)
+            elif ev.event_type == types[-1]:
+                continue  # events sharing (time, type) are adjacent
+            times.append(g)
+            types.append(ev.event_type)
+            first.append(k)
+    if (g + max_gap + 1) * data.alphabet.size >= 2**63:
+        raise ValueError(f"times too far apart for a 64-bit axis at max_gap {max_gap}")
+    # Small int types keep a depth's arrays small.
+    self.time_type = np.int32 if g + 2 * max_gap < 2**31 else np.int64
+    self.sym_type = np.min_scalar_type(data.alphabet.size)
+    self.gap_type = np.min_scalar_type(-max_gap)  # signed, so spans stay integers
+    self.n_types = data.alphabet.size
+    key = np.array(times, np.int64) * self.n_types + types
+    order = np.argsort(key, kind="stable")  # the identity when type ids follow name order
+    first = np.array(first, np.int64)
+    seq = np.searchsorted(ends, first, side="right")
+    self.key, self.seq = key[order], seq[order]
+    self.pos = (first - np.append(0, ends)[seq])[order]
+    self.mult = np.diff(first, append=ends[-1:])[order]  # up to the next slot's first event
+    self.times = (self.key // self.n_types).astype(self.time_type)
+    self.types = (self.key % self.n_types).astype(self.sym_type)
+    return self
+
+
+def reference_decode(table: EncodingTable) -> EventDataset:
+    """A table expanded entry by entry into ``Event`` tuples, the oracle of
+    ``decode``, refusals and their messages included."""
+    alphabet = Alphabet.from_names(
+        [sym for row in table.rows if row.starts for sym in row.episode.event_types]
+        + [sym for _, _, sym in table.multiplicities]
+    )
+    # Entries of (sequence, time, symbol id, episode size, copies): one per
+    # row node and start, then one per #mult key, with size 0.
+    seqs, times, blocks = [], [], []  # blocks: (entries, symbol id, episode size, copies)
+    for row in table.rows:
+        if not row.starts:
+            continue
+        t = list(map(itemgetter(1), row.starts))
+        seqs += list(map(itemgetter(0), row.starts)) * row.size
+        for sym, off in zip(row.episode.event_types, row.episode.offsets()):
+            times += map(off.__add__, t)
+            blocks.append((len(t), alphabet.index(sym), row.size, 1))
+    low, high, n = min(seqs, default=0), max(seqs, default=-1), table.n_sequences
+    if low < 0 or high >= n:
+        raise TableFormatError(f"start in sequence {low if low < 0 else high}, outside 0..{n - 1}")
+    for (s, t, sym), m in table.multiplicities.items():
+        if not 0 <= s <= high:
+            raise TableFormatError(f"rows and #mult disagree on the copies of {s}:{t}:{sym}")
+        seqs.append(s)
+        times.append(t)
+        blocks.append((1, alphabet.index(sym), 0, m))
+    count, sym, size, m = np.array(blocks, np.int64).reshape(-1, 4).T
+    sym, size, m = (np.repeat(x, count) for x in (sym, size, m))
+    seq = np.array(seqs, np.int64)
+    rank = dict(zip(sorted(times), range(len(times))))  # equal times share one
+    t_rank = np.fromiter(map(rank.__getitem__, times), np.int64, len(times))  # orders any ints
+    order = np.lexsort((sym, t_rank, seq))
+    key = np.stack((seq, t_rank, sym))[:, order]
+    heads = np.flatnonzero((np.diff(key, prepend=-1) != 0).any(axis=0))  # keys are >= 0
+    first = order[heads]
+    copies = np.maximum.reduceat(m[order], heads)
+    one_node = np.add.reduceat(size[order] == 1, heads, dtype=np.int64)
+    size = np.maximum.reduceat(size[order], heads)  # 0: only #mult names the event
+    # Multi-node rows may code one copy of an event, 1-node rows the others.
+    bad = np.flatnonzero((size == 0) | (one_node > copies - (size > 1)))
+    if len(bad):
+        i = first[bad[0]]
+        where = f"{seq[i]}:{times[i]}:{alphabet.name(sym[i])}"
+        raise TableFormatError(f"rows and #mult disagree on the copies of {where}")
+    at = np.repeat(first, copies)  # one entry per decoded event
+    del rank, t_rank, key, order, first, copies, one_node, size, m, bad
+    events = list(map(_new_event, zip(sym[at].tolist(), map(times.__getitem__, at.tolist()))))
+    ends = np.cumsum(np.bincount(seq[at], minlength=n)).tolist()
+    return EventDataset(tuple(tuple(events[a:z]) for a, z in zip([0, *ends], ends)), alphabet)

@@ -38,12 +38,12 @@ from oracles import (
     random_dataset,
     random_planted_dataset,
     reference_canonical,
-    reference_decode,
     reference_distinct_starts,
     reference_encode,
     reference_forced_selection,
     reference_overlap_score,
     reference_select,
+    triples_decode,
 )
 
 
@@ -473,7 +473,7 @@ def test_io_path_equals_reference():
         ]
         assert table.multiplicities == want.multiplicities
         assert table.n_sequences == want.n_sequences
-        got, want = decode(table), reference_decode(table)
+        got, want = decode(table), triples_decode(table)
         assert (got.sequences, got.alphabet) == (want.sequences, want.alphabet)
     assert overlapping > 120 and refused > 100
 

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from episodeseq import (
@@ -14,6 +15,7 @@ from episodeseq import (
     EventDataset,
     forced_selection,
 )
+from episodeseq.occurrences import _chain_members, non_overlapped
 from oracles import (
     CoverIntegrityError,
     fixed_interval_starts,
@@ -216,3 +218,36 @@ def test_symbol_outside_the_alphabet_raises_key_error(sample_data):
         forced_selection(sample_data, [episode])
     with pytest.raises(KeyError):
         reference_cover(sample_data, episode, ((0, 7),))
+
+
+def _chain_case(rng: random.Random):
+    """Groups of sorted distinct starts with spans 0-5: single starts, short
+    groups and long runs of overlapping neighbours, some starting near 2**60
+    so that the groups are keyed in several blocks."""
+    base = rng.choice((0, 0, 0, 2**60))
+    starts, sizes, spans = [], [], []
+    for _ in range(rng.randint(1, 12)):
+        span = rng.randint(0, 5)
+        size = rng.choice((1, 1, 2, rng.randint(1, 40), rng.randint(100, 300)))
+        step = rng.choice((1, 2, span + 1, 3 * span + 3))
+        t = base + rng.randint(0, 20)
+        for _ in range(size):
+            starts.append(t)
+            t += rng.randint(1, step)
+        sizes.append(size)
+        spans.append(span)
+    dtype = np.int64 if base or rng.random() < 0.5 else np.int32
+    return np.array(starts, dtype), np.array(sizes), np.array(spans, dtype)
+
+
+def test_chain_members_is_the_greedy_chain_of_each_group():
+    rng = random.Random(1804)
+    for _ in range(600):
+        starts, sizes, spans = _chain_case(rng)
+        member = _chain_members(starts, sizes, spans)
+        assert member.dtype == bool and len(member) == len(starts)
+        bounds = np.append(0, np.cumsum(sizes)).tolist()
+        for a, z, span in zip(bounds, bounds[1:], spans.tolist()):
+            group = starts[a:z].tolist()
+            kept = [t for t, m in zip(group, member[a:z]) if m]
+            assert kept == non_overlapped(group, span)
