@@ -1,18 +1,26 @@
 """Core domain types: alphabets, timestamped event data, and episodes.
 
 Timestamps are integers throughout.  An event dataset may hold several
-sequences; occurrences never cross sequence boundaries.  All types are
-immutable after construction and safe for concurrent reads.  In an
-episode string, symbols and arrows alternate.
+sequences; occurrences never cross sequence boundaries.  It is held in
+CSR form: per-sequence offsets into flat symbol-id and time arrays.  Times
+are int64 when all lie within ±2**61, else Python ints in an object array,
+so every time is exact.  Tuples of ``Event`` are built only when
+``sequences`` is read.  All types are immutable after construction and
+safe for concurrent reads.  In an episode string, symbols and arrows
+alternate.
 """
 
 from __future__ import annotations
 
+import io
 import re
 from dataclasses import dataclass, field
-from functools import partial
-from operator import itemgetter, lt
+from functools import cached_property, partial
+from itertools import accumulate, chain, repeat
+from operator import itemgetter
 from typing import IO, Iterable, NamedTuple
+
+import numpy as np
 
 
 class EpisodeSyntaxError(ValueError):
@@ -70,44 +78,74 @@ class Event(NamedTuple):
     time: int
 
 
-new_event = partial(tuple.__new__, Event)  # skips the namedtuple's Python-level __new__
+_new_event = partial(tuple.__new__, Event)  # skips the namedtuple's Python-level __new__
 _first, _second = itemgetter(0), itemgetter(1)
 
 
-@dataclass(frozen=True, eq=False)
-class EventDataset:
-    """One or more event sequences over a shared alphabet.
+def _time_array(times) -> np.ndarray:
+    """Times as int64 when all lie within ±2**61, where differences and axis
+    steps cannot overflow, else as Python ints in an object array."""
+    try:
+        out = np.asarray(times, np.int64)
+        if not len(out) or (-(2**61) < out.min() and out.max() < 2**61):
+            return out
+    except OverflowError:
+        pass
+    return np.array(times, object)
 
-    Construction canonicalizes each sequence: events are sorted by
-    (time, symbol name), so ties in time have a deterministic order.
-    Two datasets compare equal when they hold the same (time, symbol)
+
+def _name_rank(alphabet: "Alphabet") -> np.ndarray:
+    """Per symbol id, the symbol's position in name order."""
+    return np.argsort(sorted(range(alphabet.size), key=alphabet.symbols.__getitem__))
+
+
+class EventDataset:
+    """One or more event sequences over a shared alphabet, held as arrays.
+
+    Sequence ``s`` is events ``offsets[s]`` to ``offsets[s + 1] - 1`` of the
+    flat, read-only ``types`` (int64 symbol ids) and ``times`` arrays (see
+    :func:`_time_array`).  Construction canonicalizes each sequence: events
+    are sorted by (time, symbol name), so ties in time have a deterministic
+    order.  ``sequences``, tuples of :class:`Event`, are built on first
+    read.  Two datasets compare equal when they hold the same (time, symbol)
     sequences, whatever their alphabets' id assignment.
     """
 
-    sequences: tuple[tuple[Event, ...], ...]
-    alphabet: Alphabet
+    def __init__(self, sequences: Iterable[Iterable[Event]], alphabet: Alphabet):
+        seqs = [list(seq) for seq in sequences]
+        flat = list(chain.from_iterable(seqs))
+        offsets, types, times = np.cumsum([0, *map(len, seqs)]), map(_first, flat), map(_second, flat)
+        data = EventDataset.from_arrays(offsets, list(types), list(times), alphabet)
+        self.__dict__.update(data.__dict__)
 
-    def __post_init__(self) -> None:
-        m = self.alphabet.size
-        canonical = []
-        for seq in self.sequences:
-            low, high = min(map(_first, seq), default=0), max(map(_first, seq), default=-1)
-            if low < 0 or high >= m:
-                raise DataValidationError(
-                    f"event type id {low if low < 0 else high} outside alphabet of size {m}"
-                )
-            # Strictly increasing times leave no tie for the names to break.
-            times = list(map(_second, seq))
-            if not all(map(lt, times, times[1:])):
-                seq = sorted(seq, key=lambda e: (e.time, self.alphabet.name(e.event_type)))
-            canonical.append(tuple(seq))
-        object.__setattr__(self, "sequences", tuple(canonical))
+    @classmethod
+    def from_arrays(cls, offsets, types, times, alphabet: Alphabet) -> "EventDataset":
+        """Build from CSR arrays, which are checked and canonicalized."""
+        offsets, types = np.asarray(offsets, np.int64), np.asarray(types, np.int64)
+        m, times = alphabet.size, _time_array(times)
+        bad = np.flatnonzero((types < 0) | (types >= m))
+        if len(bad):  # named by the lowest or highest id of the first bad sequence
+            s = np.searchsorted(offsets, bad[0], "right") - 1
+            low, high = (f(types[offsets[s] : offsets[s + 1]]) for f in (np.min, np.max))
+            raise DataValidationError(
+                f"event type id {low if low < 0 else high} outside alphabet of size {m}"
+            )
+        opens = np.zeros(len(types) + 1, bool)
+        opens[offsets] = True  # opens[i]: event i is the first of its sequence
+        step, rank = np.diff(times), _name_rank(alphabet)
+        if not ((step > 0) | (step == 0) & (np.diff(rank[types]) >= 0) | opens[1:-1]).all():
+            seq = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+            order = np.lexsort((rank[types], times, seq))
+            types, times = types[order], times[order]
+        for array in (offsets, types, times):
+            array.flags.writeable = False
+        data = object.__new__(cls)
+        data.__dict__.update(alphabet=alphabet, offsets=offsets, types=types, times=times)
+        return data
 
     @classmethod
     def from_tuples(
-        cls,
-        sequences: Iterable[Iterable[tuple[int, str]]],
-        alphabet: Alphabet | None = None,
+        cls, sequences: Iterable[Iterable[tuple[int, str]]], alphabet: Alphabet | None = None
     ) -> "EventDataset":
         """Build from (time, symbol-name) pairs, one iterable per sequence.
 
@@ -117,37 +155,48 @@ class EventDataset:
         raw = [list(seq) for seq in sequences]
         if alphabet is None:
             alphabet = Alphabet.from_names(name for seq in raw for _, name in seq)
-        seqs = tuple(
-            tuple(map(new_event, [(alphabet.index(name), int(t)) for t, name in seq]))
-            for seq in raw
-        )
-        return cls(seqs, alphabet)
+        return cls([[Event(alphabet.index(x), int(t)) for t, x in seq] for seq in raw], alphabet)
+
+    def _split(self, items: list) -> tuple[tuple, ...]:
+        """Per-event ``items`` cut into one tuple per sequence."""
+        ends = self.offsets.tolist()
+        return tuple(tuple(items[a:z]) for a, z in zip(ends, ends[1:]))
+
+    @cached_property
+    def sequences(self) -> tuple[tuple[Event, ...], ...]:
+        return self._split(list(map(_new_event, zip(self.types.tolist(), self.times.tolist()))))
 
     @property
     def n_sequences(self) -> int:
-        return len(self.sequences)
+        return len(self.offsets) - 1
 
     @property
     def n_events(self) -> int:
-        return sum(len(seq) for seq in self.sequences)
+        return len(self.types)
 
     def event_name(self, ev: Event) -> str:
         return self.alphabet.name(ev.event_type)
 
     def named_sequences(self) -> tuple[tuple[tuple[int, str], ...], ...]:
         """Sequences as (time, symbol name) pairs, the basis of equality."""
-        return tuple(
-            tuple((ev.time, self.alphabet.name(ev.event_type)) for ev in seq)
-            for seq in self.sequences
-        )
+        names = map(self.alphabet.symbols.__getitem__, self.types.tolist())
+        return self._split(list(zip(self.times.tolist(), names)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EventDataset):
             return NotImplemented
-        return self.named_sequences() == other.named_sequences()
+        names = (np.array(d.alphabet.symbols, object)[d.types] for d in (self, other))
+        arrays = zip((self.offsets, other.offsets), (self.times, other.times), names)
+        return all(map(np.array_equal, *arrays))
 
     def __hash__(self) -> int:
         return hash(self.named_sequences())
+
+    def __repr__(self) -> str:
+        return f"EventDataset(sequences={self.sequences!r}, alphabet={self.alphabet!r})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"EventDataset is immutable; cannot set {name!r}")
 
 
 @dataclass(frozen=True)
@@ -197,10 +246,7 @@ class FixedIntervalEpisode(_Episode):
 
     def offsets(self) -> tuple[int, ...]:
         """Time offset of each node relative to the start event."""
-        acc = [0]
-        for g in self.gaps:
-            acc.append(acc[-1] + g)
-        return tuple(acc)
+        return tuple(accumulate(self.gaps, initial=0))
 
     def __str__(self) -> str:
         return format_episode(self)
@@ -213,11 +259,8 @@ def span(episode: FixedIntervalEpisode) -> int:
 
 def format_episode(episode: FixedIntervalEpisode) -> str:
     """Canonical episode string, e.g. ``A -2-> B -1-> C``."""
-    parts = [episode.event_types[0]]
-    for gap, sym in zip(episode.gaps, episode.event_types[1:]):
-        parts.append(f"-{gap}->")
-        parts.append(sym)
-    return " ".join(parts)
+    arrows = map("-{}-> {}".format, episode.gaps, episode.event_types[1:])
+    return " ".join([episode.event_types[0], *arrows])
 
 
 def _split_episode(text: str, alphabet: Alphabet | None) -> tuple[list[str], list[str]]:
@@ -263,29 +306,40 @@ def parse_serial_episode(
 def load_events(handle: IO[str]) -> EventDataset:
     """Read a dataset from event-file text.
 
-    Format: one event per line as ``<time>\\t<event_type>``; a blank line
-    separates sequences.  The alphabet is the sorted set of names seen.
+    Format: one event per line as ``<time>\\t<event_type>``, where the time
+    is any text ``int`` reads; a blank line separates sequences.  The
+    alphabet is the sorted set of names seen.
     """
-    sequences: list[list[tuple[int, str]]] = [[]]
-    for lineno, line in enumerate(handle, start=1):
-        stripped = line.strip()
-        if not stripped:
-            if sequences[-1]:
-                sequences.append([])
-            continue
-        fields = stripped.split("\t")
-        if len(fields) != 2:
-            raise DataValidationError(
-                f"line {lineno}: expected '<time>\\t<event_type>', got {line!r}"
-            )
-        try:
-            t = int(fields[0])
-        except ValueError:
-            raise DataValidationError(f"line {lineno}: bad timestamp {fields[0]!r}")
-        sequences[-1].append((t, fields[1]))
-    if sequences and not sequences[-1]:
-        sequences.pop()
-    return EventDataset.from_tuples(sequences)
+    text = handle.read()
+    stripped = list(map(str.strip, text.split("\n")))
+    filled = np.flatnonzero(np.fromiter(map(len, stripped), np.int64, len(stripped)))
+    kept = [stripped[i] for i in filled.tolist()]
+    del stripped
+    fields = "\t".join(kept).split("\t") if kept else []
+    try:  # every kept line holds exactly one tab, and int reads each time
+        if len(fields) != 2 * len(kept) or max(map(str.count, kept, repeat("\t")), default=1) > 1:
+            raise ValueError
+        times = _time_array(list(map(int, fields[0::2])))
+    except ValueError:  # raise the error of the first bad line, counting from 1
+        for lineno, line in enumerate(io.StringIO(text), start=1):
+            fields = line.strip().split("\t")
+            if fields == [""]:
+                continue
+            if len(fields) != 2:
+                raise DataValidationError(
+                    f"line {lineno}: expected '<time>\\t<event_type>', got {line!r}"
+                ) from None
+            try:
+                int(fields[0])
+            except ValueError:
+                raise DataValidationError(f"line {lineno}: bad timestamp {fields[0]!r}") from None
+    names = fields[1::2]
+    del kept, fields
+    alphabet = Alphabet.from_names(names)
+    types = np.fromiter(map(alphabet._index.__getitem__, names), np.int64, len(names))
+    # A sequence starts at each filled line that follows a blank one.
+    heads = np.flatnonzero(np.diff(filled, prepend=-2) > 1)
+    return EventDataset.from_arrays(np.append(heads, len(names)), types, times, alphabet)
 
 
 def dump_events(data: EventDataset, handle: IO[str]) -> None:
@@ -296,14 +350,14 @@ def dump_events(data: EventDataset, handle: IO[str]) -> None:
     whitespace or holds a tab or line break: :func:`load_events` would read
     such a file back as another dataset.
     """
-    if not all(data.sequences):
+    if (np.diff(data.offsets) == 0).any():
         raise DataValidationError("an event file cannot hold an empty sequence")
-    used = {ev.event_type for seq in data.sequences for ev in seq}
-    for sym in map(data.alphabet.name, sorted(used)):
+    used = np.flatnonzero(np.bincount(data.types, minlength=data.alphabet.size))
+    for sym in map(data.alphabet.name, used.tolist()):
         if sym != sym.strip() or any(c in sym for c in "\t\n\r"):
             raise DataValidationError(
                 f"symbol {sym!r} cannot be written to an event file"
             )
-    names = data.alphabet.symbols
-    for i, seq in enumerate(data.sequences):
-        handle.write("\n" * (i > 0) + "".join([f"{t}\t{names[x]}\n" for x, t in seq]))
+    names, ends = data.alphabet.symbols, data.offsets.tolist()
+    lines = [f"{t}\t{names[x]}\n" for t, x in zip(data.times.tolist(), data.types.tolist())]
+    handle.write("\n".join("".join(lines[a:z]) for a, z in zip(ends, ends[1:])))

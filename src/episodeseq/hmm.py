@@ -42,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .events import Alphabet, Event, EventDataset, SerialEpisode
+from .events import Alphabet, EventDataset, SerialEpisode
 
 
 class StateKind(str, Enum):
@@ -320,8 +320,8 @@ def simulate(model: EpisodePairModel, length: int, seed: int) -> Trajectory:
 
 def trajectory_dataset(model: EpisodePairModel, traj: Trajectory) -> EventDataset:
     """View a trajectory's output as a one-sequence dataset, times 1..T."""
-    seq = tuple(Event(sym, t + 1) for t, sym in enumerate(traj.outputs))
-    return EventDataset((seq,), model.alphabet)
+    times = np.arange(1, len(traj.outputs) + 1)
+    return EventDataset.from_arrays([0, len(times)], traj.outputs, times, model.alphabet)
 
 
 def joint_log_likelihood(

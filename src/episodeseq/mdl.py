@@ -22,8 +22,8 @@ import csv
 import heapq
 import io
 from dataclasses import dataclass
-from itertools import accumulate, chain, groupby, zip_longest
-from operator import eq, itemgetter, le, lt
+from itertools import groupby, zip_longest
+from operator import itemgetter, le, lt
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -32,8 +32,9 @@ from .events import (
     Alphabet,
     EventDataset,
     FixedIntervalEpisode,
+    _name_rank,
+    _time_array,
     format_episode,
-    new_event,
     parse_episode,
 )
 from .candidates import _search, row_gain
@@ -231,37 +232,30 @@ def encode(data: EventDataset, selection: SelectionState) -> EncodingTable:
     """
     rows = [TableRow(sel.episode, sel.starts, residual=False) for sel in selection.selected]
     # The events in canonical order: by sequence, time, then name.
-    events = list(chain.from_iterable(data.sequences))
-    types = np.fromiter(map(itemgetter(0), events), np.int64, len(events))
-    times = list(map(itemgetter(1), events))
-    lengths = list(map(len, data.sequences))
-    seqs = np.repeat(np.arange(len(lengths)), lengths)
-    first = list(accumulate(lengths, initial=0))
+    types, times, first = data.types, data.times, data.offsets.tolist()
+    seqs = np.repeat(np.arange(data.n_sequences), np.diff(data.offsets))
     coded = np.bincount(
-        [first[s] + p for sel in selection.selected for s, p in sel.covered], minlength=len(events)
+        [first[s] + p for sel in selection.selected for s, p in sel.covered], minlength=len(types)
     )
     for sel in selection.selected:  # decode refuses a 1-node row's event coded twice
         if sel.episode.length == 1 and (coded[[first[s] + p for s, p in sel.covered]] > 1).any():
             raise TableFormatError(f"episode {sel.episode} codes events another episode codes")
     names = data.alphabet.symbols
-    rank = np.argsort(sorted(range(len(names)), key=names.__getitem__))
     # Leftovers grouped by name, each group in (sequence, time) order.
     left = np.flatnonzero(coded == 0)
-    left = left[np.argsort(rank[types[left]], kind="stable")]
-    pairs = list(zip(seqs[left].tolist(), map(times.__getitem__, left.tolist())))
+    left = left[np.argsort(_name_rank(data.alphabet)[types[left]], kind="stable")]
+    pairs = list(zip(seqs[left].tolist(), times[left].tolist()))
     cuts = np.flatnonzero(np.diff(types[left], prepend=-1)).tolist()
     for a, z in zip(cuts, [*cuts[1:], len(left)]):
         episode = FixedIntervalEpisode((names[types[left[a]]],), ())
         rows.append(TableRow(episode, tuple(pairs[a:z]), residual=True))
     # Copies of one (sequence, time, type) are adjacent.
-    same = np.fromiter(map(eq, times, times[1:]), bool, max(len(times) - 1, 0))
-    heads = np.flatnonzero(np.append(True, ~same | (np.diff(types) != 0) | (np.diff(seqs) != 0)))
+    same = (times[1:] == times[:-1]) & (np.diff(types) == 0) & (np.diff(seqs) == 0)
+    heads = np.flatnonzero(np.append(True, ~same))
     copies = np.diff(heads, append=len(times))
     dup = copies > 1
-    multiplicities = {
-        (int(seqs[i]), times[i], names[types[i]]): m
-        for i, m in zip(heads[dup].tolist(), copies[dup].tolist())
-    }
+    keys = zip(seqs[heads[dup]].tolist(), times[heads[dup]].tolist(), types[heads[dup]].tolist())
+    multiplicities = {(s, t, names[x]): m for (s, t, x), m in zip(keys, copies[dup].tolist())}
     return EncodingTable(tuple(rows), multiplicities, data.n_sequences)
 
 
@@ -305,27 +299,25 @@ def decode(table: EncodingTable) -> EventDataset:
         blocks.append((1, alphabet.index(sym), 0, m))
     count, sym, size, m = np.array(blocks, np.int64).reshape(-1, 4).T
     sym, size, m = (np.repeat(x, count) for x in (sym, size, m))
-    seq = np.array(seqs, np.int64)
-    rank = dict(zip(sorted(times), range(len(times))))  # equal times share one
-    t_rank = np.fromiter(map(rank.__getitem__, times), np.int64, len(times))  # orders any ints
-    order = np.lexsort((sym, t_rank, seq))
-    key = np.stack((seq, t_rank, sym))[:, order]
-    heads = np.flatnonzero((np.diff(key, prepend=-1) != 0).any(axis=0))  # keys are >= 0
-    first = order[heads]
-    copies = np.maximum.reduceat(m[order], heads)
-    one_node = np.add.reduceat(size[order] == 1, heads, dtype=np.int64)
-    size = np.maximum.reduceat(size[order], heads)  # 0: only #mult names the event
+    seq, t = np.array(seqs, np.int64), _time_array(times)
+    order = np.lexsort((sym, t, seq))
+    seq, t, sym, size, m = seq[order], t[order], sym[order], size[order], m[order]
+    head = np.ones(len(order), bool)
+    head[1:] = (np.diff(seq) != 0) | (t[1:] != t[:-1]) | (np.diff(sym) != 0)
+    heads = np.flatnonzero(head)
+    copies = np.maximum.reduceat(m, heads)
+    one_node = np.add.reduceat(size == 1, heads, dtype=np.int64)
+    size = np.maximum.reduceat(size, heads)  # 0: only #mult names the event
     # Multi-node rows may code one copy of an event, 1-node rows the others.
     bad = np.flatnonzero((size == 0) | (one_node > copies - (size > 1)))
     if len(bad):
-        i = first[bad[0]]
-        where = f"{seq[i]}:{times[i]}:{alphabet.name(sym[i])}"
+        i = heads[bad[0]]
+        where = f"{seq[i]}:{t[i]}:{alphabet.name(sym[i])}"
         raise TableFormatError(f"rows and #mult disagree on the copies of {where}")
-    at = np.repeat(first, copies)  # one entry per decoded event
-    del rank, t_rank, key, order, first, copies, one_node, size, m, bad
-    events = list(map(new_event, zip(sym[at].tolist(), map(times.__getitem__, at.tolist()))))
-    ends = np.cumsum(np.bincount(seq[at], minlength=n)).tolist()
-    return EventDataset(tuple(tuple(events[a:z]) for a, z in zip([0, *ends], ends)), alphabet)
+    at = np.repeat(heads, copies)  # one entry per decoded event
+    del order, head, copies, one_node, size, m, bad
+    ends = np.append(0, np.cumsum(np.bincount(seq[at], minlength=n)))
+    return EventDataset.from_arrays(ends, sym[at], t[at], alphabet)
 
 
 TABLE_HEADER = ["size", "episode", "freq", "starts"]

@@ -109,21 +109,15 @@ def count_no_general(data: EventDataset, episode: SerialEpisode) -> int:
         type_ids = [data.alphabet.index(sym) for sym in episode.event_types]
     except KeyError:
         return 0
-    n = len(type_ids)
     count = 0
-    for seq in data.sequences:
-        state = 0
-        last_time = None  # time of the previous matched event, or occurrence end
-        for ev in seq:
-            if ev.event_type != type_ids[state]:
-                continue
-            if last_time is not None and ev.time <= last_time:
-                continue
-            state += 1
-            last_time = ev.time
-            if state == n:
-                count += 1
-                state = 0
+    types, times, ends = data.types.tolist(), data.times.tolist(), data.offsets.tolist()
+    for a, z in zip(ends, ends[1:]):
+        state, last_time = 0, None  # time of the previous matched event, or occurrence end
+        for x, t in zip(types[a:z], times[a:z]):
+            if x == type_ids[state] and (last_time is None or t > last_time):
+                state, last_time = state + 1, t
+                if state == len(type_ids):
+                    count, state = count + 1, 0
     return count
 
 
@@ -148,43 +142,48 @@ class _Axis:
     def __init__(self, data: EventDataset, max_gap: int):
         if max_gap < 1:
             raise ValueError("max_gap must be >= 1")
+        ends, types, times = data.offsets, data.types, data.times
+        n = len(times)
+        opens = np.zeros(n + 1, bool)
+        opens[ends] = True  # opens[i]: event i is the first of its sequence
+        filled = np.diff(ends) > 0
         # No gap outgrows the longest sequence; a shorter max_gap keeps the axis short.
-        longest = max((seq[-1].time - seq[0].time for seq in data.sequences if seq), default=0)
+        longest = int((times[ends[1:][filled] - 1] - times[ends[:-1][filled]]).max(initial=0))
         self.max_gap = max_gap = min(max_gap, max(longest, 1))
         self.alphabet = data.alphabet
-        # axis time -> (sequence index, time in that sequence)
-        self.pair_at: dict[int, tuple[int, int]] = {}
-        times: list[int] = []  # per slot, in time order
-        types: list[int] = []
-        first: list[int] = []  # the slot's first event, indexed among all events
-        ends = np.cumsum([len(seq) for seq in data.sequences], dtype=np.int64)
-        g = -max_gap - 1
-        for seq_idx, seq in enumerate(data.sequences):
-            prev = None
-            for k, ev in enumerate(seq, int(ends[seq_idx]) - len(seq)):
-                if ev.time != prev:
-                    g += max_gap + 1 if prev is None else min(ev.time - prev, max_gap + 1)
-                    prev = ev.time
-                    self.pair_at[g] = (seq_idx, prev)
-                elif ev.event_type == types[-1]:
-                    continue  # events sharing (time, type) are adjacent
-                times.append(g)
-                types.append(ev.event_type)
-                first.append(k)
-        if (g + max_gap + 1) * data.alphabet.size >= 2**63:
+        # Each distinct (sequence, time) gets an axis time g, one step past the
+        # previous one; a step into a new sequence is max_gap + 1.
+        new_time = opens[:n].copy()
+        new_time[1:] |= times[1:] != times[:-1]
+        at = np.flatnonzero(new_time)
+        step = np.minimum(np.diff(times[at]), max_gap + 1)
+        step[opens[at[1:]]] = max_gap + 1
+        if int(step.max(initial=0)) * len(step) >= 2**62:
+            step = step.astype(object)  # a sum that int64 might not hold
+        g = np.zeros(len(at), step.dtype)
+        np.cumsum(step, out=g[1:])
+        last = int(g[-1]) if len(g) else -max_gap - 1
+        if (last + max_gap + 1) * data.alphabet.size >= 2**63:
             raise ValueError(f"times too far apart for a 64-bit axis at max_gap {max_gap}")
+        seq_at = np.searchsorted(ends, at, "right") - 1
+        # axis time -> (sequence index, time in that sequence)
+        self.pair_at = dict(zip(g.tolist(), zip(seq_at.tolist(), times[at].tolist())))
+        # A slot is the first of its (sequence, time, type); such events are adjacent.
+        new_slot = new_time.copy()
+        new_slot[1:] |= types[1:] != types[:-1]
+        first = np.flatnonzero(new_slot)
         # Small int types keep a depth's arrays small.
-        self.time_type = np.int32 if g + 2 * max_gap < 2**31 else np.int64
+        self.time_type = np.int32 if last + 2 * max_gap < 2**31 else np.int64
         self.sym_type = np.min_scalar_type(data.alphabet.size)
         self.gap_type = np.min_scalar_type(-max_gap)  # signed, so spans stay integers
         self.n_types = data.alphabet.size
-        key = np.array(times, np.int64) * self.n_types + types
+        slot_time = g.astype(np.int64)[np.cumsum(new_time)[first] - 1]
+        key = slot_time * self.n_types + types[first]
         order = np.argsort(key, kind="stable")  # the identity when type ids follow name order
-        first = np.array(first, np.int64)
-        seq = np.searchsorted(ends, first, side="right")
+        seq = np.searchsorted(ends, first, side="right") - 1
         self.key, self.seq = key[order], seq[order]
-        self.pos = (first - np.append(0, ends)[seq])[order]
-        self.mult = np.diff(first, append=ends[-1:])[order]  # up to the next slot's first event
+        self.pos = (first - ends[seq])[order]
+        self.mult = np.diff(first, append=n)[order]  # up to the next slot's first event
         self.times = (self.key // self.n_types).astype(self.time_type)
         self.types = (self.key % self.n_types).astype(self.sym_type)
 
@@ -217,31 +216,42 @@ def cover(axis: _Axis, episode: FixedIntervalEpisode, starts: np.ndarray) -> np.
 def _chain_members(starts, size, spans):
     """Mask of the starts on each group's greedy non-overlapped chain.
 
-    The groups hold ``size`` sorted starts each.  A start's successor is
-    the first start of its group past its occurrence's end.  By pointer
-    doubling (Wyllie 1979), the starts marked so far, those fewer than 2**k
-    steps past a group's head, add their successors 2**k steps on.
+    The groups hold ``size`` sorted starts each.  A start more than its
+    span past the previous start of its group heads a run, and is on the
+    chain, which restarts there.  So only runs of two or more starts are
+    searched.  There, a start's successor is the first start of its run
+    past its occurrence's end; by pointer doubling (Wyllie 1979), the
+    starts marked so far, those fewer than 2**k steps past a run's head,
+    add their successors 2**k steps on.
     """
+    group = np.repeat(np.arange(len(size)), size)
+    head = np.ones(len(starts), bool)
+    head[1:] = (np.diff(starts) > spans[group[1:]]) | (np.diff(group) != 0)
+    runs = np.flatnonzero(head)
+    size = np.diff(runs, append=len(starts))
+    inner = np.repeat(size > 1, size)
+    member = ~inner
+    starts, size, spans = starts[inner], size[size > 1], spans[group[runs[size > 1]]]
     width = int(starts.max(initial=0)) + int(spans.max(initial=0)) + 1
-    step = (2**63 - 1) // width  # groups keyed at once, so that no key reaches 2**63
+    step = (2**63 - 1) // width  # runs keyed at once, so that no key reaches 2**63
     if len(size) > step:
         first = range(0, len(size), step)
         at = np.append(0, np.cumsum(size))[[*first, len(size)]].tolist()
-        return np.concatenate([
+        member[inner] = np.concatenate([
             _chain_members(starts[a:b], size[k : k + step], spans[k : k + step])
             for k, a, b in zip(first, at, at[1:])
         ])
+        return member
     n = len(starts)
-    group = np.repeat(np.arange(len(size)), size)
-    v = group * width + starts
-    nxt = np.searchsorted(v, v + spans[group], side="right")
-    nxt = np.append(np.where(np.append(group, -1)[nxt] == group, nxt, n), n)
+    run = np.repeat(np.arange(len(size)), size)
+    v = run * width + starts
+    nxt = np.searchsorted(v, v + spans[run], side="right")
+    nxt = np.append(np.where(np.append(run, -1)[nxt] == run, nxt, n), n)
     marked = new = np.cumsum(size) - size
     while len(new):
         new = nxt[marked]
         new = new[new < n]
         marked = np.concatenate((marked, new))
         nxt = nxt[nxt]
-    member = np.zeros(n, bool)
-    member[marked] = True
+    member[np.flatnonzero(inner)[marked]] = True
     return member

@@ -16,12 +16,13 @@ from __future__ import annotations
 import re
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .events import Alphabet, DataValidationError, Event, EventDataset
+from .events import Alphabet, DataValidationError, EventDataset
 from .mdl import SelectionState, select
 from .occurrences import FrequencyMode
 
@@ -125,11 +126,11 @@ def corpus_to_events(train: Corpus) -> EventDataset:
     if train.n_documents == 0:
         raise ValueError("corpus is empty")
     alphabet = build_dictionary_I(train)
-    sequences = tuple(
-        tuple(Event(alphabet.index(tok), pos) for pos, tok in enumerate(doc, start=1))
-        for doc in train.documents
-    )
-    return EventDataset(sequences, alphabet)
+    ids = dict(zip(alphabet.symbols, range(len(alphabet))))
+    offsets = np.cumsum([0, *map(len, train.documents)])
+    types = np.fromiter(map(ids.__getitem__, chain.from_iterable(train.documents)), np.int64)
+    times = np.arange(1, offsets[-1] + 1) - np.repeat(offsets[:-1], np.diff(offsets))
+    return EventDataset.from_arrays(offsets, types, times, alphabet)
 
 
 def build_dictionary_I(corpus: Corpus) -> Alphabet:
