@@ -12,11 +12,10 @@ alternate.
 
 from __future__ import annotations
 
-import io
 import re
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import accumulate, chain, repeat
+from itertools import chain, repeat
 from operator import itemgetter
 from typing import IO, Iterable, NamedTuple
 
@@ -82,16 +81,16 @@ _new_event = partial(tuple.__new__, Event)  # skips the namedtuple's Python-leve
 _first, _second = itemgetter(0), itemgetter(1)
 
 
-def _time_array(times) -> np.ndarray:
-    """Times as int64 when all lie within ±2**61, where differences and axis
-    steps cannot overflow, else as Python ints in an object array."""
+def _exact_ints(values) -> np.ndarray:
+    """Integers as int64 when all lie within ±2**61, where differences and
+    axis steps cannot overflow, else as Python ints in an object array."""
     try:
-        out = np.asarray(times, np.int64)
+        out = np.asarray(values, np.int64)
         if not len(out) or (-(2**61) < out.min() and out.max() < 2**61):
             return out
     except OverflowError:
         pass
-    return np.array(times, object)
+    return np.array(values, object)
 
 
 def _name_rank(alphabet: "Alphabet") -> np.ndarray:
@@ -103,26 +102,26 @@ class EventDataset:
     """One or more event sequences over a shared alphabet, held as arrays.
 
     Sequence ``s`` is events ``offsets[s]`` to ``offsets[s + 1] - 1`` of the
-    flat, read-only ``types`` (int64 symbol ids) and ``times`` arrays (see
-    :func:`_time_array`).  Construction canonicalizes each sequence: events
-    are sorted by (time, symbol name), so ties in time have a deterministic
-    order.  ``sequences``, tuples of :class:`Event`, are built on first
-    read.  Two datasets compare equal when they hold the same (time, symbol)
-    sequences, whatever their alphabets' id assignment.
+    flat, read-only ``types`` (int64 symbol ids) and ``times`` arrays, the
+    times kept exact by :func:`_exact_ints`.  Construction canonicalizes
+    each sequence: events are sorted by (time, symbol name), so ties in time
+    have a deterministic order.  ``sequences``, tuples of :class:`Event`,
+    are built on first read.  Two datasets compare equal when they hold the
+    same (time, symbol) sequences, whatever their alphabets' id assignment.
     """
 
     def __init__(self, sequences: Iterable[Iterable[Event]], alphabet: Alphabet):
         seqs = [list(seq) for seq in sequences]
         flat = list(chain.from_iterable(seqs))
-        offsets, types, times = np.cumsum([0, *map(len, seqs)]), map(_first, flat), map(_second, flat)
-        data = EventDataset.from_arrays(offsets, list(types), list(times), alphabet)
+        types, times = list(map(_first, flat)), list(map(_second, flat))
+        data = EventDataset.from_arrays(np.cumsum([0, *map(len, seqs)]), types, times, alphabet)
         self.__dict__.update(data.__dict__)
 
     @classmethod
     def from_arrays(cls, offsets, types, times, alphabet: Alphabet) -> "EventDataset":
         """Build from CSR arrays, which are checked and canonicalized."""
-        offsets, types = np.asarray(offsets, np.int64), np.asarray(types, np.int64)
-        m, times = alphabet.size, _time_array(times)
+        offsets, m = np.asarray(offsets, np.int64), alphabet.size
+        types, times = _exact_ints(types), _exact_ints(times)  # a huge id is refused below
         bad = np.flatnonzero((types < 0) | (types >= m))
         if len(bad):  # named by the lowest or highest id of the first bad sequence
             s = np.searchsorted(offsets, bad[0], "right") - 1
@@ -145,7 +144,9 @@ class EventDataset:
 
     @classmethod
     def from_tuples(
-        cls, sequences: Iterable[Iterable[tuple[int, str]]], alphabet: Alphabet | None = None
+        cls,
+        sequences: Iterable[Iterable[tuple[int, str]]],
+        alphabet: Alphabet | None = None,
     ) -> "EventDataset":
         """Build from (time, symbol-name) pairs, one iterable per sequence.
 
@@ -246,7 +247,10 @@ class FixedIntervalEpisode(_Episode):
 
     def offsets(self) -> tuple[int, ...]:
         """Time offset of each node relative to the start event."""
-        return tuple(accumulate(self.gaps, initial=0))
+        acc = [0]
+        for g in self.gaps:
+            acc.append(acc[-1] + g)
+        return tuple(acc)
 
     def __str__(self) -> str:
         return format_episode(self)
@@ -259,8 +263,11 @@ def span(episode: FixedIntervalEpisode) -> int:
 
 def format_episode(episode: FixedIntervalEpisode) -> str:
     """Canonical episode string, e.g. ``A -2-> B -1-> C``."""
-    arrows = map("-{}-> {}".format, episode.gaps, episode.event_types[1:])
-    return " ".join([episode.event_types[0], *arrows])
+    parts = [episode.event_types[0]]
+    for gap, sym in zip(episode.gaps, episode.event_types[1:]):
+        parts.append(f"-{gap}->")
+        parts.append(sym)
+    return " ".join(parts)
 
 
 def _split_episode(text: str, alphabet: Alphabet | None) -> tuple[list[str], list[str]]:
@@ -310,8 +317,8 @@ def load_events(handle: IO[str]) -> EventDataset:
     is any text ``int`` reads; a blank line separates sequences.  The
     alphabet is the sorted set of names seen.
     """
-    text = handle.read()
-    stripped = list(map(str.strip, text.split("\n")))
+    lines = list(handle)
+    stripped = list(map(str.strip, lines))
     filled = np.flatnonzero(np.fromiter(map(len, stripped), np.int64, len(stripped)))
     kept = [stripped[i] for i in filled.tolist()]
     del stripped
@@ -319,9 +326,9 @@ def load_events(handle: IO[str]) -> EventDataset:
     try:  # every kept line holds exactly one tab, and int reads each time
         if len(fields) != 2 * len(kept) or max(map(str.count, kept, repeat("\t")), default=1) > 1:
             raise ValueError
-        times = _time_array(list(map(int, fields[0::2])))
+        times = _exact_ints(list(map(int, fields[0::2])))
     except ValueError:  # raise the error of the first bad line, counting from 1
-        for lineno, line in enumerate(io.StringIO(text), start=1):
+        for lineno, line in enumerate(lines, start=1):
             fields = line.strip().split("\t")
             if fields == [""]:
                 continue
@@ -334,7 +341,7 @@ def load_events(handle: IO[str]) -> EventDataset:
             except ValueError:
                 raise DataValidationError(f"line {lineno}: bad timestamp {fields[0]!r}") from None
     names = fields[1::2]
-    del kept, fields
+    del lines, kept, fields
     alphabet = Alphabet.from_names(names)
     types = np.fromiter(map(alphabet._index.__getitem__, names), np.int64, len(names))
     # A sequence starts at each filled line that follows a blank one.

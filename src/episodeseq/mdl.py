@@ -33,7 +33,7 @@ from .events import (
     EventDataset,
     FixedIntervalEpisode,
     _name_rank,
-    _time_array,
+    _exact_ints,
     format_episode,
     parse_episode,
 )
@@ -299,7 +299,7 @@ def decode(table: EncodingTable) -> EventDataset:
         blocks.append((1, alphabet.index(sym), 0, m))
     count, sym, size, m = np.array(blocks, np.int64).reshape(-1, 4).T
     sym, size, m = (np.repeat(x, count) for x in (sym, size, m))
-    seq, t = np.array(seqs, np.int64), _time_array(times)
+    seq, t = np.array(seqs, np.int64), _exact_ints(times)
     order = np.lexsort((sym, t, seq))
     seq, t, sym, size, m = seq[order], t[order], sym[order], size[order], m[order]
     head = np.ones(len(order), bool)

@@ -72,7 +72,8 @@ def _spelled(rng: random.Random, t: int) -> str:
 
 def _event_text(rng: random.Random, sequences) -> str:
     """An event file of the sequences, with runs of blank or whitespace-only
-    lines between them, CR line ends, and, in one case of ten, one bad line."""
+    lines between them, CRLF or CR line ends, and, in one case of ten, one
+    bad line."""
     lines = [rng.choice(["", "  ", "\t"]) for _ in range(rng.randint(0, 2))]
     for seq in sequences:
         ends = ["", "", " ", "\r"]
@@ -81,7 +82,8 @@ def _event_text(rng: random.Random, sequences) -> str:
     if rng.random() < 0.1:
         bad = rng.choice(["x\tA", "5 A", "5\tA\tB", "1__0\tA", "\tA", "5\t", "0x1\tB"])
         lines.insert(rng.randint(0, len(lines)), bad)
-    return "\n".join(lines) + rng.choice(["", "\n"])
+    text = "\n".join(lines) + rng.choice(["", "\n"])
+    return text.replace("\n", "\r", rng.randint(1, 3)) if rng.random() < 0.2 else text
 
 
 def _outcome(fn, *args):
@@ -96,8 +98,9 @@ def test_load_events_equals_the_per_line_reader():
     refused = huge = 0
     for _ in range(N_CASES):
         text = _event_text(rng, [seq for seq in _raw(rng, False)])
-        got = _outcome(load_events, io.StringIO(text))
-        want = _outcome(reference_load_events, io.StringIO(text))
+        newline = rng.choice(("\n", ""))  # "": a lone CR ends a line too
+        got = _outcome(load_events, io.StringIO(text, newline=newline))
+        want = _outcome(reference_load_events, io.StringIO(text, newline=newline))
         if isinstance(want, tuple):
             assert got == want, text
             refused += 1
@@ -243,3 +246,9 @@ def test_loaded_and_decoded_datasets_hold_arrays_only():
     table = encode(data, select(data, 3))
     assert _kept_mib(lambda: load_events(io.StringIO(text))) <= 0.3
     assert _kept_mib(lambda: decode(table)) <= 0.3
+
+
+@pytest.mark.parametrize("bad", [2, -1, 2**70, -(2**70)])
+def test_an_id_outside_the_alphabet_is_named(bad):
+    with pytest.raises(DataValidationError, match=f"type id {bad} outside alphabet of size 2"):
+        EventDataset(((Event(0, 1),), (Event(1, 1), Event(bad, 2))), Alphabet(("A", "B")))
