@@ -186,9 +186,9 @@ class EventDataset:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EventDataset):
             return NotImplemented
-        names = (np.array(d.alphabet.symbols, object)[d.types] for d in (self, other))
-        arrays = zip((self.offsets, other.offsets), (self.times, other.times), names)
-        return all(map(np.array_equal, *arrays))
+        names = [np.array(d.alphabet.symbols, object)[d.types] for d in (self, other)]
+        same = np.array_equal(self.offsets, other.offsets) and np.array_equal(self.times, other.times)
+        return same and np.array_equal(*names)
 
     def __hash__(self) -> int:
         return hash(self.named_sequences())

@@ -32,8 +32,8 @@ from .events import (
     Alphabet,
     EventDataset,
     FixedIntervalEpisode,
-    _name_rank,
     _exact_ints,
+    _name_rank,
     format_episode,
     parse_episode,
 )
