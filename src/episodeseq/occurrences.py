@@ -224,14 +224,18 @@ def _chain_members(starts, size, spans):
     starts marked so far, those fewer than 2**k steps past a run's head,
     add their successors 2**k steps on.
     """
-    group = np.repeat(np.arange(len(size)), size)
+    span = np.repeat(spans, size)
     head = np.ones(len(starts), bool)
-    head[1:] = (np.diff(starts) > spans[group[1:]]) | (np.diff(group) != 0)
+    np.greater(np.diff(starts), span[1:], out=head[1:])
+    head[(np.cumsum(size) - size)[size > 0]] = True  # each group's first start
     runs = np.flatnonzero(head)
     size = np.diff(runs, append=len(starts))
-    inner = np.repeat(size > 1, size)
+    many = size > 1
+    if not many.any():
+        return head
+    inner = np.repeat(many, size)
     member = ~inner
-    starts, size, spans = starts[inner], size[size > 1], spans[group[runs[size > 1]]]
+    starts, size, spans = starts[inner], size[many], span[runs[many]]
     width = int(starts.max(initial=0)) + int(spans.max(initial=0)) + 1
     step = (2**63 - 1) // width  # runs keyed at once, so that no key reaches 2**63
     if len(size) > step:
