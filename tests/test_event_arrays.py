@@ -1,8 +1,8 @@
 """The event loader, the time axis and the decoder against frozen per-event
 implementations (``tests/oracles.py``), on seeded datasets that hold empty
 sequences, duplicate events, tied times whose names sort against their ids,
-unsorted input, times near ±10**30 and near the int64 limits, and times
-spelled as ``int`` reads them leniently."""
+unsorted input, times near ±10**30 and near the int64 limits, times
+spelled as ``int`` reads them leniently, and CRLF or CR line ends."""
 
 import io
 import random
@@ -75,8 +75,8 @@ def _event_text(rng: random.Random, sequences) -> str:
     lines between them, CRLF or CR line ends, and, in one case of ten, one
     bad line."""
     lines = [rng.choice(["", "  ", "\t"]) for _ in range(rng.randint(0, 2))]
+    ends = ["", "", " ", "\r"]
     for seq in sequences:
-        ends = ["", "", " ", "\r"]
         lines += [f"{_spelled(rng, t)}\t{name}" + rng.choice(ends) for t, name in seq]
         lines += [rng.choice(["", " ", "\t "]) for _ in range(rng.randint(1, 3))]
     if rng.random() < 0.1:
@@ -97,7 +97,7 @@ def test_load_events_equals_the_per_line_reader():
     rng = random.Random(1801)
     refused = huge = 0
     for _ in range(N_CASES):
-        text = _event_text(rng, [seq for seq in _raw(rng, False)])
+        text = _event_text(rng, _raw(rng, False))
         newline = rng.choice(("\n", ""))  # "": a lone CR ends a line too
         got = _outcome(load_events, io.StringIO(text, newline=newline))
         want = _outcome(reference_load_events, io.StringIO(text, newline=newline))
@@ -164,7 +164,7 @@ def _selection(rng: random.Random, data: EventDataset):
 
 
 def _tampered(rng: random.Random, table: EncodingTable) -> EncodingTable:
-    """The table, or, in one case of three, one with a row start repeated or
+    """The table, or, in five cases of nine, one with a row start repeated or
     moved, a ``#mult`` key added or changed, or another sequence count."""
     rows, mult, n = list(table.rows), dict(table.multiplicities), table.n_sequences
     kind = rng.randrange(9)
