@@ -33,7 +33,6 @@ only when read.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
 
 import numpy as np
 
@@ -44,6 +43,7 @@ from .occurrences import (  # noqa: F401
     OccurrenceList,
     _Axis,
     _chain_members,
+    cover,
     find_no_occurrences,
 )
 
@@ -59,20 +59,20 @@ def row_gain(n: int, f: int) -> int:
 @dataclass(frozen=True)
 class Candidate:
     """An emitted episode with its frequency and score under the search's
-    mode.  Its occurrence pairs are built when read: ``pair_at`` maps each
-    of ``starts``, in order, to a ``(sequence, start time)`` pair."""
+    mode.  Its occurrence pairs are built when read: each of ``starts``, an
+    axis time, leads through ``axis`` to a ``(sequence, start time)`` pair."""
 
     episode: FixedIntervalEpisode
     frequency: int
     score: int
     starts: np.ndarray = field(repr=False, compare=False)
-    pair_at: Mapping[int, tuple[int, int]] = field(repr=False, compare=False)
+    axis: _Axis = field(repr=False, compare=False)
 
     @property
     def occurrences(self) -> OccurrenceList:
         """The counted occurrences, under the search's mode."""
-        pairs = map(self.pair_at.__getitem__, self.starts.tolist())
-        return OccurrenceList(self.episode, tuple(pairs))
+        starts, _ = self.axis.pairs(self.episode, cover(self.axis, self.episode, self.starts), 0)
+        return OccurrenceList(self.episode, starts)
 
     @property
     def key(self) -> str:
@@ -147,7 +147,7 @@ def _search(axis: _Axis, left, no_mode: bool, positive: bool) -> list[Candidate]
     emitted = np.zeros(n_kept, bool)
     emitted[np.concatenate(leaf_refs)] = True
 
-    name = axis.alphabet.name
+    name = axis.data.alphabet.name
     candidates = []
     base = 0
     for ids, gaps, f, size, rows in kept:
@@ -162,7 +162,7 @@ def _search(axis: _Axis, left, no_mode: bool, positive: bool) -> list[Candidate]
         parts = np.split(starts, np.cumsum(f)[:-1])
         for row, gap_row, *rest in zip(ids[out].tolist(), gaps[out].tolist(), f, score, parts):
             episode = FixedIntervalEpisode(tuple(map(name, row)), tuple(gap_row))
-            candidates.append(Candidate(episode, *rest, axis.pair_at))
+            candidates.append(Candidate(episode, *rest, axis))
     candidates.sort(key=lambda cand: cand.key)
     return candidates
 

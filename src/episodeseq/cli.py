@@ -363,7 +363,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (KeyError, ValueError) as exc:  # validation errors all subclass ValueError
+    except (KeyError, ValueError, OverflowError) as exc:  # validation errors subclass ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

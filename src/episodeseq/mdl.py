@@ -152,19 +152,12 @@ def select(
         if not round_picks:
             break
         for i in round_picks:
-            cand, cov = candidates[i], covers[i]
-            selected.append(_selected(axis, cand.episode, cand.starts, cov, removed[cov], round_index))
+            episode, cov = candidates[i].episode, covers[i]
+            starts, covered = axis.pairs(episode, cov, removed[cov])
+            selected.append(SelectedEpisode(episode, starts, round_index, frozenset(covered)))
         removed += picks_at > 0
         round_index += 1
     return SelectionState(tuple(selected), round_index)
-
-
-def _selected(axis: _Axis, episode, starts, cov, skipped, round_index: int) -> SelectedEpisode:
-    """The pick of ``episode`` at axis times ``starts`` with slot cover ``cov``,
-    whose events bind past the ``skipped`` copies of each slot."""
-    pairs = tuple(map(axis.pair_at.__getitem__, starts.tolist()))
-    covered = zip(axis.seq[cov].tolist(), (axis.pos[cov] + skipped).tolist())
-    return SelectedEpisode(episode, pairs, round_index, frozenset(covered))
 
 
 def forced_selection(
@@ -182,7 +175,8 @@ def forced_selection(
     selected = []
     for episode in episodes:
         starts = axis.starts(episode, mode is FrequencyMode.NON_OVERLAPPED)
-        selected.append(_selected(axis, episode, starts, cover(axis, episode, starts), 0, 0))
+        starts, covered = axis.pairs(episode, cover(axis, episode, starts), 0)
+        selected.append(SelectedEpisode(episode, starts, 0, frozenset(covered)))
     return SelectionState(tuple(selected), 1 if selected else 0)
 
 

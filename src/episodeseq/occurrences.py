@@ -12,8 +12,8 @@ occurrence.
 Starts and covers are found on an :class:`_Axis`, the one occurrence
 representation that the candidate search, ``select`` and
 ``forced_selection`` share.  A cover is an array of the axis's slots, one
-per distinct (sequence, time, type), each bound to its lowest-index event,
-which keeps overlap counts deterministic.
+per distinct (sequence, time, type), each pointing at its lowest-index event
+in the data, which keeps overlap counts deterministic and gives the pairs.
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ def occurrences_for_mode(
     ``KeyError`` when a symbol of the episode is not in the data's alphabet."""
     axis = _Axis(data, max(episode.gaps, default=1))
     starts = axis.starts(episode, mode is FrequencyMode.NON_OVERLAPPED)
-    return OccurrenceList(episode, tuple(map(axis.pair_at.__getitem__, starts.tolist())))
+    return OccurrenceList(episode, axis.pairs(episode, cover(axis, episode, starts), 0)[0])
 
 
 def find_distinct_starts(data: EventDataset, episode: FixedIntervalEpisode) -> OccurrenceList:
@@ -135,8 +135,9 @@ class _Axis:
     small however large the raw times are.
 
     A slot is one distinct (sequence, time, type), keyed for ``searchsorted``
-    in (axis time, type id) order.  It records its first event's sequence
-    and position, and its multiplicity: that event and the copies after it.
+    in (axis time, type id) order.  It records the flat index of its first
+    event in the dataset's arrays, and its multiplicity: that event and the
+    copies after it.
     """
 
     def __init__(self, data: EventDataset, max_gap: int):
@@ -150,7 +151,7 @@ class _Axis:
         # No gap outgrows the longest sequence; a shorter max_gap keeps the axis short.
         longest = int((times[ends[1:][filled] - 1] - times[ends[:-1][filled]]).max(initial=0))
         self.max_gap = max_gap = min(max_gap, max(longest, 1))
-        self.alphabet = data.alphabet
+        self.data = data
         # Each distinct (sequence, time) gets an axis time g, one step past the
         # previous one; a step into a new sequence is max_gap + 1.
         new_time = opens[:n].copy()
@@ -165,9 +166,6 @@ class _Axis:
         last = int(g[-1]) if len(g) else -max_gap - 1
         if (last + max_gap + 1) * data.alphabet.size >= 2**63:
             raise ValueError(f"times too far apart for a 64-bit axis at max_gap {max_gap}")
-        seq_at = np.searchsorted(ends, at, "right") - 1
-        # axis time -> (sequence index, time in that sequence)
-        self.pair_at = dict(zip(g.tolist(), zip(seq_at.tolist(), times[at].tolist())))
         # A slot is the first of its (sequence, time, type); such events are adjacent.
         new_slot = new_time.copy()
         new_slot[1:] |= types[1:] != types[:-1]
@@ -180,9 +178,7 @@ class _Axis:
         slot_time = g.astype(np.int64)[np.cumsum(new_time)[first] - 1]
         key = slot_time * self.n_types + types[first]
         order = np.argsort(key, kind="stable")  # the identity when type ids follow name order
-        seq = np.searchsorted(ends, first, side="right") - 1
-        self.key, self.seq = key[order], seq[order]
-        self.pos = (first - ends[seq])[order]
+        self.key, self.event = key[order], first[order]
         self.mult = np.diff(first, append=n)[order]  # up to the next slot's first event
         self.times = (self.key // self.n_types).astype(self.time_type)
         self.types = (self.key % self.n_types).astype(self.sym_type)
@@ -192,7 +188,7 @@ class _Axis:
         non-overlapped chain when ``no_mode``.  Each node is looked up at the
         previous node's matched time plus its gap; a gap past ``max_gap``
         has no occurrence."""
-        first, *ids = map(self.alphabet.index, episode.event_types)
+        first, *ids = map(self.data.alphabet.index, episode.event_types)
         if max(episode.gaps, default=0) > self.max_gap:
             return np.empty(0, np.int64)
         start = end = self.times[self.types == first].astype(np.int64)
@@ -203,13 +199,23 @@ class _Axis:
             start = start[_chain_members(start, np.array([len(start)]), end[:1] - start[:1])]
         return start
 
+    def pairs(self, episode: FixedIntervalEpisode, cov: np.ndarray, skipped):
+        """``(sequence, start time)`` pairs of the occurrences with slot cover
+        ``cov``, read at each row's first slot, and lazily the ``(sequence,
+        position)`` pairs of the events ``skipped`` copies past each slot's first."""
+        event = self.event[cov] + skipped
+        seq = np.searchsorted(self.data.offsets, event, "right") - 1
+        first = slice(None, None, episode.length)
+        starts = zip(seq[first].tolist(), self.data.times[event[first]].tolist())
+        return tuple(starts), zip(seq.tolist(), (event - self.data.offsets[seq]).tolist())
+
 
 def cover(axis: _Axis, episode: FixedIntervalEpisode, starts: np.ndarray) -> np.ndarray:
     """Slot indices of the events that the occurrences at axis times ``starts``
     code.  Distinct starts of an injective episode share no event, so no
     slot repeats."""
     at = starts.astype(np.int64)[:, None] + episode.offsets()
-    ids = list(map(axis.alphabet.index, episode.event_types))
+    ids = list(map(axis.data.alphabet.index, episode.event_types))
     return np.searchsorted(axis.key, (at * axis.n_types + ids).ravel())
 
 

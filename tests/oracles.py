@@ -13,6 +13,7 @@ from functools import lru_cache, partial
 from itertools import groupby, permutations, product
 from operator import itemgetter
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,7 +29,6 @@ from episodeseq import (
     find_no_occurrences,
     score,
 )
-from episodeseq.candidates import Candidate
 from episodeseq.events import DataValidationError
 from episodeseq.mdl import (
     EncodingTable,
@@ -473,11 +473,25 @@ class _DataIndex:
             end = seq[-1].time + base
 
 
+class DfsCandidate(NamedTuple):
+    """An episode that :func:`dfs_candidates` emits, with its frequency,
+    score and counted occurrences under the search's mode."""
+
+    episode: FixedIntervalEpisode
+    frequency: int
+    score: int
+    occurrences: OccurrenceList
+
+    @property
+    def key(self) -> str:
+        return str(self.episode)
+
+
 def dfs_candidates(
     data: EventDataset,
     max_gap: int,
     mode: FrequencyMode = FrequencyMode.NON_OVERLAPPED,
-) -> tuple[Candidate, ...]:
+) -> tuple[DfsCandidate, ...]:
     """DFS the episode lattice and return the per-path best episodes.
 
     The depth-first lattice search, kept as the oracle of
@@ -494,7 +508,7 @@ def dfs_candidates(
     no_mode = mode is FrequencyMode.NON_OVERLAPPED
     deltas = range(1, max_gap + 1)
     # (type ids, gaps) of each emitted episode -> its candidate
-    emitted: dict[tuple[tuple[int, ...], tuple[int, ...]], Candidate] = {}
+    emitted: dict[tuple[tuple[int, ...], tuple[int, ...]], DfsCandidate] = {}
     # Nodes to visit: (type ids, gaps, span, distinct starts, frequency,
     # the path's best so far as (score, type ids, gaps, starts) or None).
     stack: list[tuple] = [
@@ -538,9 +552,8 @@ def dfs_candidates(
             occ = OccurrenceList(episode, pairs)
             if no_mode:
                 occ = find_no_occurrences(occ)
-            # the pairs themselves, read back by index
-            emitted[best_ids, best_gaps] = Candidate(
-                episode, occ.total, score(episode, occ.total), np.arange(occ.total), occ.starts
+            emitted[best_ids, best_gaps] = DfsCandidate(
+                episode, occ.total, score(episode, occ.total), occ
             )
     return tuple(sorted(emitted.values(), key=lambda cand: cand.key))
 

@@ -220,6 +220,16 @@ def test_hmm_compare_refuses_an_alphabet_size_below_one(size, capsys):
     assert f"alphabet size must be at least 1, got {size}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--alphabet-size", "--n-nodes", "--f-beta", "--o-gamma"])
+def test_hmm_compare_refuses_an_integer_too_large_for_a_float(flag, capsys):
+    args = {"--n-nodes": "3", "--f-beta": "10", "--o-beta": "1", "--f-gamma": "8"}
+    args.update({"--o-gamma": "4", "--eta": "0.2", "--alphabet-size": "10", flag: "9" * 400})
+    assert main(["hmm-compare", *(x for pair in args.items() for x in pair)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: int too large to convert to float" in captured.err
+
+
 def test_hmm_compare_refuses_episodes_without_nodes(capsys):
     argv = ["hmm-compare", "--n-nodes", "0", "--f-beta", "3", "--o-beta", "0"]
     argv += ["--f-gamma", "2", "--o-gamma", "0", "--eta", "0.2", "--alphabet-size", "10"]

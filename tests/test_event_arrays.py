@@ -123,8 +123,20 @@ def _dataset(rng: random.Random) -> EventDataset:
     )
 
 
-_AXIS_FIELDS = ("max_gap", "pair_at", "time_type", "sym_type", "gap_type", "n_types")
-_AXIS_ARRAYS = ("key", "seq", "pos", "mult", "times", "types")
+_AXIS_FIELDS = ("max_gap", "time_type", "sym_type", "gap_type", "n_types")
+_AXIS_ARRAYS = ("key", "mult", "times", "types")
+
+
+def _assert_axis_points_at_the_walks_events(got: _Axis, want, data: EventDataset) -> None:
+    """``got``'s slots point at the events of the walk's (sequence,
+    position) pairs, and every axis time of the walk reads back as the
+    walk's ``(sequence, time)`` pair."""
+    assert got.event.dtype == np.int64
+    assert np.array_equal(got.event, data.offsets[want.seq] + want.pos)
+    at = np.array(list(want.pair_at), np.int64)
+    slots = np.searchsorted(got.key, at * got.n_types)  # each axis time's first slot
+    one_node = FixedIntervalEpisode((data.alphabet.symbols[0],), ())
+    assert list(got.pairs(one_node, slots, 0)[0]) == list(want.pair_at.values())
 
 
 def test_axis_equals_the_per_event_walk():
@@ -146,6 +158,7 @@ def test_axis_equals_the_per_event_walk():
             a, b = getattr(got, name), getattr(want, name)
             # The walk's key is float64 when the data holds no event.
             assert (a.dtype == b.dtype or not len(b)) and np.array_equal(a, b), name
+        _assert_axis_points_at_the_walks_events(got, want, data)
     assert far > 20 and wide > 80
 
 
@@ -192,15 +205,15 @@ def _tampered(rng: random.Random, table: EncodingTable) -> EncodingTable:
 
 def test_decode_equals_the_per_entry_expansion():
     rng = random.Random(1803)
-    refused = decoded = 0
+    refused = decoded = lossless = 0
     for _ in range(N_CASES):
         data = _dataset(rng)
         try:
             table = encode(data, _selection(rng, data))
         except TableFormatError:
             continue
-        table = _tampered(rng, table)
-        got, want = _outcome(decode, table), _outcome(reference_decode, table)
+        tampered = _tampered(rng, table)
+        got, want = _outcome(decode, tampered), _outcome(reference_decode, tampered)
         if isinstance(want, tuple):
             assert got == want
             refused += 1
@@ -208,16 +221,20 @@ def test_decode_equals_the_per_entry_expansion():
         assert (got.sequences, got.alphabet) == (want.sequences, want.alphabet)
         assert got == want
         decoded += 1
-    assert refused > 300 and decoded > 1500
+        if tampered == table:  # the selection's pairs code the data itself
+            assert got == data, data.named_sequences()
+            lossless += 1
+    assert refused > 300 and decoded > 1500 and lossless > 1000
 
 
 @pytest.mark.parametrize("max_gap", [1, 3])
 def test_axis_on_an_empty_dataset(max_gap):
     for data in (EventDataset((), Alphabet(("A",))), EventDataset(((), ()), Alphabet(("A",)))):
         got, want = _Axis(data, max_gap), reference_axis(data, max_gap)
-        assert got.pair_at == want.pair_at and got.max_gap == want.max_gap
+        assert got.max_gap == want.max_gap
         for name in _AXIS_ARRAYS:
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        _assert_axis_points_at_the_walks_events(got, want, data)
 
 
 def _kept_mib(fn) -> float:
@@ -233,19 +250,32 @@ def _kept_mib(fn) -> float:
     return kept / 2**20
 
 
-def test_loaded_and_decoded_datasets_hold_arrays_only():
-    # On this 10k-step trajectory, the per-event Event tuples that load_events
-    # and decode used to build kept 1.06 and 0.99 MiB (peaks of 2.43 and
-    # 2.38 MiB); the CSR arrays keep about 0.15 MiB each.
+def _trajectory_text() -> str:
+    """The event file of a 10k-step pair-HMM trajectory."""
     alpha, beta = parse_serial_episode("A -> B -> C"), parse_serial_episode("D -> B -> E")
     model = hmm.build_model(alpha, beta, hmm.default_pair_alphabet(alpha, beta, 9), 0.25)
     handle = io.StringIO()
     dump_events(hmm.trajectory_dataset(model, hmm.simulate(model, 10_000, 0)), handle)
-    text = handle.getvalue()
+    return handle.getvalue()
+
+
+def test_loaded_and_decoded_datasets_hold_arrays_only():
+    # On this 10k-step trajectory, the per-event Event tuples that load_events
+    # and decode used to build kept 1.06 and 0.99 MiB (peaks of 2.43 and
+    # 2.38 MiB); the CSR arrays keep about 0.15 MiB each.
+    text = _trajectory_text()
     data = load_events(io.StringIO(text))
     table = encode(data, select(data, 3))
     assert _kept_mib(lambda: load_events(io.StringIO(text))) <= 0.3
     assert _kept_mib(lambda: decode(table)) <= 0.3
+
+
+def test_axis_keeps_one_event_index_per_slot():
+    # On this trajectory, an axis that also kept a dict from each axis time
+    # to its (sequence, time) pair and per-slot sequence and position arrays
+    # held 1.76 MiB; one flat event index per slot keeps about 0.28 MiB.
+    data = load_events(io.StringIO(_trajectory_text()))
+    assert _kept_mib(lambda: _Axis(data, 3)) <= 0.5
 
 
 @pytest.mark.parametrize("bad", [2, -1, 2**70, -(2**70)])
