@@ -7,15 +7,17 @@ end offset hits an event of the new symbol.  Along every root-to-leaf path
 the highest-scoring episode is emitted, so the candidate set holds one
 "best" episode per path, deduplicated.
 
-Children are made only with a mode frequency of 2 or more, and a branch
-that cannot beat its path's best is cut, a branch-and-bound as Morishita &
-Sese bound a statistic over a lattice (PODS 2000).  A descendant of a node
-has f' <= f and at most ``n_max`` nodes, one per symbol type searched, so
-it scores at most ``row_gain(n_max, f)``; a node grows only when that
-reaches its path's best score (and 1, in ``select``'s positive search).
-A cut node emits its path best, which no descendant could beat or tie, so
-the emitted set is that of the uncut search.  An f = 2 node's bound is -3,
-so a positive search extends only nodes with f >= 3.
+A branch that cannot beat its path's best is cut, a branch-and-bound as
+Morishita & Sese bound a statistic over a lattice (PODS 2000).  A
+descendant of a node has f' <= f and at most ``n_max`` nodes, one per
+symbol type searched, so it scores at most ``row_gain(n_max, f)``.  A
+child is made, and a node grows, only when that bound reaches its path's
+best score (and 1, in ``select``'s positive search); at f = 2 it is -3.
+A child that is its own path best passes, as ``row_gain(n, f) <=
+row_gain(n_max, f)`` for f >= 2, unless it scores below 1 in a positive
+search.  Any other child of f >= 2 would be a leaf, so its parent emits
+their path best instead, as a cut node does; no descendant could beat or
+tie it, so the emitted set is that of the uncut search.
 
 The trees are searched one depth at a time, as Mannila, Toivonen & Verkamo
 count episodes level-wise (DMKD 1997), by numpy joins over whole depths.
@@ -23,11 +25,12 @@ The joins run on the slots of the occurrences module's time axis
 (``occurrences._Axis``), which ``select`` also covers on.  A node keeps,
 per distinct start, the slot row of the occurrence's last event, and a
 child joins a row in the binary-searched window at most ``max_gap`` past
-it, so memory follows the event count, not the time span.  In
-non-overlapped mode a node's frequency is the length of the greedy chain
-of non-overlapped starts (Laxman, Sastry & Unnikrishnan, TKDE 2005).
-Candidates are built only for emitted episodes, and their occurrence lists
-only when read.
+it, so memory follows the event count, not the time span.  A join groups
+its rows by radix sort, 16 bits a pass.  In non-overlapped mode a node's
+frequency is the length of the greedy chain of non-overlapped starts
+(Laxman, Sastry & Unnikrishnan, TKDE 2005).  Candidates are built only for
+emitted episodes; each carries its cover, which one lookup per depth
+finds, and its occurrence list is read from the cover only when asked for.
 """
 
 from __future__ import annotations
@@ -43,11 +46,9 @@ from .occurrences import (  # noqa: F401
     OccurrenceList,
     _Axis,
     _chain_members,
-    cover,
     find_no_occurrences,
 )
 
-_PRUNE_FREQUENCY = 1
 _BLOCK = 1 << 13  # pairs joined at once, in blocks of whole nodes
 
 
@@ -56,23 +57,33 @@ def row_gain(n: int, f: int) -> int:
     return f * n - (2 * n + 1 + f)
 
 
+def _stable_order(key: np.ndarray) -> np.ndarray:
+    """``np.argsort(key, kind="stable")`` of non-negative int64 keys, in
+    linear time: stable sorts of their 16-bit digits, least significant
+    first, which numpy makes by radix sort."""
+    order = np.argsort(key.astype(np.uint16), kind="stable")
+    for shift in range(16, int(key.max(initial=0)).bit_length(), 16):
+        order = order[np.argsort((key >> shift).astype(np.uint16)[order], kind="stable")]
+    return order
+
+
 @dataclass(frozen=True)
 class Candidate:
     """An emitted episode with its frequency and score under the search's
-    mode.  Its occurrence pairs are built when read: each of ``starts``, an
-    axis time, leads through ``axis`` to a ``(sequence, start time)`` pair."""
+    mode, and its ``cover``: the ``axis`` slots of its counted occurrences'
+    events, one occurrence after another in start order.  Its occurrence
+    pairs are read from the cover when asked for."""
 
     episode: FixedIntervalEpisode
     frequency: int
     score: int
-    starts: np.ndarray = field(repr=False, compare=False)
+    cover: np.ndarray = field(repr=False, compare=False)
     axis: _Axis = field(repr=False, compare=False)
 
     @property
     def occurrences(self) -> OccurrenceList:
         """The counted occurrences, under the search's mode."""
-        starts, _ = self.axis.pairs(self.episode, cover(self.axis, self.episode, self.starts), 0)
-        return OccurrenceList(self.episode, starts)
+        return OccurrenceList(self.episode, self.axis.pairs(self.episode, self.cover, 0)[0])
 
     @property
     def key(self) -> str:
@@ -150,17 +161,29 @@ def _search(axis: _Axis, left, no_mode: bool, positive: bool) -> list[Candidate]
     name = axis.data.alphabet.name
     candidates = []
     base = 0
-    for ids, gaps, f, size, rows in kept:
+    for k, (ids, gaps, f, size, rows) in enumerate(kept):
+        kept[k] = None  # this depth's rows are released once read
         score = row_gain(ids.shape[1], f.astype(np.int64))
         out = emitted[base : base + len(ids)] & (score > 0 if positive else True)
         base += len(ids)
-        spans = gaps[out].sum(axis=1, dtype=axis.time_type)
-        starts = times[rows[np.repeat(out, size)]] - np.repeat(spans, size[out])
+        if not out.any():
+            continue
+        ids, gaps, f, score = ids[out], gaps[out], f[out], score[out]
+        offsets = np.zeros(ids.shape, np.int64)
+        np.cumsum(gaps, axis=1, out=offsets[:, 1:])
+        starts = times[rows[np.repeat(out, size)]] - np.repeat(offsets[:, -1], size[out])
+        del rows
         if no_mode:
-            starts = starts[_chain_members(starts, size[out], spans)]
-        f, score = f[out].tolist(), score[out].tolist()
-        parts = np.split(starts, np.cumsum(f)[:-1])
-        for row, gap_row, *rest in zip(ids[out].tolist(), gaps[out].tolist(), f, score, parts):
+            starts = starts[_chain_members(starts, size[out], offsets[:, -1])]
+        # The depth's covers: each start's slots, node by node, in one lookup.
+        at = np.repeat(offsets, f, axis=0)
+        at += starts[:, None]
+        at *= axis.n_types
+        at += np.repeat(ids, f, axis=0)
+        covers = np.split(np.searchsorted(axis.key, at.ravel()), np.cumsum(f * ids.shape[1])[:-1])
+        del at, starts
+        fields = zip(ids.tolist(), gaps.tolist(), f.tolist(), score.tolist(), covers)
+        for row, gap_row, *rest in fields:
             episode = FixedIntervalEpisode(tuple(map(name, row)), tuple(gap_row))
             candidates.append(Candidate(episode, *rest, axis))
     candidates.sort(key=lambda cand: cand.key)
@@ -170,13 +193,17 @@ def _search(axis: _Axis, left, no_mode: bool, positive: bool) -> list[Candidate]
 def _extend(
     depth: _Depth, axis: _Axis, events: tuple, no_mode: bool, positive: bool, n_max: int
 ):
-    """The next depth (None past the last one), grown from the nodes whose
-    bound ``row_gain(n_max, f)`` reaches their path's best score (and 1
-    when ``positive``), and the path-best refs of the nodes without a child."""
+    """The next depth, grown from the nodes whose bound reaches their
+    path's best score (and 1 when ``positive``), into the children whose
+    bound does; None past the last depth.  Also the path-best refs that
+    this depth emits: those of the nodes without a child, and of the
+    parents of children not made."""
+    if n_max < 2:  # one symbol type makes no child
+        return None, depth.best_ref
     n = len(depth.f)
     best = np.maximum(depth.best_score, 1) if positive else depth.best_score
-    grow = row_gain(n_max, depth.f.astype(np.int64)) >= best
-    live = np.flatnonzero(grow)
+    need = -(-(best + 2 * n_max + 1) // (n_max - 1))  # the least f with row_gain(n_max, f) >= best
+    live = np.flatnonzero(depth.f >= need)
     if not len(live):
         return None, depth.best_ref
     # Blocks of whole nodes, each starting at a live node every _BLOCK starts
@@ -185,12 +212,13 @@ def _extend(
     cuts = np.diff(depth.ptr[live] // _BLOCK, prepend=-1) | np.diff(live // step, prepend=-1)
     cuts = live[np.flatnonzero(cuts)]
     cuts = np.append(cuts, n).tolist()
-    parts = [_join(depth, axis, events, no_mode, grow, a, z) for a, z in zip(cuts, cuts[1:])]
+    parts = [_join(depth, axis, events, no_mode, need, a, z) for a, z in zip(cuts, cuts[1:])]
     depth.ptr = depth.row = None  # joined: the children hold the occurrences now
-    parent, sym, delta, f, size, row = map(np.concatenate, zip(*parts))
+    parent, sym, delta, f, size, row, unmade = map(np.concatenate, zip(*parts))
     del parts, live
-    has_child = np.zeros(n, bool)
-    has_child[parent] = True
+    leaf = np.ones(n, bool)
+    leaf[parent] = False
+    leaf[unmade] = True
     child_score = row_gain(depth.ids.shape[1] + 1, f.astype(np.int64))
     take = child_score >= depth.best_score[parent]
     child = _Depth(
@@ -203,20 +231,19 @@ def _extend(
         np.append(0, np.cumsum(size)),
         row,
     )
-    return child, depth.best_ref[~has_child]
+    return child, depth.best_ref[leaf]
 
 
-def _join(
-    depth: _Depth, axis: _Axis, events: tuple, no_mode: bool, grow: np.ndarray, a: int, z: int
-):
-    """The children of the ``grow`` nodes among a..z-1: their parents,
-    symbols, last gaps, frequencies, and the number and the list of their
-    occurrences' rows."""
+def _join(depth: _Depth, axis: _Axis, events: tuple, no_mode: bool, need, a: int, z: int):
+    """The children of the nodes among a..z-1 with ``f >= need`` whose own
+    frequency reaches their parent's ``need``: their parents, symbols, last
+    gaps, frequencies, and the number and the list of their occurrences'
+    rows.  Last, the parent of each child of f >= 2 left out, once per child."""
     times, types, lo_at, hi_at = events
     max_gap = axis.max_gap
     node = np.repeat(np.arange(a, z, dtype=np.int32), np.diff(depth.ptr[a : z + 1]))
     row = depth.row[depth.ptr[a] : depth.ptr[z]]
-    live = grow[node]
+    live = depth.f[node] >= need[node]
     node, row = node[live], row[live]
     lo = lo_at[row]
     count = hi_at[row] - lo
@@ -226,11 +253,13 @@ def _join(
     m = axis.n_types
     total = int(count.sum())
     ev = (np.arange(total) + np.repeat(lo - (np.cumsum(count) - count), count)).astype(row.dtype)
-    base = (node - a).astype(np.int64) * max_gap - times[row] - 1
-    key = (np.repeat(base, count) + times[ev]) * m + types[ev]
-    del lo, base
-    order = np.argsort(key, kind="stable")
-    key = key[order]
+    key = np.repeat((node - a).astype(np.int64) * max_gap - times[row] - 1, count)
+    key += times[ev]
+    key *= m
+    key += types[ev]
+    del lo
+    order = _stable_order(key)
+    key, ev = key[order], ev[order]
     head = np.empty(total, bool)
     head[:1] = True
     np.not_equal(key[1:], key[:-1], out=head[1:])
@@ -240,21 +269,27 @@ def _join(
     g_sym = (key[heads] % m).astype(axis.sym_type)
     g_delta = (key[heads] // m % max_gap + 1).astype(axis.gap_type)
     del key
-    # Keep the groups of 2+ starts whose symbol is new to the node, then,
-    # in non-overlapped mode, those with a chain of 2+.  A node's span is
-    # constant, so the chain on end times is the chain on start times.
-    ok = (size > _PRUNE_FREQUENCY) & np.all([c[g_node] != g_sym for c in depth.ids.T], axis=0)
+    # A group of 2+ starts whose symbol is new to the node is a child with
+    # f >= 2; in non-overlapped mode, if its chain holds 2+ starts too, as
+    # when its last end is more than a span past its first.  A node's span
+    # is constant, so the chain on end times is the chain on start times.
+    child = (size > 1) & np.all([c[g_node] != g_sym for c in depth.ids.T], axis=0)
+    if no_mode:
+        g_span = depth.span[g_node] + g_delta
+        child &= times[ev[heads + size - 1]] - times[ev[heads]] > g_span
+    make = child & (size >= need[g_node])  # f <= size
     group = np.cumsum(head, dtype=np.int32) - 1
-    keep = ok[group]
-    rows = ev[order[keep]]  # a child's row is the row it joined
-    del order, ev
-    g_node, g_sym, g_delta, size = g_node[ok], g_sym[ok], g_delta[ok], size[ok]
+    keep = make[group]
+    rows = ev[keep]  # a child's row is the row it joined
+    unmade = g_node[child & ~make]
+    g_node, g_sym, g_delta, size = (x[make] for x in (g_node, g_sym, g_delta, size))
     f = size
     if no_mode:
-        group = (np.cumsum(ok, dtype=np.int32) - 1)[group[keep]]
-        member = _chain_members(times[rows], size, depth.span[g_node] + g_delta)
+        group = (np.cumsum(make, dtype=np.int32) - 1)[group[keep]]
+        member = _chain_members(times[rows], size, g_span[make])
         f = np.add.reduceat(member, np.cumsum(size) - size, dtype=np.int32)
-        ok = f > _PRUNE_FREQUENCY
-        g_node, g_sym, g_delta, f, size = g_node[ok], g_sym[ok], g_delta[ok], f[ok], size[ok]
-        rows = rows[ok[group]]
-    return g_node, g_sym, g_delta, f.astype(np.int32), size, rows
+        made = f >= need[g_node]
+        unmade = np.append(unmade, g_node[~made])
+        g_node, g_sym, g_delta, f, size = (x[made] for x in (g_node, g_sym, g_delta, f, size))
+        rows = rows[made[group]]
+    return g_node, g_sym, g_delta, f.astype(np.int32), size, rows, unmade

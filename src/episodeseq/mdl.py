@@ -134,7 +134,7 @@ def select(
             break
         # Non-positive scores can never yield a positive overlap-score.
         candidates = _search(axis, left, mode is FrequencyMode.NON_OVERLAPPED, True)
-        covers = [cover(axis, cand.episode, cand.starts) for cand in candidates]
+        covers = [cand.cover for cand in candidates]
         picks_at = np.zeros(len(removed), np.int64)  # this round's picks covering each slot
         heap = [(-c.score, -c.frequency, -c.episode.length, i) for i, c in enumerate(candidates)]
         heapq.heapify(heap)

@@ -230,6 +230,8 @@ def _chain_members(starts, size, spans):
     starts marked so far, those fewer than 2**k steps past a run's head,
     add their successors 2**k steps on.
     """
+    if not len(starts):
+        return np.zeros(0, bool)
     span = np.repeat(spans, size)
     head = np.ones(len(starts), bool)
     np.greater(np.diff(starts), span[1:], out=head[1:])

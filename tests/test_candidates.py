@@ -2,6 +2,7 @@ import itertools
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from episodeseq import (
@@ -382,3 +383,38 @@ def test_select_search_cuts_branches_that_cannot_beat_their_path_best(monkeypatc
     monkeypatch.setattr(candidates, "_join", counting_join)
     assert select(data, 3).selected
     assert 0 < children <= 20_000
+
+
+def test_select_search_makes_only_children_that_may_grow(monkeypatch):
+    # A child is made only when its own bound reaches its path's best (and
+    # 1); any other would be a leaf emitting its parent's path best.  Making
+    # every child of f >= 2 built 16,524 children here.
+    alpha = parse_serial_episode("A -> B -> C")
+    beta = parse_serial_episode("D -> B -> E")
+    model = hmm.build_model(alpha, beta, hmm.default_pair_alphabet(alpha, beta, 9), 0.25)
+    data = hmm.trajectory_dataset(model, hmm.simulate(model, 10_000, 0))
+    join = candidates._join
+    children = 0
+
+    def counting_join(*args):
+        nonlocal children
+        out = join(*args)
+        children += len(out[0])
+        return out
+
+    monkeypatch.setattr(candidates, "_join", counting_join)
+    assert select(data, 3).selected
+    assert 0 < children <= 3_000
+
+
+@pytest.mark.parametrize("top", [0, 2**16 - 1, 2**16, 2**32, 2**62 - 3])
+def test_stable_order_equals_stable_argsort(top):
+    # Keys up to `top` need 1 to 4 passes of 16-bit digits.  Half the
+    # values share their lowest digit, and each value repeats many times.
+    rng = np.random.default_rng(top % 997)
+    pool = rng.integers(0, top, 40, endpoint=True)
+    pool = np.append(pool, pool - (pool & 0xFFFF) + (pool[0] & 0xFFFF))
+    for n in (0, 1, 2, 5000):
+        key = rng.choice(pool, n)
+        key[rng.integers(n, size=min(n, 1))] = top
+        assert np.array_equal(candidates._stable_order(key), np.argsort(key, kind="stable"))

@@ -251,3 +251,10 @@ def test_chain_members_is_the_greedy_chain_of_each_group():
             group = starts[a:z].tolist()
             kept = [t for t, m in zip(group, member[a:z]) if m]
             assert kept == non_overlapped(group, span)
+
+
+def test_chain_members_of_no_starts():
+    for sizes in ([], [0], [0, 0, 0]):
+        spans = np.ones(len(sizes), int)
+        member = _chain_members(np.zeros(0, np.int64), np.array(sizes, int), spans)
+        assert member.dtype == bool and member.shape == (0,)
