@@ -278,18 +278,15 @@ def _join(depth: _Depth, axis: _Axis, events: tuple, no_mode: bool, need, a: int
         g_span = depth.span[g_node] + g_delta
         child &= times[ev[heads + size - 1]] - times[ev[heads]] > g_span
     make = child & (size >= need[g_node])  # f <= size
-    group = np.cumsum(head, dtype=np.int32) - 1
-    keep = make[group]
-    rows = ev[keep]  # a child's row is the row it joined
+    rows = ev[np.repeat(make, size)]  # a child's row is the row it joined
     unmade = g_node[child & ~make]
     g_node, g_sym, g_delta, size = (x[make] for x in (g_node, g_sym, g_delta, size))
     f = size
     if no_mode:
-        group = (np.cumsum(make, dtype=np.int32) - 1)[group[keep]]
         member = _chain_members(times[rows], size, g_span[make])
         f = np.add.reduceat(member, np.cumsum(size) - size, dtype=np.int32)
         made = f >= need[g_node]
         unmade = np.append(unmade, g_node[~made])
+        rows = rows[np.repeat(made, size)]
         g_node, g_sym, g_delta, f, size = (x[made] for x in (g_node, g_sym, g_delta, f, size))
-        rows = rows[made[group]]
     return g_node, g_sym, g_delta, f.astype(np.int32), size, rows, unmade
