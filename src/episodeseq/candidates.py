@@ -144,7 +144,7 @@ def _search(axis: _Axis, left, no_mode: bool, positive: bool) -> list[Candidate]
     # the sizes and list of their rows).  Path-best refs number them across depths.
     kept: list[tuple[np.ndarray, ...]] = []
     n_kept = 0
-    leaf_refs = []
+    emits = []
     while depth is not None:
         own = depth.best_ref < 0
         depth.best_ref[own] = np.arange(n_kept, n_kept + own.sum())
@@ -154,9 +154,9 @@ def _search(axis: _Axis, left, no_mode: bool, positive: bool) -> list[Candidate]
         kept.append((depth.ids[own], depth.gaps[own], depth.f[own], size[own], rows))
         del own, size, rows
         depth, refs = _extend(depth, axis, (times, types, lo, hi), no_mode, positive, len(roots))
-        leaf_refs.append(refs)
+        emits.append(refs)
     emitted = np.zeros(n_kept, bool)
-    emitted[np.concatenate(leaf_refs)] = True
+    emitted[np.concatenate(emits)] = True
 
     name = axis.data.alphabet.name
     candidates = []
@@ -216,9 +216,9 @@ def _extend(
     depth.ptr = depth.row = None  # joined: the children hold the occurrences now
     parent, sym, delta, f, size, row, unmade = map(np.concatenate, zip(*parts))
     del parts, live
-    leaf = np.ones(n, bool)
-    leaf[parent] = False
-    leaf[unmade] = True
+    emit = np.ones(n, bool)
+    emit[parent] = False
+    emit[unmade] = True
     child_score = row_gain(depth.ids.shape[1] + 1, f.astype(np.int64))
     take = child_score >= depth.best_score[parent]
     child = _Depth(
@@ -231,7 +231,7 @@ def _extend(
         np.append(0, np.cumsum(size)),
         row,
     )
-    return child, depth.best_ref[leaf]
+    return child, depth.best_ref[emit]
 
 
 def _join(depth: _Depth, axis: _Axis, events: tuple, no_mode: bool, need, a: int, z: int):
