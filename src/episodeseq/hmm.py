@@ -153,7 +153,7 @@ def _check_eta(eta: float, m: int) -> None:
 
 def _check_ids(ids: Sequence[int], bound: int, what: str) -> None:
     """Refuse an id outside 0..bound - 1; a lookup would wrap a negative one."""
-    if any(not 0 <= k < bound for k in ids):
+    if len(ids) and not (0 <= min(ids) and max(ids) < bound):
         raise ValueError(f"{what} id outside 0..{bound - 1}")
 
 
@@ -241,14 +241,21 @@ def build_model(
     )
 
 
+# Largest alphabet a pair model is built over: its names take about 135 MiB.
+MAX_PAIR_ALPHABET_SIZE = 1 << 20
+
+
 def default_pair_alphabet(
     alpha: SerialEpisode, beta: SerialEpisode, alphabet_size: int
 ) -> Alphabet:
     """Alphabet of the requested size containing both episodes' symbols.
 
     Episode symbols come first in order of appearance; remaining slots are
-    filled with unused capital letters, then generated names.
+    filled with unused capital letters, then generated names.  Sizes above
+    ``MAX_PAIR_ALPHABET_SIZE`` are refused before any name is built.
     """
+    if alphabet_size > MAX_PAIR_ALPHABET_SIZE:
+        raise ValueError(f"alphabet size must be at most {MAX_PAIR_ALPHABET_SIZE}")
     names = list(dict.fromkeys(alpha.event_types + beta.event_types))
     if alphabet_size < len(names):
         raise ValueError(
@@ -408,16 +415,21 @@ def viterbi(model: EpisodePairModel, outputs: Sequence[int]) -> tuple[int, ...]:
 
     Log-space max-product over predecessor lists (Rabiner 1989, sec. III-B):
     each step maximizes over the few states with an edge into a state, so a
-    step costs O(S K) for the largest in-degree K, not O(S^2).  Predecessors
-    are taken in ascending index order and the first maximum wins, so ties
-    resolve to the lowest canonical state index.
+    step costs O(S K) for the largest in-degree K, not O(S^2).  A step
+    gathers a (K, S) table of predecessor scores, takes its column maxima,
+    and keeps the (K, S) mask of the slots that reach them.  Every 64 steps
+    the masks fold into one K-bit code per step and state, and the code's
+    lowest set bit, the first predecessor slot at the maximum, is stored in
+    4 bits, two steps per byte: T S / 2 bytes of back-pointers in all.
+    Predecessors are in ascending index order, so ties resolve to the lowest
+    canonical state index.
     """
     if len(outputs) == 0:
         raise ValueError("output sequence must be non-empty")
     _check_ids(outputs, model.alphabet_size, "output symbol")
     n_states = model.n_states
-    # Row d of ``preds`` lists the sources of the edges into d in ascending
-    # order; spare slots hold source 0 at log-weight -inf.
+    # Column d of ``preds`` lists the sources of the edges into d in
+    # ascending order; spare slots hold source 0 at log-weight -inf.
     edges = sorted(
         (dst, src, weight)
         for src, row in enumerate(model.successors)
@@ -426,13 +438,14 @@ def viterbi(model: EpisodePairModel, outputs: Sequence[int]) -> tuple[int, ...]:
     dst, src, weight = (np.array(col) for col in zip(*edges))
     in_degree = np.bincount(dst, minlength=n_states)
     slot = np.arange(dst.size) - (np.cumsum(in_degree) - in_degree)[dst]
-    preds = np.zeros((n_states, in_degree.max()), dtype=np.intp)
-    preds[dst, slot] = src
+    k = int(in_degree.max())
+    preds = np.zeros((k, n_states), dtype=np.intp)
+    preds[slot, dst] = src
     log_w = np.full(preds.shape, -np.inf)
-    log_w[dst, slot] = np.log(weight)
+    log_w[slot, dst] = np.log(weight)
     # Emission rows only for the U <= min(M, T) distinct outputs: 1 at the
     # states that emit the output, 1/M at noise states, 0 elsewhere.
-    row_of = {o: k for k, o in enumerate(dict.fromkeys(outputs))}
+    row_of = {o: r for r, o in enumerate(dict.fromkeys(outputs))}
     emit = np.zeros((len(row_of), n_states))
     for state, symbol in enumerate(model.symbols):
         if symbol < 0:
@@ -443,18 +456,28 @@ def viterbi(model: EpisodePairModel, outputs: Sequence[int]) -> tuple[int, ...]:
         log_init = np.log(model.initial)
         log_emit = np.log(emit)  # (U, S)
     t_max = len(outputs)
-    rows = np.arange(n_states)
     delta = log_init + log_emit[row_of[outputs[0]]]
-    # Back-pointers are slots in ``preds`` rows, so a small int type holds them.
-    back = np.empty((t_max, n_states), np.min_scalar_type(preds.shape[1] - 1))
+    # Step t keeps, per state, the slot of its first best predecessor in
+    # the low (even t) or high (odd t) nibble of back[t // 2].  K <= 6, so
+    # a K-bit mask code fits a uint8 and a slot fits a nibble.
+    back = np.zeros(((t_max + 1) // 2, n_states), np.uint8)
+    lowest = np.array([(c & -c).bit_length() - 1 if c else 0 for c in range(1 << k)], np.uint8)
+    bits = np.uint8(1) << np.arange(k, dtype=np.uint8)
+    mask = np.zeros((64, k, n_states), bool)  # a chunk of steps' equality masks
+    mx = np.empty(n_states)
     for t in range(1, t_max):
-        scores = delta[preds] + log_w
-        col = scores.argmax(axis=1)
-        back[t] = col
-        delta = scores[rows, col] + log_emit[row_of[outputs[t]]]
-    path = [int(np.argmax(delta))]
+        sc = delta[preds]
+        sc += log_w
+        np.maximum.reduce(sc, 0, out=mx)
+        np.equal(sc, mx, out=mask[t % 64])
+        delta = mx + log_emit[row_of[outputs[t]]]
+        if t % 64 == 63 or t == t_max - 1:  # fold steps t - t % 64 .. t
+            slots = lowest[np.einsum("k,tks->ts", bits, mask.view(np.uint8))]
+            lo, hi = (t - t % 64) // 2, t // 2 + 1
+            back[lo:hi] = slots[0 : 2 * (hi - lo) : 2] | slots[1 : 2 * (hi - lo) : 2] << 4
+    path, sources = [int(np.argmax(delta))], preds.T.tolist()
     for t in range(t_max - 1, 0, -1):
-        path.append(int(preds[path[-1], back[t, path[-1]]]))
+        path.append(sources[path[-1]][back.item(t // 2, path[-1]) >> 4 * (t % 2) & 15])
     return tuple(reversed(path))
 
 

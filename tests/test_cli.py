@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from episodeseq import decode, load_events, load_table, save_table
+from episodeseq import decode, hmm, load_events, load_table, save_table
 from episodeseq.cli import main
 from episodeseq.datasets import sample_sequence_text
 
@@ -549,6 +549,20 @@ def test_pair_model_commands_fit_a_large_alphabet(tmp_path):
     assert score.returncode == 0, score.stderr
     assert score.stdout.startswith("joint_log_likelihood\t")
     assert len(score.stdout.splitlines()[2].split()) == 2001  # label plus 2,000 states
+
+
+@pytest.mark.parametrize("size", ["1" * 400, str(hmm.MAX_PAIR_ALPHABET_SIZE + 1)])
+def test_hmm_sim_refuses_an_alphabet_too_large_before_building_it(size, tmp_path):
+    # Building one name per symbol would run out of memory in the capped
+    # child long before a 400-digit size was reached.
+    out = tmp_path / "traj.txt"
+    pair = ["--alpha", "A -> B", "--beta", "C -> D", "--alphabet-size", size, "--eta", "0.2"]
+    child = _capped_main("hmm-sim", *pair, "--length", "5", "--seed", "0", "-o", str(out))
+    assert child.returncode == 3, child.stderr
+    assert child.stderr.splitlines() == [
+        f"error: alphabet size must be at most {hmm.MAX_PAIR_ALPHABET_SIZE}"
+    ]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("mult", ["0:1:A=0", "0:1:A=-2", "0:9:A=3"])

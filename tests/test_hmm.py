@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import math
@@ -422,33 +423,91 @@ def test_viterbi_dominates_sampled_paths():
         )
 
 
+def tie_heavy_model(rng, case):
+    """A random pair model with N = 1..5 over a small symbol pool, so that
+    episodes share symbols, sometimes their first one (a shared initial
+    state)."""
+    n = rng.randint(1, 5)
+    pool = "ABCDEFGHIJ"[: rng.randint(n, min(10, 2 * n + 1))]
+    alpha = rng.sample(pool, n)
+    beta = rng.sample(pool, n)
+    if case % 4 == 0:
+        beta = [alpha[0]] + [sym for sym in beta if sym != alpha[0]][: n - 1]
+    a = parse_serial_episode(" -> ".join(alpha))
+    b = parse_serial_episode(" -> ".join(beta))
+    size = len(set(alpha) | set(beta)) + rng.randint(0, 4)
+    eta = rng.uniform(0.001, 0.999) * eta_upper_bound(size)
+    return build_model(a, b, default_pair_alphabet(a, b, size), eta)
+
+
+def tie_heavy_outputs(rng, case, model, length):
+    """``length`` outputs: a simulated trajectory's for odd ``case``,
+    uniformly random symbols for even."""
+    if case % 2:
+        return simulate(model, length, seed=rng.randrange(10**6)).outputs
+    return [rng.randrange(model.alphabet_size) for _ in range(length)]
+
+
 def test_viterbi_equals_dense_max_product():
-    # Random pairs with N = 1..5 over a small symbol pool, so that episodes
-    # share symbols, sometimes their first one (a shared initial state).
     # Equal edge weights and uniform noise emissions make exactly tied
     # predecessors common (most cases have some), so the lowest-index
     # tie-break is exercised.
     rng = random.Random(905)
     for case in range(400):
-        n = rng.randint(1, 5)
-        pool = "ABCDEFGHIJ"[: rng.randint(n, min(10, 2 * n + 1))]
-        alpha = rng.sample(pool, n)
-        beta = rng.sample(pool, n)
-        if case % 4 == 0:
-            beta = [alpha[0]] + [sym for sym in beta if sym != alpha[0]][: n - 1]
-        a = parse_serial_episode(" -> ".join(alpha))
-        b = parse_serial_episode(" -> ".join(beta))
-        size = len(set(alpha) | set(beta)) + rng.randint(0, 4)
-        eta = rng.uniform(0.001, 0.999) * eta_upper_bound(size)
-        model = build_model(a, b, default_pair_alphabet(a, b, size), eta)
-        length = rng.randint(1, 60)
-        if case % 2:
-            outputs = simulate(model, length, seed=rng.randrange(10**6)).outputs
-        else:
-            outputs = [rng.randrange(size) for _ in range(length)]
+        model = tie_heavy_model(rng, case)
+        outputs = tie_heavy_outputs(rng, case, model, rng.randint(1, 60))
         assert viterbi(model, outputs) == dense_viterbi(model, outputs), (
-            f"case {case}: {a} / {b}, M={size}, eta={eta}, outputs={outputs}"
+            f"case {case}: {model.alpha} / {model.beta}, M={model.alphabet_size}, "
+            f"eta={model.eta}, outputs={outputs}"
         )
+
+
+@pytest.mark.parametrize("length", [1, 2, 63, 64, 65, 127, 128, 129, 257, 317, 403])
+def test_viterbi_equals_dense_max_product_across_chunk_edges(length):
+    # viterbi folds its back-pointers in chunks of 64 steps, two steps to a
+    # byte, so these lengths end a path at, just before and just after a
+    # chunk edge, and on odd and even steps.
+    rng = random.Random(length)
+    for case in range(12):
+        model = tie_heavy_model(rng, case)
+        outputs = tie_heavy_outputs(rng, case, model, length)
+        assert viterbi(model, outputs) == dense_viterbi(model, outputs), (
+            f"case {case}: {model.alpha} / {model.beta}, M={model.alphabet_size}, "
+            f"eta={model.eta}"
+        )
+
+
+def test_in_degree_is_at_most_six():
+    # viterbi stores a predecessor slot in 4 bits and folds a state's
+    # equality masks into one byte, which needs an in-degree K of at most 8.
+    rng = random.Random(21)
+    for n in range(1, 9):
+        for case in range(30):
+            pool = "ABCDEFGHIJKLMNOPQ"[: rng.randint(n, 2 * n + 1)]
+            alpha = rng.sample(pool, n)
+            beta = {0: alpha, 1: alpha[1:] + alpha[:1]}.get(case, rng.sample(pool, n))
+            a = parse_serial_episode(" -> ".join(alpha))
+            b = parse_serial_episode(" -> ".join(beta))
+            model = build_model(a, b, default_pair_alphabet(a, b, len(pool) + 1), 0.1)
+            in_degree = collections.Counter(dst for row in model.successors for dst in row)
+            assert max(in_degree.values()) <= 6, f"{a} / {b}"
+
+
+def test_viterbi_memory_on_the_benchmark_model():
+    # T x S bytes of back-pointers alone would take 2.45 MiB here; viterbi
+    # keeps half that, two 4-bit slots per byte.
+    alpha = parse_serial_episode("A -> B -> C -> D -> E -> F -> G -> H")
+    beta = parse_serial_episode("I -> J -> K -> D -> L -> M -> N -> O")
+    model = build_model(alpha, beta, default_pair_alphabet(alpha, beta, 20), 0.25)
+    outputs = simulate(model, 10_000, seed=0).outputs
+    tracemalloc.start()
+    try:
+        path = viterbi(model, outputs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model.n_states == 257 and len(path) == 10_000
+    assert peak <= 2.0 * 2**20
 
 
 def test_viterbi_single_symbol():
@@ -463,8 +522,22 @@ def test_viterbi_pure_noise_symbols():
     assert all(model.state(idx).kind not in (StateKind.EP1, StateKind.EP2) for idx in path)
 
 
+BIG = 10**400
+
+
 @pytest.mark.parametrize(
-    "outputs, states", [([-1], [0]), ([9], [0]), ([0], [-1]), ([0], [37]), ([0, 1], [0, 99])]
+    "outputs, states",
+    [
+        ([-1], [0]),
+        ([9], [0]),
+        ([0], [-1]),
+        ([0], [37]),
+        ([0, 1], [0, 99]),
+        ([BIG], [0]),
+        ([-BIG], [0]),
+        ([0, 1], [0, BIG]),
+        ([0, 1], [-BIG, 0]),
+    ],
 )
 def test_joint_log_likelihood_refuses_ids_out_of_range(outputs, states):
     # A negative id would wrap to the last symbol or state.
@@ -473,7 +546,7 @@ def test_joint_log_likelihood_refuses_ids_out_of_range(outputs, states):
         joint_log_likelihood(model, outputs, states)
 
 
-@pytest.mark.parametrize("states", [[-1, 5], [99], [0, 37]])
+@pytest.mark.parametrize("states", [[-1, 5], [99], [0, 37], [BIG], [0, -BIG]])
 def test_state_walks_refuse_ids_out_of_range(states):
     model = case1_model(m=9)
     with pytest.raises(ValueError, match="outside"):
