@@ -322,9 +322,12 @@ def load_events(handle: IO[str]) -> EventDataset:
     filled = np.flatnonzero(np.fromiter(map(len, stripped), np.int64, len(stripped)))
     kept = [stripped[i] for i in filled.tolist()]
     del stripped
-    fields = "\t".join(kept).split("\t") if kept else []
+    one_tab = set(map(str.count, kept, repeat("\t"))) <= {1}
+    fields = "\t".join(kept)
+    del kept  # so that the split fields never live beside the kept lines
+    fields = fields.split("\t") if fields else []
     try:  # every kept line holds exactly one tab, and int reads each time
-        if len(fields) != 2 * len(kept) or max(map(str.count, kept, repeat("\t")), default=1) > 1:
+        if not one_tab:
             raise ValueError
         times = _exact_ints(list(map(int, fields[0::2])))
     except ValueError:  # raise the error of the first bad line, counting from 1
@@ -341,7 +344,7 @@ def load_events(handle: IO[str]) -> EventDataset:
             except ValueError:
                 raise DataValidationError(f"line {lineno}: bad timestamp {fields[0]!r}") from None
     names = fields[1::2]
-    del lines, kept, fields
+    del lines, fields
     alphabet = Alphabet.from_names(names)
     types = np.fromiter(map(alphabet._index.__getitem__, names), np.int64, len(names))
     # A sequence starts at each filled line that follows a blank one.

@@ -21,9 +21,10 @@ from __future__ import annotations
 import csv
 import heapq
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import groupby, zip_longest
-from operator import itemgetter, le, lt
+from operator import attrgetter, itemgetter, le, lt
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -66,7 +67,7 @@ def overlap_score(
     candidate and ``selected`` on ``data`` under ``mode``.
     """
     own, *others = forced_selection(data, [episode, *selected], mode).selected
-    penalty = sum(len(own.covered & other.covered) for other in others)
+    penalty = sum(int(np.isin(own.events, other.events).sum()) for other in others)
     return score(episode, own.frequency) - penalty
 
 
@@ -75,19 +76,36 @@ class SelectedEpisode:
     """One selection decision, with the evidence it was based on.
 
     ``starts`` are the ``(sequence, start time)`` pairs of the occurrences
-    found in the round's residual data; ``covered`` holds the
-    ``(sequence, position)`` pairs, in the input data, of the events those
-    occurrences code for.
+    found in the round's residual data.  ``events``, read-only, holds the
+    flat indices into the input data's arrays, whose ``offsets`` it shares,
+    of the events those occurrences code for; ``covered``, the same events
+    as ``(sequence, position)`` pairs, is built on first read and decides
+    equality together with the episode, starts and round.
     """
 
     episode: FixedIntervalEpisode
     starts: tuple[tuple[int, int], ...]
     round_index: int
-    covered: frozenset[tuple[int, int]]
+    events: np.ndarray
+    offsets: np.ndarray = field(repr=False)
 
     @property
     def frequency(self) -> int:
         return len(self.starts)
+
+    @cached_property
+    def covered(self) -> frozenset[tuple[int, int]]:
+        seq = np.searchsorted(self.offsets, self.events, "right") - 1
+        return frozenset(zip(seq.tolist(), (self.events - self.offsets[seq]).tolist()))
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, SelectedEpisode) and _PICK_KEY(self) == _PICK_KEY(other)
+
+    def __hash__(self) -> int:
+        return hash(self.covered)
+
+
+_PICK_KEY = attrgetter("episode", "starts", "round_index", "covered")
 
 
 @dataclass(frozen=True)
@@ -117,9 +135,9 @@ def select(
     selected at least one episode and the cap is not reached.
 
     A round counts, per slot of the search's axis, the copies removed so
-    far; a cover binds each slot's lowest copy still left.  Penalties only
-    grow within a round, so stale heap keys are bounds and only the top
-    entry is rescored (Minoux's lazy greedy, 1978).
+    far; a cover binds each slot's lowest copy still left, whose flat index
+    a pick keeps.  Penalties only grow within a round, so stale heap keys
+    are bounds and only the top entry is rescored (Minoux's lazy greedy, 1978).
     """
     axis = _Axis(data, max_gap)
     if max_episodes is not None and max_episodes < 1:
@@ -153,8 +171,8 @@ def select(
             break
         for i in round_picks:
             episode, cov = candidates[i].episode, covers[i]
-            starts, covered = axis.pairs(episode, cov, removed[cov])
-            selected.append(SelectedEpisode(episode, starts, round_index, frozenset(covered)))
+            starts, events = axis.pairs(episode, cov, removed[cov])
+            selected.append(SelectedEpisode(episode, starts, round_index, events, data.offsets))
         removed += picks_at > 0
         round_index += 1
     return SelectionState(tuple(selected), round_index)
@@ -175,8 +193,8 @@ def forced_selection(
     selected = []
     for episode in episodes:
         starts = axis.starts(episode, mode is FrequencyMode.NON_OVERLAPPED)
-        starts, covered = axis.pairs(episode, cover(axis, episode, starts), 0)
-        selected.append(SelectedEpisode(episode, starts, 0, frozenset(covered)))
+        starts, events = axis.pairs(episode, cover(axis, episode, starts), 0)
+        selected.append(SelectedEpisode(episode, starts, 0, events, data.offsets))
     return SelectionState(tuple(selected), 1 if selected else 0)
 
 
@@ -226,13 +244,12 @@ def encode(data: EventDataset, selection: SelectionState) -> EncodingTable:
     """
     rows = [TableRow(sel.episode, sel.starts, residual=False) for sel in selection.selected]
     # The events in canonical order: by sequence, time, then name.
-    types, times, first = data.types, data.times, data.offsets.tolist()
+    types, times = data.types, data.times
     seqs = np.repeat(np.arange(data.n_sequences), np.diff(data.offsets))
-    coded = np.bincount(
-        [first[s] + p for sel in selection.selected for s, p in sel.covered], minlength=len(types)
-    )
+    events = [np.empty(0, np.int64), *(sel.events for sel in selection.selected)]
+    coded = np.bincount(np.concatenate(events), minlength=len(types))
     for sel in selection.selected:  # decode refuses a 1-node row's event coded twice
-        if sel.episode.length == 1 and (coded[[first[s] + p for s, p in sel.covered]] > 1).any():
+        if sel.episode.length == 1 and (coded[sel.events] > 1).any():
             raise TableFormatError(f"episode {sel.episode} codes events another episode codes")
     names = data.alphabet.symbols
     # Leftovers grouped by name, each group in (sequence, time) order.

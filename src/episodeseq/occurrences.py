@@ -201,13 +201,13 @@ class _Axis:
 
     def pairs(self, episode: FixedIntervalEpisode, cov: np.ndarray, skipped):
         """``(sequence, start time)`` pairs of the occurrences with slot cover
-        ``cov``, read at each row's first slot, and lazily the ``(sequence,
-        position)`` pairs of the events ``skipped`` copies past each slot's first."""
-        event = self.event[cov] + skipped
-        seq = np.searchsorted(self.data.offsets, event, "right") - 1
-        first = slice(None, None, episode.length)
-        starts = zip(seq[first].tolist(), self.data.times[event[first]].tolist())
-        return tuple(starts), zip(seq.tolist(), (event - self.data.offsets[seq]).tolist())
+        ``cov``, read at each occurrence's first slot, and the read-only flat
+        indices of the events ``skipped`` copies past each slot's first."""
+        events = self.event[cov] + skipped
+        events.flags.writeable = False
+        heads = events[:: episode.length]
+        seq = np.searchsorted(self.data.offsets, heads, "right") - 1
+        return tuple(zip(seq.tolist(), self.data.times[heads].tolist())), events
 
 
 def cover(axis: _Axis, episode: FixedIntervalEpisode, starts: np.ndarray) -> np.ndarray:

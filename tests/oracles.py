@@ -632,6 +632,13 @@ def reference_cover(
     return _lowest_cover(data, episode, starts, lowest)
 
 
+def _flat_events(data: EventDataset, covered):
+    """The flat indices into ``data``'s arrays of ``(sequence, position)``
+    pairs, in order, and the data's offsets: a pick's ``events, offsets``."""
+    first = data.offsets.tolist()
+    return np.array(sorted(first[s] + p for s, p in covered), np.int64), data.offsets
+
+
 def reference_forced_selection(
     data: EventDataset,
     episodes,
@@ -643,7 +650,7 @@ def reference_forced_selection(
     for episode in episodes:
         occ = reference_occurrences_for_mode(data, episode, mode)
         cov = reference_cover(data, episode, occ.starts)
-        selected.append(SelectedEpisode(episode, occ.starts, 0, cov))
+        selected.append(SelectedEpisode(episode, occ.starts, 0, *_flat_events(data, cov)))
     return SelectionState(tuple(selected), 1 if selected else 0)
 
 
@@ -722,7 +729,9 @@ def reference_select(
             break
         for cand, covered, _ in round_picks:
             selected.append(
-                SelectedEpisode(cand.episode, cand.occurrences.starts, round_index, covered)
+                SelectedEpisode(
+                    cand.episode, cand.occurrences.starts, round_index, *_flat_events(data, covered)
+                )
             )
             removed |= covered
         round_index += 1

@@ -1,9 +1,13 @@
+import copy
 import csv
+import dataclasses
 import io
+import pickle
 import random
 import tracemalloc
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +21,7 @@ from episodeseq import (
     OccurrenceList,
     TableFormatError,
     decode,
+    dump_events,
     encode,
     find_distinct_starts,
     forced_selection,
@@ -336,6 +341,23 @@ def test_select_equals_reference_select():
     assert picks > 4000  # the selections are not mostly empty
 
 
+def test_selections_are_values():
+    rng = random.Random(2024)
+    for _ in range(30):
+        data = _reference_dataset(rng)
+        twin = EventDataset.from_tuples(data.named_sequences(), data.alphabet)
+        state = select(data, 2)
+        copies = copy.deepcopy(state), pickle.loads(pickle.dumps(state))  # covers not yet built
+        for other in (select(twin, 2), *copies):
+            assert other == state and hash(other) == hash(state)
+    # Two picks that differ only in which copy of A they cover differ.
+    data = EventDataset.from_tuples([[(1, "A"), (1, "A"), (2, "B")]])
+    (sel,) = forced_selection(data, [parse_episode("A -1-> B")]).selected
+    other = dataclasses.replace(sel, events=np.array([1, 2]))
+    assert (sel.covered, other.covered) == ({(0, 0), (0, 2)}, {(0, 1), (0, 2)})
+    assert sel != other and sel == dataclasses.replace(sel, events=np.array([2, 0]))
+
+
 def _forced_case(rng):
     """1-4 sequences, some empty, of A-D events with repeats at times -5..12,
     each shifted, in a third of the cases, by 0 or +-10**30, and half of
@@ -478,26 +500,33 @@ def test_io_path_equals_reference():
     assert overlapping > 120 and refused > 100
 
 
-def test_select_memory_on_long_trajectory():
+def _long_trajectory() -> EventDataset:
+    """A 10k-step trajectory of a pair HMM over 9 symbols."""
     alpha = parse_serial_episode("A -> B -> C")
     beta = parse_serial_episode("D -> B -> E")
     model = hmm.build_model(alpha, beta, hmm.default_pair_alphabet(alpha, beta, 9), 0.25)
-    data = hmm.trajectory_dataset(model, hmm.simulate(model, 10_000, 0))
+    return hmm.trajectory_dataset(model, hmm.simulate(model, 10_000, 0))
+
+
+def test_select_memory_on_long_trajectory():
+    data = _long_trajectory()
     tracemalloc.start()
     try:
-        select(data, 3)
-        peak = tracemalloc.get_traced_memory()[1]
+        selection = select(data, 3)
+        kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     # 1.25x the 7.92 MiB that select peaked at while it rebuilt every round
     assert peak <= 9.9 * 2**20
+    # A frozenset of (sequence, position) pairs per pick kept 1.93 MiB; one
+    # array of flat event indices per pick keeps about 0.6 MiB.
+    assert kept <= 1.0 * 2**20
+    save_table(encode(data, selection), io.StringIO())
+    assert not any("covered" in sel.__dict__ for sel in selection.selected)
 
 
 def test_encode_and_decode_memory_on_long_trajectory():
-    alpha = parse_serial_episode("A -> B -> C")
-    beta = parse_serial_episode("D -> B -> E")
-    model = hmm.build_model(alpha, beta, hmm.default_pair_alphabet(alpha, beta, 9), 0.25)
-    data = hmm.trajectory_dataset(model, hmm.simulate(model, 10_000, 0))
+    data = _long_trajectory()
     selection = select(data, 3)
     peaks = []
     for step in (lambda: encode(data, selection), lambda: decode(table)):
@@ -511,6 +540,20 @@ def test_encode_and_decode_memory_on_long_trajectory():
     # that gathered a set of (sequence, time, symbol) triples (2.78 MiB)
     assert peaks[0] <= 1.25 * 1.42 * 2**20
     assert peaks[1] <= 1.25 * 2.78 * 2**20
+
+
+def test_load_events_memory_on_long_trajectory():
+    handle = io.StringIO()
+    dump_events(_long_trajectory(), handle)
+    text = handle.getvalue()
+    tracemalloc.start()
+    try:
+        load_events(io.StringIO(text))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 2.65 MiB while the kept lines lived beside their split fields; 2.04 without
+    assert peak <= 2.3 * 2**20
 
 
 def test_table_csv_roundtrip(sample_data, sample_episodes):
