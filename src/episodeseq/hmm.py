@@ -420,9 +420,8 @@ def viterbi(model: EpisodePairModel, outputs: Sequence[int]) -> tuple[int, ...]:
     and keeps the (K, S) mask of the slots that reach them.  Every 64 steps
     the masks fold into one K-bit code per step and state, and the code's
     lowest set bit, the first predecessor slot at the maximum, is stored in
-    4 bits, two steps per byte: T S / 2 bytes of back-pointers in all.
-    Predecessors are in ascending index order, so ties resolve to the lowest
-    canonical state index.
+    the 0, 1, 2 or 4 bits that the state's in-degree calls for.  Predecessors
+    are in ascending index order, so ties go to the lowest canonical state index.
     """
     if len(outputs) == 0:
         raise ValueError("output sequence must be non-empty")
@@ -454,30 +453,44 @@ def viterbi(model: EpisodePairModel, outputs: Sequence[int]) -> tuple[int, ...]:
             emit[row_of[symbol], state] = 1.0
     with np.errstate(divide="ignore"):
         log_init = np.log(model.initial)
-        log_emit = np.log(emit)  # (U, S)
+        log_emit = dict(zip(row_of, np.log(emit)))  # output -> its (S,) row
     t_max = len(outputs)
-    delta = log_init + log_emit[row_of[outputs[0]]]
-    # Step t keeps, per state, the slot of its first best predecessor in
-    # the low (even t) or high (odd t) nibble of back[t // 2].  K <= 6, so
-    # a K-bit mask code fits a uint8 and a slot fits a nibble.
-    back = np.zeros(((t_max + 1) // 2, n_states), np.uint8)
+    delta = log_init + log_emit[outputs[0]]
+    # A state of in-degree d gets a slot below max(d, 1), kept in w = 0, 1, 2
+    # or 4 bits for d = 1, 2, 3-4 or 5-16.  The states of a width w > 0 share
+    # a uint8 array, a column each, with step t in bits w * (t % per) of row
+    # t // per, per = 8 // w; zero-width states read one zero byte.
+    n_steps = -(-t_max // 64) * 64  # whole chunks, each starting on a byte
+    width = [(0, 1, 2, 4, 4)[(d - 1).bit_length()] for d in np.maximum(in_degree, 1).tolist()]
+    back, packs = [None] * n_states, []  # per state: (array, column, per, w, slot mask)
+    for w in sorted(set(width)):
+        cols = [s for s in range(n_states) if width[s] == w]
+        per = 8 // w if w else n_steps
+        array = np.zeros((n_steps // per, len(cols)), np.uint8)
+        for c, s in enumerate(cols):
+            back[s] = (array, c, per, w, (1 << w) - 1)
+        if w:
+            weights = np.uint8(1) << np.arange(0, 8, w, dtype=np.uint8)
+            packs.append((cols, per, weights, array.reshape(-1, 64 // per, len(cols))))
     lowest = np.array([(c & -c).bit_length() - 1 if c else 0 for c in range(1 << k)], np.uint8)
-    bits = np.uint8(1) << np.arange(k, dtype=np.uint8)
+    bits = np.uint8(1) << np.arange(k, dtype=np.uint8)  # K <= 8: a mask code fits a uint8
     mask = np.zeros((64, k, n_states), bool)  # a chunk of steps' equality masks
-    mx = np.empty(n_states)
+    masks, mx = list(mask), np.empty(n_states)
     for t in range(1, t_max):
         sc = delta[preds]
         sc += log_w
         np.maximum.reduce(sc, 0, out=mx)
-        np.equal(sc, mx, out=mask[t % 64])
-        delta = mx + log_emit[row_of[outputs[t]]]
+        np.equal(sc, mx, out=masks[t % 64])
+        np.add(mx, log_emit[outputs[t]], out=delta)
         if t % 64 == 63 or t == t_max - 1:  # fold steps t - t % 64 .. t
-            slots = lowest[np.einsum("k,tks->ts", bits, mask.view(np.uint8))]
-            lo, hi = (t - t % 64) // 2, t // 2 + 1
-            back[lo:hi] = slots[0 : 2 * (hi - lo) : 2] | slots[1 : 2 * (hi - lo) : 2] << 4
+            slots = lowest.take(np.einsum("k,tks->ts", bits, mask.view(np.uint8)))
+            for cols, per, weights, chunks in packs:
+                step_rows = slots.take(cols, 1).reshape(-1, per, len(cols))
+                chunks[t // 64] = np.einsum("rjs,j->rs", step_rows, weights)
     path, sources = [int(np.argmax(delta))], preds.T.tolist()
     for t in range(t_max - 1, 0, -1):
-        path.append(sources[path[-1]][back.item(t // 2, path[-1]) >> 4 * (t % 2) & 15])
+        array, col, per, w, m = back[path[-1]]
+        path.append(sources[path[-1]][array.item(t // per, col) >> w * (t % per) & m])
     return tuple(reversed(path))
 
 
@@ -522,13 +535,12 @@ def _walk(model: EpisodePairModel, states: Sequence[int]) -> tuple[int, int, int
     n = model.n_nodes
     f_first = f_second = n_shared = n_noise = 0
     state_ids = [model.state(idx) for idx in range(model.n_states)]
-    # A step is shared at the shared initial state at step 0, or at an
-    # episode state entered along a shared-entry edge.  A shared step also
-    # ends an occurrence of the other episode when its index wraps to 1.
-    shared = [idx == model.shared_initial_state for idx in states[:1]] + [
-        edge in model.shared_entry_edges for edge in zip(states, states[1:])
-    ]
-    for idx, is_shared in zip(states, shared):
+    # A step is shared at an episode state entered along a shared-entry edge,
+    # or at the shared initial state, entered from None at step 0.  A shared
+    # step also ends an occurrence of the other episode when its index wraps to 1.
+    entries = model.shared_entry_edges | {(None, model.shared_initial_state)}
+    for edge in itertools.pairwise(itertools.chain([None], states)):
+        idx, is_shared = edge[1], edge in entries
         state = state_ids[idx]
         if state.kind is StateKind.EP1:
             if state.i == n:

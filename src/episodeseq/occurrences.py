@@ -20,9 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import groupby
-from operator import itemgetter, lt
-from typing import Iterable
+from itertools import compress
+from operator import lt
 
 import numpy as np
 
@@ -54,32 +53,18 @@ class OccurrenceList:
         return len(self.starts)
 
 
-def non_overlapped(starts: Iterable[int], ep_span: int) -> list[int]:
-    """Greedy maximal non-overlapped subset of sorted distinct starts.
-
-    Keeps the earliest start, then repeatedly the next start strictly
-    greater than the last-kept start plus the episode span.
-    """
-    kept: list[int] = []
-    for t in starts:
-        if not kept or t > kept[-1] + ep_span:
-            kept.append(t)
-    return kept
-
-
 def find_no_occurrences(occ: OccurrenceList) -> OccurrenceList:
-    """Maximal non-overlapped subset of a distinct-occurrence list.
-
-    Applies :func:`non_overlapped` to each sequence's run of starts.
-    """
+    """Maximal non-overlapped subset of a distinct-occurrence list: the greedy
+    chain of each sequence's starts.  On one axis where a step past the span,
+    and the step into the next sequence, become span + 1, the chains of all
+    sequences are that of one :func:`_chain_members` group."""
     ep_span = span(occ.episode)
-    kept: list[tuple[int, int]] = []
-    for _, run in groupby(occ.starts, key=itemgetter(0)):
-        pairs = tuple(run)
-        # time -> its pair, in start order, so the kept starts reuse the pairs
-        at_time = dict(zip(map(itemgetter(1), pairs), pairs))
-        kept.extend(map(at_time.__getitem__, non_overlapped(at_time, ep_span)))
-    return OccurrenceList(occ.episode, tuple(kept))
+    seq, times = np.array(occ.starts, object).reshape(-1, 2).T
+    step = np.minimum(np.diff(times, prepend=times[:1]), ep_span + 1)
+    step[1:][seq[1:] != seq[:-1]] = ep_span + 1
+    axis = np.cumsum(step).astype(np.int64)
+    member = _chain_members(axis, np.array([len(axis)]), np.array([ep_span]))
+    return OccurrenceList(occ.episode, tuple(compress(occ.starts, member)))
 
 
 def occurrences_for_mode(

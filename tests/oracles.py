@@ -13,7 +13,7 @@ from functools import lru_cache, partial
 from itertools import groupby, permutations, product
 from operator import itemgetter
 from types import SimpleNamespace
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -26,8 +26,8 @@ from episodeseq import (
     OccurrenceList,
     StateId,
     StateKind,
-    find_no_occurrences,
     score,
+    span,
 )
 from episodeseq.events import DataValidationError
 from episodeseq.mdl import (
@@ -38,13 +38,35 @@ from episodeseq.mdl import (
     TableRow,
     row_gain,
 )
-from episodeseq.occurrences import non_overlapped
 
 _PRUNE_FREQUENCY = 1
 
 
 class CoverIntegrityError(ValueError):
     """Raised when a claimed occurrence start has no matching data events."""
+
+
+def non_overlapped(starts: Iterable[int], ep_span: int) -> list[int]:
+    """Greedy maximal non-overlapped subset of sorted distinct starts.
+
+    Keeps the earliest start, then repeatedly the next start strictly
+    greater than the last-kept start plus the episode span.
+    """
+    kept: list[int] = []
+    for t in starts:
+        if not kept or t > kept[-1] + ep_span:
+            kept.append(t)
+    return kept
+
+
+def reference_no_occurrences(occ: OccurrenceList) -> OccurrenceList:
+    """:func:`non_overlapped` applied to each sequence's run of starts: the
+    oracle of ``find_no_occurrences``."""
+    kept: list[tuple[int, int]] = []
+    for seq_idx, run in groupby(occ.starts, key=itemgetter(0)):
+        times = [t for _, t in run]
+        kept.extend((seq_idx, t) for t in non_overlapped(times, span(occ.episode)))
+    return OccurrenceList(occ.episode, tuple(kept))
 
 
 def max_nonoverlap_from_starts(starts: list[int], ep_span: int) -> int:
@@ -551,7 +573,7 @@ def dfs_candidates(
             pairs = tuple(map(index.pair_at.__getitem__, best_starts))
             occ = OccurrenceList(episode, pairs)
             if no_mode:
-                occ = find_no_occurrences(occ)
+                occ = reference_no_occurrences(occ)
             emitted[best_ids, best_gaps] = DfsCandidate(
                 episode, occ.total, score(episode, occ.total), occ
             )
@@ -616,7 +638,7 @@ def reference_occurrences_for_mode(
     """:func:`reference_distinct_starts`, filtered to the greedy
     non-overlapped chain in non-overlapped mode."""
     occ = reference_distinct_starts(data, episode)
-    return find_no_occurrences(occ) if mode is FrequencyMode.NON_OVERLAPPED else occ
+    return reference_no_occurrences(occ) if mode is FrequencyMode.NON_OVERLAPPED else occ
 
 
 def reference_cover(

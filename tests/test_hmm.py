@@ -462,11 +462,14 @@ def test_viterbi_equals_dense_max_product():
         )
 
 
-@pytest.mark.parametrize("length", [1, 2, 63, 64, 65, 127, 128, 129, 257, 317, 403])
+@pytest.mark.parametrize(
+    "length", [1, 2, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128, 129, 257, 317, 403]
+)
 def test_viterbi_equals_dense_max_product_across_chunk_edges(length):
-    # viterbi folds its back-pointers in chunks of 64 steps, two steps to a
-    # byte, so these lengths end a path at, just before and just after a
-    # chunk edge, and on odd and even steps.
+    # viterbi folds its back-pointers in chunks of 64 steps, and packs 8, 4
+    # or 2 steps to a byte for states of in-degree 2, 3-4 or 5-8, so these
+    # lengths end a path at, just before and just after a chunk edge and a
+    # byte edge of every width.
     rng = random.Random(length)
     for case in range(12):
         model = tie_heavy_model(rng, case)
@@ -477,9 +480,27 @@ def test_viterbi_equals_dense_max_product_across_chunk_edges(length):
         )
 
 
+def benchmark_model():
+    """The 257-state pair model of two 8-node episodes sharing D, M = 20."""
+    alpha = parse_serial_episode("A -> B -> C -> D -> E -> F -> G -> H")
+    beta = parse_serial_episode("I -> J -> K -> D -> L -> M -> N -> O")
+    return build_model(alpha, beta, default_pair_alphabet(alpha, beta, 20), 0.25)
+
+
+def test_viterbi_equals_dense_max_product_on_the_benchmark_model():
+    # Its states have in-degree 1, 2, 4 and 5, so their back-pointers are
+    # stored at all four widths: 0, 1, 2 and 4 bits.
+    model = benchmark_model()
+    in_degree = collections.Counter(dst for row in model.successors for dst in row)
+    assert collections.Counter(in_degree.values()) == {1: 1, 2: 130, 4: 122, 5: 4}
+    for seed in range(3):
+        outputs = simulate(model, 100 + seed, seed=seed).outputs
+        assert viterbi(model, outputs) == dense_viterbi(model, outputs), f"seed {seed}"
+
+
 def test_in_degree_is_at_most_six():
-    # viterbi stores a predecessor slot in 4 bits and folds a state's
-    # equality masks into one byte, which needs an in-degree K of at most 8.
+    # viterbi folds a state's equality masks into one uint8 code, which needs
+    # an in-degree K of at most 8; its back-pointer widths cover K <= 16.
     rng = random.Random(21)
     for n in range(1, 9):
         for case in range(30):
@@ -493,21 +514,31 @@ def test_in_degree_is_at_most_six():
             assert max(in_degree.values()) <= 6, f"{a} / {b}"
 
 
-def test_viterbi_memory_on_the_benchmark_model():
-    # T x S bytes of back-pointers alone would take 2.45 MiB here; viterbi
-    # keeps half that, two 4-bit slots per byte.
-    alpha = parse_serial_episode("A -> B -> C -> D -> E -> F -> G -> H")
-    beta = parse_serial_episode("I -> J -> K -> D -> L -> M -> N -> O")
-    model = build_model(alpha, beta, default_pair_alphabet(alpha, beta, 20), 0.25)
-    outputs = simulate(model, 10_000, seed=0).outputs
+def viterbi_peak_mib(model, length):
+    """tracemalloc peak of ``viterbi`` on ``length`` simulated outputs."""
+    outputs = simulate(model, length, seed=0).outputs
     tracemalloc.start()
     try:
         path = viterbi(model, outputs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert model.n_states == 257 and len(path) == 10_000
-    assert peak <= 2.0 * 2**20
+    assert len(path) == length
+    return peak / 2**20
+
+
+def test_viterbi_memory_on_the_benchmark_model():
+    # One byte per step and state would take 2.45 MiB here.  viterbi keeps
+    # 48.75 bytes a step (130 states at 1 bit, 122 at 2, 4 at 4, one at 0).
+    model = benchmark_model()
+    assert model.n_states == 257
+    assert viterbi_peak_mib(model, 10_000) <= 1.2
+
+
+def test_viterbi_memory_per_step_on_the_benchmark_model():
+    # Back-pointers and the returned path grow with T; 4 bits for every
+    # state would take 12.3 MiB of back-pointers alone at this length.
+    assert viterbi_peak_mib(benchmark_model(), 100_000) <= 8.0
 
 
 def test_viterbi_single_symbol():

@@ -15,15 +15,17 @@ from episodeseq import (
     EventDataset,
     forced_selection,
 )
-from episodeseq.occurrences import _chain_members, non_overlapped
+from episodeseq.occurrences import _chain_members
 from oracles import (
     CoverIntegrityError,
     fixed_interval_starts,
     max_nonoverlap_from_starts,
     max_nonoverlap_intervals,
+    non_overlapped,
     per_sequence_starts,
     random_dataset,
     raw_events,
+    reference_no_occurrences,
     reference_cover,
     reference_distinct_starts,
     serial_occurrence_intervals,
@@ -80,6 +82,24 @@ def test_find_no_occurrences_span_four():
         occ = OccurrenceList(ep, starts)
         kept = find_no_occurrences(occ).starts
         assert per_sequence_starts(kept, len(expected)) == expected
+
+
+def test_find_no_occurrences_equals_the_per_sequence_greedy():
+    # Runs of overlapping starts, steps past the span and sequence changes,
+    # some near +-10**30, where the starts are Python ints beyond int64.
+    rng = random.Random(2007)
+    for case in range(300):
+        gap = rng.randint(1, 4)
+        ep = parse_episode(f"A -{gap}-> B")
+        base = rng.choice((0, 0, 10**30, -(10**30)))
+        starts, seq, t = [], 0, base
+        for _ in range(rng.randint(0, 30)):
+            if rng.random() < 0.1:
+                seq, t = seq + 1, base + rng.randint(-5, 5)
+            t += rng.choice((1, 1, gap, gap + 1, rng.randint(1, 10**6)))
+            starts.append((seq, t))
+        occ = OccurrenceList(ep, tuple(starts))
+        assert find_no_occurrences(occ) == reference_no_occurrences(occ), f"case {case}"
 
 
 def test_no_maximality_oracle():
