@@ -83,7 +83,7 @@ class Candidate:
     @property
     def occurrences(self) -> OccurrenceList:
         """The counted occurrences, under the search's mode."""
-        return OccurrenceList(self.episode, self.axis.pairs(self.episode, self.cover, 0)[0])
+        return OccurrenceList(self.episode, tuple(self.axis.pairs(self.episode, self.cover, 0)[0]))
 
     @property
     def key(self) -> str:

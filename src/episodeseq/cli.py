@@ -123,7 +123,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     with _open_in(args.table, newline="") as handle:  # load_table sees CRLF line ends
         table = load_table(handle)
     # Refused before decode allocates the sequences that no row refers to.
-    if len({seq for row in table.rows for seq, _ in row.starts}) < table.n_sequences:
+    if len(set().union(*(row.starts.seqs.tolist() for row in table.rows))) < table.n_sequences:
         raise DataValidationError("an event file cannot hold an empty sequence")
     data = decode(table)
     with _open_out(args.out) as out:

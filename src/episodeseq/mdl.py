@@ -24,7 +24,7 @@ import io
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import groupby, zip_longest
-from operator import attrgetter, itemgetter, le, lt
+from operator import attrgetter, le, lt
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -39,7 +39,7 @@ from .events import (
     parse_episode,
 )
 from .candidates import _search, row_gain
-from .occurrences import FrequencyMode, _Axis, cover
+from .occurrences import FrequencyMode, StartList, _Axis, cover
 
 
 class TableFormatError(ValueError):
@@ -76,7 +76,8 @@ class SelectedEpisode:
     """One selection decision, with the evidence it was based on.
 
     ``starts`` are the ``(sequence, start time)`` pairs of the occurrences
-    found in the round's residual data.  ``events``, read-only, holds the
+    found in the round's residual data, as a :class:`StartList`; a tuple of
+    pairs given here is converted once.  ``events``, read-only, holds the
     flat indices into the input data's arrays, whose ``offsets`` it shares,
     of the events those occurrences code for; ``covered``, the same events
     as ``(sequence, position)`` pairs, is built on first read and decides
@@ -84,10 +85,14 @@ class SelectedEpisode:
     """
 
     episode: FixedIntervalEpisode
-    starts: tuple[tuple[int, int], ...]
+    starts: StartList
     round_index: int
     events: np.ndarray
     offsets: np.ndarray = field(repr=False)
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.starts, StartList):
+            object.__setattr__(self, "starts", StartList.of(self.starts))
 
     @property
     def frequency(self) -> int:
@@ -200,11 +205,19 @@ def forced_selection(
 
 @dataclass(frozen=True)
 class TableRow:
-    """One encoding-table row: size, episode, frequency, start times."""
+    """One encoding-table row: size, episode, frequency, start times.
+
+    ``starts``, the ``(sequence index, start time)`` pairs, is a
+    :class:`StartList`; a tuple of pairs given here is converted once.
+    """
 
     episode: FixedIntervalEpisode
-    starts: tuple[tuple[int, int], ...]  # (sequence index, start time) pairs
+    starts: StartList
     residual: bool
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.starts, StartList):
+            object.__setattr__(self, "starts", StartList.of(self.starts))
 
     @property
     def size(self) -> int:
@@ -237,8 +250,9 @@ class EncodingTable:
 def encode(data: EventDataset, selection: SelectionState) -> EncodingTable:
     """Build the encoding table for a dataset under a selection.
 
-    One row per selected episode, in selection order, followed by one
-    1-node row per event type still uncovered, in symbol order.  Raises
+    One row per selected episode, in selection order, sharing the pick's
+    start list, followed by one 1-node row per event type still uncovered,
+    in symbol order, whose starts view one array of the leftovers.  Raises
     :class:`TableFormatError`, as :func:`decode` would on the table, when a
     selected 1-node episode covers an event another selected one covers.
     """
@@ -255,11 +269,10 @@ def encode(data: EventDataset, selection: SelectionState) -> EncodingTable:
     # Leftovers grouped by name, each group in (sequence, time) order.
     left = np.flatnonzero(coded == 0)
     left = left[np.argsort(_name_rank(data.alphabet)[types[left]], kind="stable")]
-    pairs = list(zip(seqs[left].tolist(), times[left].tolist()))
-    cuts = np.flatnonzero(np.diff(types[left], prepend=-1)).tolist()
-    for a, z in zip(cuts, [*cuts[1:], len(left)]):
-        episode = FixedIntervalEpisode((names[types[left[a]]],), ())
-        rows.append(TableRow(episode, tuple(pairs[a:z]), residual=True))
+    starts = StartList(seqs[left], times[left])
+    cuts = np.flatnonzero(np.diff(types[left], prepend=-1))
+    for a, z, x in zip(cuts.tolist(), [*cuts[1:].tolist(), len(left)], types[left[cuts]].tolist()):
+        rows.append(TableRow(FixedIntervalEpisode((names[x],), ()), starts[a:z], residual=True))
     # Copies of one (sequence, time, type) are adjacent.
     same = (times[1:] == times[:-1]) & (np.diff(types) == 0) & (np.diff(seqs) == 0)
     heads = np.flatnonzero(np.append(True, ~same))
@@ -294,23 +307,26 @@ def decode(table: EncodingTable) -> EventDataset:
     for row in table.rows:
         if not row.starts:
             continue
-        t = list(map(itemgetter(1), row.starts))
-        seqs += list(map(itemgetter(0), row.starts)) * row.size
-        for sym, off in zip(row.episode.event_types, row.episode.offsets()):
-            times += map(off.__add__, t)
+        s, t, offsets = row.starts.seqs, row.starts.times, row.episode.offsets()
+        if t.dtype == object or offsets[-1] >= 2**61:
+            t = t.astype(object)  # node times that int64 might not hold
+        for sym, off in zip(row.episode.event_types, offsets):
+            seqs.append(s)
+            times.append(t + off)
             blocks.append((len(t), alphabet.index(sym), row.size, 1))
-    low, high, n = min(seqs, default=0), max(seqs, default=-1), table.n_sequences
+    seq = np.concatenate([np.empty(0, np.int64), *seqs])
+    low, high, n = seq.min(initial=0), seq.max(initial=-1), table.n_sequences
     if low < 0 or high >= n:
         raise TableFormatError(f"start in sequence {low if low < 0 else high}, outside 0..{n - 1}")
     for (s, t, sym), m in table.multiplicities.items():
         if not 0 <= s <= high:
             raise TableFormatError(f"rows and #mult disagree on the copies of {s}:{t}:{sym}")
-        seqs.append(s)
-        times.append(t)
         blocks.append((1, alphabet.index(sym), 0, m))
+    seq = np.append(seq, np.array([s for s, _, _ in table.multiplicities], np.int64))
+    times.append(_exact_ints([t for _, t, _ in table.multiplicities]))
     count, sym, size, m = np.array(blocks, np.int64).reshape(-1, 4).T
     sym, size, m = (np.repeat(x, count) for x in (sym, size, m))
-    seq, t = np.array(seqs, np.int64), _exact_ints(times)
+    t = _exact_ints(np.concatenate(times))
     order = np.lexsort((sym, t, seq))
     seq, t, sym, size, m = seq[order], t[order], sym[order], size[order], m[order]
     head = np.ones(len(order), bool)
@@ -345,11 +361,13 @@ def _table_text(table: EncodingTable) -> str:
             for (seq, t, sym), m in sorted(table.multiplicities.items())
         ]
         out.write("#mult " + ";".join(parts) + "\n")
-    used = max((seq for row in table.rows for seq, _ in row.starts), default=-1) + 1
+    seqs = np.concatenate([np.empty(0, np.int64), *(row.starts.seqs for row in table.rows)])
+    used = int(seqs.max(initial=-1)) + 1
     if table.n_sequences != used:
         out.write(f"#sequences {table.n_sequences}\n")
     for row in table.rows:
-        starts = ";".join(f"{seq}:{t}" for seq, t in row.starts)
+        cells = zip(row.starts.seqs.tolist(), row.starts.times.tolist())
+        starts = ";".join([f"{seq}:{t}" for seq, t in cells])
         writer.writerow(
             [row.size, format_episode(row.episode), row.frequency, starts]
         )
@@ -382,19 +400,22 @@ def save_table(table: EncodingTable, handle: IO[str]) -> None:
 def load_table(handle: IO[str]) -> EncodingTable:
     """Read a table, whose text must be exactly what :func:`save_table` writes.
 
+    The rows' integers are parsed into one :class:`StartList`, which each
+    row views a slice of.
     Rows of size >= 2 are marked selected and 1-node rows residual; the
     CSV format does not store that mark separately.  Raises
     :class:`TableFormatError` for a multiplicity below 2, for starts that
     repeat or fall out of order, for ``#sequences`` at or below a sequence
     that a start refers to, and for any other text that :func:`save_table`
     would not write back byte for byte, naming the first line that differs;
-    a line that does not parse is named too.
+    a line that does not parse, or whose sequence index, sequence count or
+    multiplicity int64 cannot hold, is named too.
     """
     text = handle.read()
     lines = text.splitlines()
     multiplicities: dict[tuple[int, int, str], int] = {}
     declared = None
-    rows: list[TableRow] = []
+    episodes, ends, flat = [], [], []  # per row: its episode and where its starts end; every integer
     n = 1  # lines[0], the header, is compared with the rest, last
     try:
         if n < len(lines) and lines[n].startswith("#mult "):
@@ -405,10 +426,14 @@ def load_table(handle: IO[str]) -> EncodingTable:
                     raise TableFormatError(f"#mult entry {part!r} is not seq:time:symbol=count")
                 if int(m) < 2:
                     raise TableFormatError(f"#mult gives {loc} multiplicity {m}, below 2")
+                if int(m) >= 2**63:
+                    raise TableFormatError(f"#mult gives {loc} multiplicity {m}, past int64")
                 multiplicities[(int(key[0]), int(key[1]), key[2])] = int(m)
             n += 1
         if n < len(lines) and lines[n].startswith("#sequences "):
             declared = int(lines[n][len("#sequences ") :])
+            if declared >= 2**63:
+                raise TableFormatError(f"#sequences {declared} is past int64")
             n += 1
         for n in range(n, len(lines)):
             line = lines[n]
@@ -419,8 +444,10 @@ def load_table(handle: IO[str]) -> EncodingTable:
             if len(record) != 4:
                 raise TableFormatError(f"expected 4 fields, got {record!r}")
             episode = parse_episode(record[1])
-            ints = list(map(int, record[3].replace(":", ";").split(";"))) if record[3] else []
-            starts = list(zip(ints[0::2], ints[1::2]))
+            row = list(map(int, record[3].replace(":", ";").split(";"))) if record[3] else []
+            if len(row) % 2:
+                raise TableFormatError("a start needs one sequence index and one time")
+            starts = list(zip(row[0::2], row[1::2]))
             # Starts increase strictly, but a 1-node row repeats a start once
             # for each copy of its event that #mult records.
             sym = episode.event_types[0] if episode.length == 1 else None
@@ -429,10 +456,22 @@ def load_table(handle: IO[str]) -> EncodingTable:
                 or any(len(list(r)) > multiplicities.get((*s, sym), 1) for s, r in groupby(starts))
             ):
                 raise TableFormatError(f"starts of row {record[1]!r} repeat or are out of order")
-            rows.append(TableRow(episode, tuple(starts), residual=episode.length == 1))
+            # The sequence count, one past the largest index, must fit int64 too.
+            if row and not -(2**63) <= min(row[0::2]) <= max(row[0::2]) < 2**63 - 1:
+                raise TableFormatError(f"a sequence index of row {record[1]!r} is past int64")
+            episodes.append(episode)
+            flat += row
+            ends.append(len(flat) // 2)
     except ValueError as err:
         raise TableFormatError(f"line {n + 1}: {err}") from err
-    max_seq = max((row.starts[-1][0] for row in rows if row.starts), default=-1)  # starts in order
+    # All rows' starts are parsed into one start list, which the rows view.
+    flat = _exact_ints(flat).reshape(-1, 2)
+    starts = StartList(flat[:, 0], flat[:, 1])
+    rows = [
+        TableRow(episode, starts[a:z], residual=episode.length == 1)
+        for episode, a, z in zip(episodes, [0, *ends], ends)
+    ]
+    max_seq = int(starts.seqs.max(initial=-1))
     if declared is not None and declared <= max_seq:
         raise TableFormatError(
             f"#sequences {declared} but a start refers to sequence {max_seq}"

@@ -2,12 +2,13 @@
 
 For an injective fixed-interval episode, occurrences starting at different
 times are distinct, so a sorted tuple of ``(sequence index, start time)``
-pairs describes the occurrence set completely; encoding-table rows store
-the same pairs.  Two occurrences are non-overlapped when the later one
-starts strictly after the earlier one ends (start' > start + span); a
-maximal non-overlapped subset is obtained greedily from each sequence's
-sorted distinct starts, keeping each start that clears the previously kept
-occurrence.
+pairs describes the occurrence set completely.  Selected episodes and
+encoding-table rows store the same pairs as a :class:`StartList`, two
+arrays that behave as that tuple.  Two occurrences are non-overlapped when
+the later one starts strictly after the earlier one ends (start' > start +
+span); a maximal non-overlapped subset is obtained greedily from each
+sequence's sorted distinct starts, keeping each start that clears the
+previously kept occurrence.
 
 Starts and covers are found on an :class:`_Axis`, the one occurrence
 representation that the candidate search, ``select`` and
@@ -18,6 +19,7 @@ in the data, which keeps overlap counts deterministic and gives the pairs.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from itertools import compress
@@ -25,7 +27,7 @@ from operator import lt
 
 import numpy as np
 
-from .events import EventDataset, FixedIntervalEpisode, SerialEpisode, span
+from .events import EventDataset, FixedIntervalEpisode, SerialEpisode, _exact_ints, span
 
 
 class FrequencyMode(str, Enum):
@@ -33,6 +35,60 @@ class FrequencyMode(str, Enum):
 
     DISTINCT = "distinct"
     NON_OVERLAPPED = "non-overlapped"
+
+
+class StartList(Sequence):
+    """Sorted ``(sequence index, start time)`` pairs held as two read-only
+    arrays, ``seqs`` (int64) and ``times`` (kept exact by ``_exact_ints``).
+    It behaves as the tuple of those pairs, which it equals and hashes as;
+    a slice is a start list viewing the same arrays."""
+
+    __slots__ = ("_arrays",)
+
+    def __init__(self, seqs, times):
+        seqs, times = np.asarray(seqs, np.int64).view(), _exact_ints(times).view()
+        if len(seqs) != len(times):
+            raise ValueError("a start needs one sequence index and one time")
+        seqs.flags.writeable = times.flags.writeable = False
+        self._arrays = seqs, times
+
+    @classmethod
+    def of(cls, pairs) -> StartList:
+        """The start list of a tuple of pairs."""
+        pairs = np.array(pairs, object).reshape(-1, 2)
+        return cls(pairs[:, 0], pairs[:, 1])
+
+    seqs = property(lambda self: self._arrays[0])
+    times = property(lambda self: self._arrays[1])
+
+    def __len__(self) -> int:
+        return len(self._arrays[0])
+
+    def __getitem__(self, i):
+        seqs, times = self._arrays
+        if isinstance(i, slice):  # a view of arrays already checked
+            out = StartList.__new__(StartList)
+            out._arrays = seqs[i], times[i]
+            return out
+        return int(seqs[i]), int(times[i])
+
+    def __iter__(self):
+        seqs, times = self._arrays
+        return zip(seqs.tolist(), times.tolist())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, StartList):
+            return all(map(np.array_equal, self._arrays, other._arrays))
+        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({tuple(self)!r})"
+
+    def __reduce__(self):
+        return StartList, self._arrays
 
 
 @dataclass(frozen=True)
@@ -62,7 +118,10 @@ def find_no_occurrences(occ: OccurrenceList) -> OccurrenceList:
     seq, times = np.array(occ.starts, object).reshape(-1, 2).T
     step = np.minimum(np.diff(times, prepend=times[:1]), ep_span + 1)
     step[1:][seq[1:] != seq[:-1]] = ep_span + 1
-    axis = np.cumsum(step).astype(np.int64)
+    axis = np.cumsum(step)
+    if len(axis) and axis[-1] + ep_span >= 2**63 - 1:  # _chain_members keys axis + span
+        raise ValueError(f"starts too far apart for a 64-bit axis at span {ep_span}")
+    axis = axis.astype(np.int64)
     member = _chain_members(axis, np.array([len(axis)]), np.array([ep_span]))
     return OccurrenceList(occ.episode, tuple(compress(occ.starts, member)))
 
@@ -74,7 +133,7 @@ def occurrences_for_mode(
     ``KeyError`` when a symbol of the episode is not in the data's alphabet."""
     axis = _Axis(data, max(episode.gaps, default=1))
     starts = axis.starts(episode, mode is FrequencyMode.NON_OVERLAPPED)
-    return OccurrenceList(episode, axis.pairs(episode, cover(axis, episode, starts), 0)[0])
+    return OccurrenceList(episode, tuple(axis.pairs(episode, cover(axis, episode, starts), 0)[0]))
 
 
 def find_distinct_starts(data: EventDataset, episode: FixedIntervalEpisode) -> OccurrenceList:
@@ -185,14 +244,14 @@ class _Axis:
         return start
 
     def pairs(self, episode: FixedIntervalEpisode, cov: np.ndarray, skipped):
-        """``(sequence, start time)`` pairs of the occurrences with slot cover
-        ``cov``, read at each occurrence's first slot, and the read-only flat
-        indices of the events ``skipped`` copies past each slot's first."""
+        """The :class:`StartList` of the occurrences with slot cover ``cov``,
+        read at each occurrence's first slot, and the read-only flat indices
+        of the events ``skipped`` copies past each slot's first."""
         events = self.event[cov] + skipped
         events.flags.writeable = False
         heads = events[:: episode.length]
         seq = np.searchsorted(self.data.offsets, heads, "right") - 1
-        return tuple(zip(seq.tolist(), self.data.times[heads].tolist())), events
+        return StartList(seq, self.data.times[heads]), events
 
 
 def cover(axis: _Axis, episode: FixedIntervalEpisode, starts: np.ndarray) -> np.ndarray:

@@ -383,7 +383,13 @@ def test_decode_refuses_rows_that_code_an_event_too_often(body, tmp_path, capsys
 
 @pytest.mark.parametrize(
     ("forced", "status"),
-    [("A -1-> B\nA\n", 3), ("A\nA\n", 3), ("A\nB\n", 0), ("A -1-> B\nB -3-> A\n", 0)],
+    [
+        ("A -1-> B\nA\n", 3),
+        ("A\nA\n", 3),
+        ("A\nB\n", 0),
+        ("A -1-> B\nB -3-> A\n", 0),
+        ("A -1-> B\nB -1-> A\n", 0),  # the last row never occurs
+    ],
 )
 def test_mine_refuses_forced_one_node_episodes_that_share_events(forced, status, tmp_path, capsys):
     data, episodes = tmp_path / "seq.tsv", tmp_path / "eps.txt"

@@ -185,7 +185,7 @@ def _tampered(rng: random.Random, table: EncodingTable) -> EncodingTable:
         k = rng.randrange(len(rows))
         if rows[k].starts:
             start = rng.choice(rows[k].starts)
-            rows[k] = TableRow(rows[k].episode, tuple(sorted(rows[k].starts + (start,))), True)
+            rows[k] = TableRow(rows[k].episode, tuple(sorted((*rows[k].starts, start))), True)
     elif kind == 1 and rows:
         k = rng.randrange(len(rows))
         if rows[k].starts:

@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import csv
 import dataclasses
@@ -37,6 +38,8 @@ from episodeseq import (
     select,
     total_length,
 )
+from episodeseq.mdl import TableRow
+from episodeseq.occurrences import StartList
 from oracles import (
     all_fixed_interval_episodes,
     per_sequence_starts,
@@ -519,8 +522,9 @@ def test_select_memory_on_long_trajectory():
     # 1.25x the 7.92 MiB that select peaked at while it rebuilt every round
     assert peak <= 9.9 * 2**20
     # A frozenset of (sequence, position) pairs per pick kept 1.93 MiB; one
-    # array of flat event indices per pick keeps about 0.6 MiB.
-    assert kept <= 1.0 * 2**20
+    # array of flat event indices per pick, with its starts as a tuple of
+    # pairs, 0.59 MiB; with its starts as a StartList, 0.26 MiB.
+    assert kept <= 0.35 * 2**20
     save_table(encode(data, selection), io.StringIO())
     assert not any("covered" in sel.__dict__ for sel in selection.selected)
 
@@ -536,10 +540,54 @@ def test_encode_and_decode_memory_on_long_trajectory():
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    # 1.25x the peaks of the per-event encode (1.42 MiB) and of the decode
-    # that gathered a set of (sequence, time, symbol) triples (2.78 MiB)
+    # 1.25x the peak of the per-event encode (1.42 MiB).  decode peaked at
+    # 2.78 MiB while it gathered a set of (sequence, time, symbol) triples,
+    # at 1.46 MiB while it extended Python lists of rows' starts, and at
+    # 1.04 MiB now that it concatenates their arrays.
     assert peaks[0] <= 1.25 * 1.42 * 2**20
-    assert peaks[1] <= 1.25 * 2.78 * 2**20
+    assert peaks[1] <= 1.3 * 2**20
+
+
+def test_load_table_memory_on_long_trajectory():
+    data = _long_trajectory()
+    handle = io.StringIO()
+    save_table(encode(data, select(data, 3)), handle)
+    text = handle.getvalue()
+    tracemalloc.start()
+    try:
+        table = load_table(io.StringIO(text))
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Rows holding tuples of (sequence, time) pairs kept 0.55 MiB and peaked
+    # at 1.06 MiB; rows holding StartLists keep 0.12-0.17 MiB and peak at
+    # 0.69-0.73 (the first call leaves the row check's pairs on a free list).
+    assert kept <= 0.3 * 2**20
+    assert peak <= 0.85 * 2**20
+    assert decode(table) == data
+
+
+def test_select_to_decode_builds_no_tuple_of_pairs(monkeypatch):
+    """Starts stay arrays from select to decode: the pipeline neither builds
+    a start list from pairs nor reads one back as pairs."""
+    data = _long_trajectory()
+
+    def refuse(*_):
+        raise AssertionError("a tuple of (sequence, time) pairs was built")
+
+    getitem = StartList.__getitem__
+    monkeypatch.setattr(StartList, "__iter__", refuse)
+    monkeypatch.setattr(
+        StartList, "__getitem__", lambda s, i: getitem(s, i) if type(i) is slice else refuse()
+    )
+    monkeypatch.setattr(StartList, "of", refuse)
+    selection = select(data, 3)
+    handle = io.StringIO()
+    save_table(encode(data, selection), handle)
+    table = load_table(io.StringIO(handle.getvalue()))
+    assert decode(table) == data
+    with pytest.raises(AssertionError, match="tuple of"):
+        tuple(table.rows[0].starts)
 
 
 def test_load_events_memory_on_long_trajectory():
@@ -680,6 +728,101 @@ def test_table_with_a_starts_field_longer_than_the_csv_limit_round_trips():
     assert decode(loaded) == data
 
 
+def test_table_rows_hold_start_lists():
+    row = TableRow(parse_episode("A -1-> B"), ((0, 1), (2, 10**30)), residual=False)
+    assert type(row.starts) is StartList and row.starts == ((0, 1), (2, 10**30))
+    short = dataclasses.replace(row, starts=row.starts[1:])
+    assert short.starts == ((2, 10**30),) and (short.frequency, short.cost) == (1, 6)
+    twin = TableRow(row.episode, ((2, 10**30),), residual=False)
+    assert short == twin and hash(short) == hash(twin) and short != row
+    assert dataclasses.replace(row) == row and copy.deepcopy(row) == row
+    assert pickle.loads(pickle.dumps(row)) == row
+
+
+def test_load_table_returns_the_saved_table():
+    rng = random.Random(2025)
+    loaded = with_mult = 0
+    for k in range(900):
+        raw, alphabet = _io_dataset(rng)
+        data = EventDataset(raw, alphabet)
+        try:
+            table = encode(data, _io_selection(rng, data, k))
+        except TableFormatError:
+            continue
+        handle = io.StringIO()
+        save_table(table, handle)
+        got = load_table(io.StringIO(handle.getvalue()))
+        # The file marks 1-node rows residual, as forced 1-node picks are not.
+        rows = tuple(dataclasses.replace(r, residual=r.size == 1) for r in table.rows)
+        assert got == dataclasses.replace(table, rows=rows)
+        assert all(type(r.starts) is StartList for r in got.rows)
+        loaded += 1
+        with_mult += bool(table.multiplicities)
+    assert loaded > 600 and with_mult > 200
+
+
+def test_load_table_takes_a_last_row_that_never_occurs():
+    data = load_events(io.StringIO("0\tA\n1\tB\n"))
+    episodes = [parse_episode("A -1-> B"), parse_episode("B -1-> A")]
+    table = encode(data, forced_selection(data, episodes))
+    assert [r.frequency for r in table.rows] == [1, 0]
+    handle = io.StringIO()
+    save_table(table, handle)
+    assert handle.getvalue().endswith("\n2,B -1-> A,0,\n")
+    loaded = load_table(io.StringIO(handle.getvalue()))
+    assert loaded.rows[-1].starts == () and decode(loaded) == data
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "1,A,1,99999999999999999999:0\n",
+        "1,A,1,-99999999999999999999:0\n",
+        "1,A,1,9223372036854775807:0\n",
+        "2,A -1-> B,2,0:0;99999999999999999999:0\n",
+        "#sequences 99999999999999999999\n1,A,1,0:0\n",
+        "#sequences 9223372036854775808\n1,A,1,0:0\n",
+        "#mult 0:0:A=99999999999999999999\n1,A,2,0:0;0:0\n",
+    ],
+)
+def test_load_table_refuses_integers_past_int64_by_line(body):
+    with pytest.raises(TableFormatError, match=r"^line [23]: .*past int64"):
+        load_table(io.StringIO("size,episode,freq,starts\n" + body))
+
+
+_NEAR_INT64 = (2**61 - 1, 2**61, 2**62, 2**63 - 2, 2**63 - 1, 2**63, 10**20)
+
+
+def test_decode_never_overflows_on_a_loaded_table():
+    """Integers near and past int64 in every field of a table: load_table
+    refuses the table, or decode decodes or refuses it, or numpy refuses an
+    array too big to allocate; none of them overflows."""
+    rng = random.Random(1961)
+    accepted = 0
+
+    def big(low=0):
+        return rng.choice((low, low + 1, *_NEAR_INT64, *(-x for x in _NEAR_INT64)))
+
+    for _ in range(3000):
+        lines = ["size,episode,freq,starts"]
+        if rng.random() < 0.3:
+            lines.append(f"#mult {big()}:{big()}:A={big(2)}")
+        if rng.random() < 0.3:
+            lines.append(f"#sequences {big(1)}")
+        if rng.random() < 0.8:
+            lines.append(f"1,A,1,{big()}:{big()}")
+        if rng.random() < 0.5:
+            lines.append(f"2,A -{abs(big(1))}-> B,1,{big()}:{big()}")
+        try:
+            table = load_table(io.StringIO("\n".join(lines) + "\n"))
+        except TableFormatError:
+            continue
+        accepted += 1
+        with contextlib.suppress(ValueError):  # TableFormatError, or "array is too big"
+            decode(table)
+    assert accepted > 1000
+
+
 def test_load_table_rejects_malformed():
     with pytest.raises(TableFormatError):
         load_table(io.StringIO("bogus\n"))
@@ -708,6 +851,12 @@ def test_load_table_refuses_a_multiplicity_below_two(m):
 def test_load_table_refuses_repeated_or_unordered_starts(body):
     with pytest.raises(TableFormatError, match="starts of row"):
         load_table(io.StringIO("size,episode,freq,starts\n" + body))
+
+
+def test_load_table_names_the_first_bad_line():
+    text = "size,episode,freq,starts\n1,A,2,0:2;0:1\n1,B,1,0:x\n"
+    with pytest.raises(TableFormatError, match="^line 2: starts of row 'A'"):
+        load_table(io.StringIO(text))
 
 
 def test_load_table_takes_a_start_once_per_recorded_copy():

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import numpy as np
@@ -15,7 +17,7 @@ from episodeseq import (
     EventDataset,
     forced_selection,
 )
-from episodeseq.occurrences import _chain_members
+from episodeseq.occurrences import StartList, _chain_members
 from oracles import (
     CoverIntegrityError,
     fixed_interval_starts,
@@ -69,6 +71,68 @@ def test_occurrence_list_rejects_unsorted_or_repeated_starts():
     for starts in (((0, 5), (0, 1)), ((1, 1), (0, 5)), ((0, 1), (0, 1))):
         with pytest.raises(ValueError):
             OccurrenceList(ep, starts)
+
+
+def test_find_no_occurrences_refuses_starts_past_a_64_bit_axis():
+    ep = parse_episode(f"A -{10**30}-> B")
+    for starts in (((0, 0), (0, 10**30 + 1)), ((0, 0), (0, 5))):
+        with pytest.raises(ValueError, match="64-bit axis"):
+            find_no_occurrences(OccurrenceList(ep, starts))
+    # Far-apart starts keep working when the span is small.
+    near = ((0, -(10**30)), (0, 1 - 10**30), (1, 10**30))
+    kept = find_no_occurrences(OccurrenceList(parse_episode("A -1-> B"), near))
+    assert kept.starts == ((0, -(10**30)), (1, 10**30))
+
+
+def test_start_list_behaves_as_its_tuple_of_pairs():
+    pairs = ((0, 3), (0, 7), (2, -1))
+    starts = StartList.of(pairs)
+    assert starts == pairs and pairs == starts and starts == StartList(*zip(*pairs))
+    assert hash(starts) == hash(pairs)
+    assert starts != pairs[:2] and starts != list(pairs) and starts != StartList.of(pairs[1:])
+    assert len(starts) == 3 and starts and tuple(starts) == pairs
+    assert starts[1] == (0, 7) and starts[-1] == (2, -1)
+    assert all(type(x) is int for pair in (starts[0], *starts) for x in pair)
+    assert (2, -1) in starts and starts.index((0, 7)) == 1
+    assert repr(starts) == f"StartList({pairs!r})"
+    with pytest.raises(IndexError):
+        starts[3]
+    with pytest.raises(AttributeError):
+        starts.seqs = np.zeros(3, np.int64)
+    with pytest.raises(ValueError):
+        starts.times[0] = 1  # the arrays are read-only
+    with pytest.raises(ValueError):
+        StartList([0, 1], [5])
+
+
+def test_start_list_slices_are_views():
+    starts = StartList.of(((0, 1), (0, 2), (1, 0), (1, 5)))
+    part = starts[1:3]
+    assert type(part) is StartList and part == ((0, 2), (1, 0))
+    assert np.shares_memory(part.seqs, starts.seqs)
+    assert np.shares_memory(part.times, starts.times)
+    assert starts[::2] == ((0, 1), (1, 0)) and starts[::-1][0] == (1, 5)
+    for empty in (starts[4:], starts[2:2], StartList.of(())):
+        assert not empty and len(empty) == 0 and list(empty) == []
+        assert empty == () and hash(empty) == hash(()) and empty == StartList([], [])
+        assert empty.seqs.dtype == np.int64 and empty[:] == ()
+
+
+def test_start_list_round_trips_pickle_and_deepcopy_near_huge_times():
+    for pairs in (
+        ((0, -(10**30)), (0, 5), (3, 10**30)),
+        ((1, 2**61 - 1), (1, 2**61)),
+        ((0, 1 - 2**61), (4, 2**61 - 1)),
+        (),
+    ):
+        starts = StartList.of(pairs)
+        huge = any(abs(t) >= 2**61 for _, t in pairs)
+        assert starts.seqs.dtype == np.int64
+        assert starts.times.dtype == (object if huge else np.int64)
+        for other in (pickle.loads(pickle.dumps(starts)), copy.deepcopy(starts)):
+            assert type(other) is StartList and other == starts and other == pairs
+            assert not (other.seqs.flags.writeable or other.times.flags.writeable)
+        assert tuple(starts) == pairs and starts.times.tolist() == [t for _, t in pairs]
 
 
 def test_find_no_occurrences_span_four():
