@@ -71,8 +71,8 @@ def _stable_order(key: np.ndarray) -> np.ndarray:
 class Candidate:
     """An emitted episode with its frequency and score under the search's
     mode, and its ``cover``: the ``axis`` slots of its counted occurrences'
-    events, one occurrence after another in start order.  Its occurrence
-    pairs are read from the cover when asked for."""
+    events, one occurrence after another in start order.  Its occurrences
+    are read from the cover, as a start list, when asked for."""
 
     episode: FixedIntervalEpisode
     frequency: int
@@ -83,7 +83,7 @@ class Candidate:
     @property
     def occurrences(self) -> OccurrenceList:
         """The counted occurrences, under the search's mode."""
-        return OccurrenceList(self.episode, tuple(self.axis.pairs(self.episode, self.cover, 0)[0]))
+        return OccurrenceList(self.episode, self.axis.pairs(self.episode, self.cover, 0)[0])
 
     @property
     def key(self) -> str:

@@ -2,8 +2,8 @@
 
 Every subcommand is a pure function of its input files, flags, and seed:
 re-running with identical inputs produces byte-identical outputs.  Exit
-codes: 2 for argument parse errors, 3 for validation errors, 4 for I/O
-errors.
+codes: 2 for argument parse errors, 3 for validation errors and for inputs
+too large for memory, 4 for I/O errors.
 """
 
 from __future__ import annotations
@@ -363,7 +363,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (KeyError, ValueError, OverflowError) as exc:  # validation errors subclass ValueError
+    # Validation errors subclass ValueError.
+    except (KeyError, ValueError, OverflowError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

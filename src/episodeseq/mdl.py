@@ -197,8 +197,8 @@ def forced_selection(
     axis = _Axis(data, max((g for episode in episodes for g in episode.gaps), default=1))
     selected = []
     for episode in episodes:
-        starts = axis.starts(episode, mode is FrequencyMode.NON_OVERLAPPED)
-        starts, events = axis.pairs(episode, cover(axis, episode, starts), 0)
+        cov = cover(axis, episode, mode is FrequencyMode.NON_OVERLAPPED)
+        starts, events = axis.pairs(episode, cov, 0)
         selected.append(SelectedEpisode(episode, starts, 0, events, data.offsets))
     return SelectionState(tuple(selected), 1 if selected else 0)
 

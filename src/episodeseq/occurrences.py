@@ -1,20 +1,20 @@
 """The occurrences of fixed-interval episodes, on one time axis.
 
 For an injective fixed-interval episode, occurrences starting at different
-times are distinct, so a sorted tuple of ``(sequence index, start time)``
-pairs describes the occurrence set completely.  Selected episodes and
-encoding-table rows store the same pairs as a :class:`StartList`, two
-arrays that behave as that tuple.  Two occurrences are non-overlapped when
-the later one starts strictly after the earlier one ends (start' > start +
-span); a maximal non-overlapped subset is obtained greedily from each
-sequence's sorted distinct starts, keeping each start that clears the
-previously kept occurrence.
+times are distinct, so the sorted ``(sequence index, start time)`` pairs
+describe the occurrence set completely.  Occurrence lists, selected
+episodes and encoding-table rows all hold them as a :class:`StartList`,
+two arrays that behave as the tuple of those pairs.  Two occurrences are
+non-overlapped when the later one starts strictly after the earlier one
+ends (start' > start + span); a maximal non-overlapped subset is obtained
+greedily from each sequence's sorted distinct starts, keeping each start
+that clears the previously kept occurrence.
 
-Starts and covers are found on an :class:`_Axis`, the one occurrence
-representation that the candidate search, ``select`` and
-``forced_selection`` share.  A cover is an array of the axis's slots, one
-per distinct (sequence, time, type), each pointing at its lowest-index event
-in the data, which keeps overlap counts deterministic and gives the pairs.
+Covers are found on an :class:`_Axis`, the one occurrence representation
+that the candidate search, ``select`` and ``forced_selection`` share.  A
+cover is an array of the axis's slots, one per distinct (sequence, time,
+type), each pointing at its lowest-index event in the data, which keeps
+overlap counts deterministic and gives the pairs.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
-from itertools import compress
-from operator import lt
 
 import numpy as np
 
@@ -93,14 +91,17 @@ class StartList(Sequence):
 
 @dataclass(frozen=True)
 class OccurrenceList:
-    """Sorted ``(sequence index, start time)`` pairs of an episode's occurrences."""
+    """An episode's occurrences: sorted, distinct ``(sequence, start time)``
+    pairs, as a :class:`StartList`; a tuple of pairs is converted once."""
 
     episode: FixedIntervalEpisode
-    starts: tuple[tuple[int, int], ...]
+    starts: StartList
 
     def __post_init__(self) -> None:
-        s = self.starts
-        if not all(map(lt, s, s[1:])):
+        if not isinstance(self.starts, StartList):
+            object.__setattr__(self, "starts", StartList.of(self.starts))
+        s, t = self.starts.seqs, self.starts.times
+        if not ((s[1:] > s[:-1]) | (s[1:] == s[:-1]) & (t[1:] > t[:-1])).all():
             raise ValueError("starts must be strictly increasing")
 
     @property
@@ -115,15 +116,15 @@ def find_no_occurrences(occ: OccurrenceList) -> OccurrenceList:
     and the step into the next sequence, become span + 1, the chains of all
     sequences are that of one :func:`_chain_members` group."""
     ep_span = span(occ.episode)
-    seq, times = np.array(occ.starts, object).reshape(-1, 2).T
-    step = np.minimum(np.diff(times, prepend=times[:1]), ep_span + 1)
+    seq, times = occ.starts.seqs, occ.starts.times
+    step = np.minimum(np.diff(times.astype(object), prepend=times[:1]), ep_span + 1)
     step[1:][seq[1:] != seq[:-1]] = ep_span + 1
     axis = np.cumsum(step)
     if len(axis) and axis[-1] + ep_span >= 2**63 - 1:  # _chain_members keys axis + span
         raise ValueError(f"starts too far apart for a 64-bit axis at span {ep_span}")
     axis = axis.astype(np.int64)
     member = _chain_members(axis, np.array([len(axis)]), np.array([ep_span]))
-    return OccurrenceList(occ.episode, tuple(compress(occ.starts, member)))
+    return OccurrenceList(occ.episode, StartList(seq[member], times[member]))
 
 
 def occurrences_for_mode(
@@ -132,8 +133,8 @@ def occurrences_for_mode(
     """Occurrence list under the requested frequency mode.  Raises
     ``KeyError`` when a symbol of the episode is not in the data's alphabet."""
     axis = _Axis(data, max(episode.gaps, default=1))
-    starts = axis.starts(episode, mode is FrequencyMode.NON_OVERLAPPED)
-    return OccurrenceList(episode, tuple(axis.pairs(episode, cover(axis, episode, starts), 0)[0]))
+    cov = cover(axis, episode, mode is FrequencyMode.NON_OVERLAPPED)
+    return OccurrenceList(episode, axis.pairs(episode, cov, 0)[0])
 
 
 def find_distinct_starts(data: EventDataset, episode: FixedIntervalEpisode) -> OccurrenceList:
@@ -227,22 +228,6 @@ class _Axis:
         self.times = (self.key // self.n_types).astype(self.time_type)
         self.types = (self.key % self.n_types).astype(self.sym_type)
 
-    def starts(self, episode: FixedIntervalEpisode, no_mode: bool) -> np.ndarray:
-        """Axis times of the episode's distinct starts, or of their greedy
-        non-overlapped chain when ``no_mode``.  Each node is looked up at the
-        previous node's matched time plus its gap; a gap past ``max_gap``
-        has no occurrence."""
-        first, *ids = map(self.data.alphabet.index, episode.event_types)
-        if max(episode.gaps, default=0) > self.max_gap:
-            return np.empty(0, np.int64)
-        start = end = self.times[self.types == first].astype(np.int64)
-        for tid, gap in zip(ids, episode.gaps):
-            hit = np.isin((end + gap) * self.n_types + tid, self.key)
-            start, end = start[hit], end[hit] + gap
-        if no_mode and len(start):
-            start = start[_chain_members(start, np.array([len(start)]), end[:1] - start[:1])]
-        return start
-
     def pairs(self, episode: FixedIntervalEpisode, cov: np.ndarray, skipped):
         """The :class:`StartList` of the occurrences with slot cover ``cov``,
         read at each occurrence's first slot, and the read-only flat indices
@@ -254,13 +239,26 @@ class _Axis:
         return StartList(seq, self.data.times[heads]), events
 
 
-def cover(axis: _Axis, episode: FixedIntervalEpisode, starts: np.ndarray) -> np.ndarray:
-    """Slot indices of the events that the occurrences at axis times ``starts``
-    code.  Distinct starts of an injective episode share no event, so no
-    slot repeats."""
-    at = starts.astype(np.int64)[:, None] + episode.offsets()
-    ids = list(map(axis.data.alphabet.index, episode.event_types))
-    return np.searchsorted(axis.key, (at * axis.n_types + ids).ravel())
+def cover(axis: _Axis, episode: FixedIntervalEpisode, no_mode: bool) -> np.ndarray:
+    """Slot indices of the events that the episode's distinct occurrences, or
+    their greedy non-overlapped chain when ``no_mode``, code, in start order.
+    One walk finds them, looking each node's slot up at the previous node's
+    matched time plus its gap; a gap past ``max_gap`` has no occurrence.
+    Distinct starts of an injective episode share no event, so no slot repeats."""
+    first, *ids = map(axis.data.alphabet.index, episode.event_types)
+    if max(episode.gaps, default=0) > axis.max_gap:
+        return np.empty(0, np.intp)
+    slots = [np.flatnonzero(axis.types == first)]  # per node, the matched slots
+    for tid, gap in zip(ids, episode.gaps):
+        want = (axis.times[slots[-1]].astype(np.int64) + gap) * axis.n_types + tid
+        at = np.searchsorted(axis.key, want)
+        hit = axis.key.take(at, mode="clip") == want
+        slots = [s[hit] for s in slots] + [at[hit]]
+    if no_mode:
+        start = axis.times[slots[0]].astype(np.int64)
+        chain = _chain_members(start, np.array([len(start)]), np.array([span(episode)]))
+        slots = [s[chain] for s in slots]
+    return np.stack(slots, axis=1).ravel()
 
 
 def _chain_members(starts, size, spans):

@@ -543,6 +543,20 @@ def test_decode_refuses_a_huge_sequence_count_before_allocating(tmp_path):
     assert out.read_bytes() == b"previous contents\n"
 
 
+def test_decode_exits_3_when_a_table_states_more_copies_than_memory_holds(tmp_path):
+    table = tmp_path / "t.csv"
+    table.write_text("size,episode,freq,starts\n#mult 0:0:A=1000000000\n1,A,1,0:0\n", "utf-8")
+    out = tmp_path / "events.tsv"
+    out.write_bytes(b"previous contents\n")
+    # A billion copies of one event need 7.45 GiB of int64 in decode's
+    # arrays, which the capped child cannot allocate.
+    child = _capped_main("decode", str(table), "-o", str(out))
+    assert child.returncode == 3, child.stderr
+    (line,) = child.stderr.splitlines()  # one error line, no traceback
+    assert line.startswith("error: ")
+    assert out.read_bytes() == b"previous contents\n"
+
+
 def test_pair_model_commands_fit_a_large_alphabet(tmp_path):
     # One dense (S, M) float array at S = 401, M = 200,000 would take 612 MiB,
     # so the capped child fails if either command builds one.

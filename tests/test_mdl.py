@@ -5,6 +5,7 @@ import dataclasses
 import io
 import pickle
 import random
+import time
 import tracemalloc
 from itertools import combinations
 
@@ -21,10 +22,12 @@ from episodeseq import (
     FrequencyMode,
     OccurrenceList,
     TableFormatError,
+    corpus_to_events,
     decode,
     dump_events,
     encode,
     find_distinct_starts,
+    find_no_occurrences,
     forced_selection,
     hmm,
     load_events,
@@ -38,6 +41,8 @@ from episodeseq import (
     select,
     total_length,
 )
+from episodeseq.candidates import generate_candidates
+from episodeseq.datasets import make_two_class_corpus
 from episodeseq.mdl import TableRow
 from episodeseq.occurrences import StartList
 from oracles import (
@@ -567,10 +572,9 @@ def test_load_table_memory_on_long_trajectory():
     assert decode(table) == data
 
 
-def test_select_to_decode_builds_no_tuple_of_pairs(monkeypatch):
-    """Starts stay arrays from select to decode: the pipeline neither builds
-    a start list from pairs nor reads one back as pairs."""
-    data = _long_trajectory()
+def _refuse_tuples_of_pairs(monkeypatch) -> None:
+    """Make building a start list from pairs, or reading one back as pairs,
+    raise."""
 
     def refuse(*_):
         raise AssertionError("a tuple of (sequence, time) pairs was built")
@@ -581,6 +585,13 @@ def test_select_to_decode_builds_no_tuple_of_pairs(monkeypatch):
         StartList, "__getitem__", lambda s, i: getitem(s, i) if type(i) is slice else refuse()
     )
     monkeypatch.setattr(StartList, "of", refuse)
+
+
+def test_select_to_decode_builds_no_tuple_of_pairs(monkeypatch):
+    """Starts stay arrays from select to decode: the pipeline neither builds
+    a start list from pairs nor reads one back as pairs."""
+    data = _long_trajectory()
+    _refuse_tuples_of_pairs(monkeypatch)
     selection = select(data, 3)
     handle = io.StringIO()
     save_table(encode(data, selection), handle)
@@ -588,6 +599,51 @@ def test_select_to_decode_builds_no_tuple_of_pairs(monkeypatch):
     assert decode(table) == data
     with pytest.raises(AssertionError, match="tuple of"):
         tuple(table.rows[0].starts)
+
+
+def test_forced_selection_of_the_picks_costs_less_than_selecting_them():
+    """Covering given episodes is one walk per episode over the axis's slot
+    keys, so it takes a fraction of the search that found them; one sort of
+    every key per node made it twice as slow as ``select``."""
+    data = corpus_to_events(make_two_class_corpus(n_train=2000, seed=7)[0])
+
+    def fastest(run):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            out = run()
+            times.append(time.perf_counter() - start)
+        return min(times), out
+
+    select_s, selection = fastest(lambda: select(data, 5))
+    picks = [sel.episode for sel in selection.selected]
+    forced_s, forced = fastest(lambda: forced_selection(data, picks))
+    assert [sel.episode for sel in forced.selected] == picks
+    assert forced_s <= 0.5 * select_s, (forced_s, select_s)
+
+
+def test_single_episode_paths_build_no_tuple_of_pairs(monkeypatch):
+    """The occurrences of given episodes stay start lists too: forced
+    selection, overlap scores, occurrence lists, candidates' occurrences and
+    the non-overlapped subset of a start list never pass through pairs."""
+    data = _long_trajectory()
+    picks = [sel.episode for sel in select(data, 3).selected[:6]]
+    candidates = generate_candidates(data, 3)[:20]
+
+    def run():
+        return (
+            [forced_selection(data, picks, mode) for mode in FrequencyMode],
+            [overlap_score(ep, data, picks) for ep in picks],
+            [occurrences_for_mode(data, ep, mode) for ep in picks for mode in FrequencyMode],
+            [cand.occurrences for cand in candidates],
+            [find_no_occurrences(find_distinct_starts(data, ep)) for ep in picks],
+        )
+
+    with monkeypatch.context() as patch:
+        _refuse_tuples_of_pairs(patch)
+        got = run()
+    assert got == run()
+    assert all(isinstance(occ.starts, StartList) for occ in (*got[2], *got[3], *got[4]))
 
 
 def test_load_events_memory_on_long_trajectory():

@@ -68,9 +68,20 @@ def test_find_no_occurrences_empty():
 
 def test_occurrence_list_rejects_unsorted_or_repeated_starts():
     ep = parse_episode("A -1-> B")
-    for starts in (((0, 5), (0, 1)), ((1, 1), (0, 5)), ((0, 1), (0, 1))):
+    big = 10**30  # times past int64 are held exactly, as Python ints
+    refused = (((0, 5), (0, 1)), ((1, 1), (0, 5)), ((0, 1), (0, 1)))
+    refused += (((0, big), (0, big)), ((0, big + 1), (0, big)), ((0, -big), (0, -big - 1)))
+    for starts in refused:
         with pytest.raises(ValueError):
             OccurrenceList(ep, starts)
+        with pytest.raises(ValueError):
+            OccurrenceList(ep, StartList.of(starts))
+    accepted = ((0, -big - 1), (0, -big), (0, big), (0, big + 1), (1, -big))
+    occ = OccurrenceList(ep, accepted)
+    assert occ.starts.times.dtype == object and occ.starts == accepted
+    assert isinstance(occ.starts, StartList)
+    assert isinstance(find_no_occurrences(occ).starts, StartList)
+    assert find_no_occurrences(occ).starts == ((0, -big - 1), (0, big), (1, -big))
 
 
 def test_find_no_occurrences_refuses_starts_past_a_64_bit_axis():
