@@ -15,7 +15,8 @@ from episodeseq.datasets import sample_dataset
 
 data = sample_dataset()
 print("The bundled sample sequence (time, event):")
-print("  ", [(ev.time, data.event_name(ev)) for ev in data.sequences[0]])
+names = map(data.alphabet.name, data.types.tolist())
+print("  ", list(zip(data.times.tolist(), names)))
 print()
 
 # A fixed-interval episode prescribes the exact gap between its events, so

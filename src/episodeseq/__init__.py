@@ -10,7 +10,6 @@ from .events import (
     Alphabet,
     DataValidationError,
     EpisodeSyntaxError,
-    Event,
     EventDataset,
     FixedIntervalEpisode,
     SerialEpisode,

@@ -4,20 +4,17 @@ Timestamps are integers throughout.  An event dataset may hold several
 sequences; occurrences never cross sequence boundaries.  It is held in
 CSR form: per-sequence offsets into flat symbol-id and time arrays.  Times
 are int64 when all lie within ±2**61, else Python ints in an object array,
-so every time is exact.  Tuples of ``Event`` are built only when
-``sequences`` is read.  All types are immutable after construction and
-safe for concurrent reads.  In an episode string, symbols and arrows
-alternate.
+so every time is exact; whatever is not an integer is refused.  All types
+are immutable after construction and safe for concurrent reads.  In an
+episode string, symbols and arrows alternate.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property, partial
-from itertools import chain, repeat
-from operator import itemgetter
-from typing import IO, Iterable, NamedTuple
+from itertools import repeat
+from typing import IO, Iterable
 
 import numpy as np
 
@@ -70,22 +67,16 @@ class Alphabet:
         return self.symbols[event_type]
 
 
-class Event(NamedTuple):
-    """One event: a symbol id plus its integer time of occurrence."""
-
-    event_type: int
-    time: int
-
-
-_new_event = partial(tuple.__new__, Event)  # skips the namedtuple's Python-level __new__
-_first, _second = itemgetter(0), itemgetter(1)
-
-
-def _exact_ints(values) -> np.ndarray:
+def _exact_ints(values, what: str = "event time") -> np.ndarray:
     """Integers as int64 when all lie within ±2**61, where differences and
-    axis steps cannot overflow, else as Python ints in an object array."""
+    axis steps cannot overflow, else as Python ints in an object array.
+    Anything else, a float say, raises :class:`DataValidationError`."""
+    if not (isinstance(values, np.ndarray) and values.dtype == np.int64 and values.ndim == 1):
+        values = values.tolist() if isinstance(values, np.ndarray) else values
+        if not all(map(isinstance, values, repeat((int, np.integer)))):
+            raise DataValidationError(f"{what}s must be integers")
     try:
-        out = np.asarray(values, np.int64)
+        out = np.asarray(values, np.int64).view()  # so freezing it spares the caller's array
         if not len(out) or (-(2**61) < out.min() and out.max() < 2**61):
             return out
     except OverflowError:
@@ -103,33 +94,25 @@ class EventDataset:
 
     Sequence ``s`` is events ``offsets[s]`` to ``offsets[s + 1] - 1`` of the
     flat, read-only ``types`` (int64 symbol ids) and ``times`` arrays, the
-    times kept exact by :func:`_exact_ints`.  Construction canonicalizes
-    each sequence: events are sorted by (time, symbol name), so ties in time
-    have a deterministic order.  ``sequences``, tuples of :class:`Event`,
-    are built on first read.  Two datasets compare equal when they hold the
-    same (time, symbol) sequences, whatever their alphabets' id assignment.
+    times kept exact by :func:`_exact_ints`.  The constructor checks the
+    arrays (:class:`DataValidationError`) and sorts each sequence by (time,
+    symbol name), so ties in time have a deterministic order.  Two datasets
+    compare equal when they hold the same (time, symbol) sequences,
+    whatever their alphabets' id assignment.
     """
 
-    def __init__(self, sequences: Iterable[Iterable[Event]], alphabet: Alphabet):
-        seqs = [list(seq) for seq in sequences]
-        flat = list(chain.from_iterable(seqs))
-        types, times = list(map(_first, flat)), list(map(_second, flat))
-        data = EventDataset.from_arrays(np.cumsum([0, *map(len, seqs)]), types, times, alphabet)
-        self.__dict__.update(data.__dict__)
-
-    @classmethod
-    def from_arrays(cls, offsets, types, times, alphabet: Alphabet) -> "EventDataset":
-        """Build from CSR arrays, which are checked and canonicalized."""
-        offsets, m = np.asarray(offsets, np.int64), alphabet.size
-        types, times = _exact_ints(types), _exact_ints(times)  # a huge id is refused below
-        bad = np.flatnonzero((types < 0) | (types >= m))
-        if len(bad):  # named by the lowest or highest id of the first bad sequence
-            s = np.searchsorted(offsets, bad[0], "right") - 1
-            low, high = (f(types[offsets[s] : offsets[s + 1]]) for f in (np.min, np.max))
-            raise DataValidationError(
-                f"event type id {low if low < 0 else high} outside alphabet of size {m}"
-            )
-        opens = np.zeros(len(types) + 1, bool)
+    def __init__(self, offsets, types, times, alphabet: Alphabet):
+        offsets, m = _exact_ints(offsets, "offset"), alphabet.size
+        types, times = _exact_ints(types, "event type id"), _exact_ints(times)
+        if len(times) != len(types):
+            raise DataValidationError(f"{len(types)} event type ids but {len(times)} times")
+        n = len(types)
+        if not len(offsets) or offsets[0] != 0 or offsets[-1] != n or (np.diff(offsets) < 0).any():
+            raise DataValidationError(f"offsets must rise from 0 to the event count, {n}")
+        bad = np.flatnonzero((types < 0) | (types >= m))  # a huge id is an object array here
+        if len(bad):
+            raise DataValidationError(f"event type id {types[bad[0]]} outside alphabet of size {m}")
+        opens = np.zeros(n + 1, bool)
         opens[offsets] = True  # opens[i]: event i is the first of its sequence
         step, rank = np.diff(times), _name_rank(alphabet)
         if not ((step > 0) | (step == 0) & (np.diff(rank[types]) >= 0) | opens[1:-1]).all():
@@ -138,9 +121,7 @@ class EventDataset:
             types, times = types[order], times[order]
         for array in (offsets, types, times):
             array.flags.writeable = False
-        data = object.__new__(cls)
-        data.__dict__.update(alphabet=alphabet, offsets=offsets, types=types, times=times)
-        return data
+        self.__dict__.update(alphabet=alphabet, offsets=offsets, types=types, times=times)
 
     @classmethod
     def from_tuples(
@@ -153,19 +134,11 @@ class EventDataset:
         When no alphabet is given, one is created from the names seen,
         in sorted order.
         """
-        raw = [list(seq) for seq in sequences]
+        raw = [[(t, name) for t, name in seq] for seq in sequences]
+        times, names = ([pair[k] for seq in raw for pair in seq] for k in (0, 1))
         if alphabet is None:
-            alphabet = Alphabet.from_names(name for seq in raw for _, name in seq)
-        return cls([[Event(alphabet.index(x), int(t)) for t, x in seq] for seq in raw], alphabet)
-
-    def _split(self, items: list) -> tuple[tuple, ...]:
-        """Per-event ``items`` cut into one tuple per sequence."""
-        ends = self.offsets.tolist()
-        return tuple(tuple(items[a:z]) for a, z in zip(ends, ends[1:]))
-
-    @cached_property
-    def sequences(self) -> tuple[tuple[Event, ...], ...]:
-        return self._split(list(map(_new_event, zip(self.types.tolist(), self.times.tolist()))))
+            alphabet = Alphabet.from_names(names)
+        return cls(np.cumsum([0, *map(len, raw)]), [*map(alphabet.index, names)], times, alphabet)
 
     @property
     def n_sequences(self) -> int:
@@ -175,14 +148,6 @@ class EventDataset:
     def n_events(self) -> int:
         return len(self.types)
 
-    def event_name(self, ev: Event) -> str:
-        return self.alphabet.name(ev.event_type)
-
-    def named_sequences(self) -> tuple[tuple[tuple[int, str], ...], ...]:
-        """Sequences as (time, symbol name) pairs, the basis of equality."""
-        names = map(self.alphabet.symbols.__getitem__, self.types.tolist())
-        return self._split(list(zip(self.times.tolist(), names)))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EventDataset):
             return NotImplemented
@@ -190,11 +155,15 @@ class EventDataset:
         same = np.array_equal(self.offsets, other.offsets) and np.array_equal(self.times, other.times)
         return same and np.array_equal(*names)
 
-    def __hash__(self) -> int:
-        return hash(self.named_sequences())
+    def __hash__(self) -> int:  # equal datasets may number their symbols apart
+        return hash((*self.offsets.tolist(), *self.times.tolist()))
 
     def __repr__(self) -> str:
-        return f"EventDataset(sequences={self.sequences!r}, alphabet={self.alphabet!r})"
+        arrays = (self.offsets.tolist(), self.types.tolist(), self.times.tolist())
+        return f"EventDataset({', '.join(map(repr, arrays))}, {self.alphabet!r})"
+
+    def __reduce__(self):  # through the constructor, so copies are read-only too
+        return EventDataset, (self.offsets, self.types, self.times, self.alphabet)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"EventDataset is immutable; cannot set {name!r}")
@@ -349,7 +318,7 @@ def load_events(handle: IO[str]) -> EventDataset:
     types = np.fromiter(map(alphabet._index.__getitem__, names), np.int64, len(names))
     # A sequence starts at each filled line that follows a blank one.
     heads = np.flatnonzero(np.diff(filled, prepend=-2) > 1)
-    return EventDataset.from_arrays(np.append(heads, len(names)), types, times, alphabet)
+    return EventDataset(np.append(heads, len(names)), types, times, alphabet)
 
 
 def dump_events(data: EventDataset, handle: IO[str]) -> None:

@@ -328,7 +328,7 @@ def simulate(model: EpisodePairModel, length: int, seed: int) -> Trajectory:
 def trajectory_dataset(model: EpisodePairModel, traj: Trajectory) -> EventDataset:
     """View a trajectory's output as a one-sequence dataset, times 1..T."""
     times = np.arange(1, len(traj.outputs) + 1)
-    return EventDataset.from_arrays([0, len(times)], traj.outputs, times, model.alphabet)
+    return EventDataset([0, len(times)], traj.outputs, times, model.alphabet)
 
 
 def joint_log_likelihood(

@@ -67,8 +67,9 @@ def overlap_score(
     candidate and ``selected`` on ``data`` under ``mode``.
     """
     own, *others = forced_selection(data, [episode, *selected], mode).selected
-    penalty = sum(int(np.isin(own.events, other.events).sum()) for other in others)
-    return score(episode, own.frequency) - penalty
+    events = [np.empty(0, np.int64), *(other.events for other in others)]
+    coded = np.bincount(np.concatenate(events), minlength=data.n_events)  # coders per event
+    return score(episode, own.frequency) - int(coded[own.events].sum())
 
 
 @dataclass(frozen=True)
@@ -344,7 +345,7 @@ def decode(table: EncodingTable) -> EventDataset:
     at = np.repeat(heads, copies)  # one entry per decoded event
     del order, head, copies, one_node, size, m, bad
     ends = np.append(0, np.cumsum(np.bincount(seq[at], minlength=n)))
-    return EventDataset.from_arrays(ends, sym[at], t[at], alphabet)
+    return EventDataset(ends, sym[at], t[at], alphabet)
 
 
 TABLE_HEADER = ["size", "episode", "freq", "starts"]

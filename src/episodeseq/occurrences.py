@@ -44,7 +44,7 @@ class StartList(Sequence):
     __slots__ = ("_arrays",)
 
     def __init__(self, seqs, times):
-        seqs, times = np.asarray(seqs, np.int64).view(), _exact_ints(times).view()
+        seqs, times = np.asarray(seqs, np.int64).view(), _exact_ints(times)
         if len(seqs) != len(times):
             raise ValueError("a start needs one sequence index and one time")
         seqs.flags.writeable = times.flags.writeable = False

@@ -130,7 +130,7 @@ def corpus_to_events(train: Corpus) -> EventDataset:
     offsets = np.cumsum([0, *map(len, train.documents)])
     types = np.fromiter(map(ids.__getitem__, chain.from_iterable(train.documents)), np.int64)
     times = np.arange(1, offsets[-1] + 1) - np.repeat(offsets[:-1], np.diff(offsets))
-    return EventDataset.from_arrays(offsets, types, times, alphabet)
+    return EventDataset(offsets, types, times, alphabet)
 
 
 def build_dictionary_I(corpus: Corpus) -> Alphabet:

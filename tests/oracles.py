@@ -19,7 +19,6 @@ import numpy as np
 
 from episodeseq import (
     Alphabet,
-    Event,
     EventDataset,
     FixedIntervalEpisode,
     FrequencyMode,
@@ -40,6 +39,32 @@ from episodeseq.mdl import (
 )
 
 _PRUNE_FREQUENCY = 1
+
+
+class Event(NamedTuple):
+    """One event of the tuple-based references: a symbol id and its time."""
+
+    event_type: int
+    time: int
+
+
+_new_event = partial(tuple.__new__, Event)
+
+
+def event_tuples(data: EventDataset) -> tuple[tuple[Event, ...], ...]:
+    """Per sequence of ``data``, its events as ``Event`` tuples, read from
+    the arrays."""
+    events = list(map(_new_event, zip(data.types.tolist(), data.times.tolist())))
+    ends = data.offsets.tolist()
+    return tuple(tuple(events[a:z]) for a, z in zip(ends, ends[1:]))
+
+
+def event_dataset(seqs, alphabet: Alphabet) -> EventDataset:
+    """The dataset of ``Event`` tuples, one iterable per sequence."""
+    seqs = [list(seq) for seq in seqs]
+    flat = [ev for seq in seqs for ev in seq]
+    offsets = np.cumsum([0, *map(len, seqs)])
+    return EventDataset(offsets, [ev.event_type for ev in flat], [ev.time for ev in flat], alphabet)
 
 
 class CoverIntegrityError(ValueError):
@@ -167,11 +192,14 @@ def max_nonoverlap_intervals(intervals: list[tuple[int, int]]) -> int:
     return best(0, -(10**9))
 
 
+def raw_sequences(data: EventDataset) -> list[list[tuple[int, str]]]:
+    """Every sequence of ``data`` as (time, symbol name) pairs."""
+    name = data.alphabet.name
+    return [[(ev.time, name(ev.event_type)) for ev in seq] for seq in event_tuples(data)]
+
+
 def raw_events(data: EventDataset, seq_idx: int = 0) -> list[tuple[int, str]]:
-    return [
-        (ev.time, data.alphabet.name(ev.event_type))
-        for ev in data.sequences[seq_idx]
-    ]
+    return raw_sequences(data)[seq_idx]
 
 
 def all_fixed_interval_episodes(
@@ -216,7 +244,7 @@ def random_dataset(
         if allow_duplicates and size >= 2 and rng.random() < 0.5:
             seq[-1] = seq[0]
         sequences.append(tuple(seq))
-    return EventDataset(tuple(sequences), alphabet)
+    return event_dataset(sequences, alphabet)
 
 
 def random_planted_dataset(
@@ -480,7 +508,7 @@ class _DataIndex:
         # global time -> (sequence index, time in that sequence)
         self.pair_at: dict[int, tuple[int, int]] = {}
         end = None
-        for seq_idx, seq in enumerate(data.sequences):
+        for seq_idx, seq in enumerate(event_tuples(data)):
             if not seq:
                 continue
             base = 0 if end is None else end + max_gap + 1 - seq[0].time
@@ -620,7 +648,7 @@ def reference_distinct_starts(
     nodes = list(zip(type_ids, episode.offsets()))
     present = {
         (seq_idx, ev.time, ev.event_type)
-        for seq_idx, seq in enumerate(data.sequences)
+        for seq_idx, seq in enumerate(event_tuples(data))
         for ev in seq
     }
     starts = sorted(
@@ -650,7 +678,7 @@ def reference_cover(
     Raises :class:`CoverIntegrityError` for a start whose events are
     missing, and ``KeyError`` for a symbol outside the data's alphabet.
     """
-    lowest = [_lowest_positions(enumerate(seq)) for seq in data.sequences]
+    lowest = [_lowest_positions(enumerate(seq)) for seq in event_tuples(data)]
     return _lowest_cover(data, episode, starts, lowest)
 
 
@@ -704,16 +732,15 @@ def reference_select(
     frequency, then the longer episode, then the canonical order.
     """
     removed: set[tuple[int, int]] = set()  # (sequence, position) coded so far
+    seqs = event_tuples(data)
     selected: list[SelectedEpisode] = []
     round_index = 0
     while max_episodes is None or len(selected) < max_episodes:
         left = [
             [(pos, ev) for pos, ev in enumerate(seq) if (seq_idx, pos) not in removed]
-            for seq_idx, seq in enumerate(data.sequences)
+            for seq_idx, seq in enumerate(seqs)
         ]
-        res_data = EventDataset(
-            tuple(tuple(ev for _, ev in seq) for seq in left), data.alphabet
-        )
+        res_data = event_dataset([[ev for _, ev in seq] for seq in left], data.alphabet)
         if res_data.n_events == 0:
             break
         candidates = dfs_candidates(res_data, max_gap, mode)
@@ -785,7 +812,7 @@ def reference_encode(data: EventDataset, selection: SelectionState) -> EncodingT
     rows = [TableRow(sel.episode, sel.starts, residual=False) for sel in selection.selected]
     leftovers: dict[str, list[tuple[int, int]]] = {}
     counts: dict[tuple[int, int, str], int] = {}
-    for seq_idx, seq in enumerate(data.sequences):
+    for seq_idx, seq in enumerate(event_tuples(data)):
         for pos, ev in enumerate(seq):
             name = data.alphabet.name(ev.event_type)
             counts[(seq_idx, ev.time, name)] = counts.get((seq_idx, ev.time, name), 0) + 1
@@ -822,7 +849,7 @@ def triples_decode(table: EncodingTable) -> EventDataset:
     for seq_idx, t, sym in triples:
         copies = table.multiplicities.get((seq_idx, t, sym), 1)
         sequences[seq_idx].extend([Event(alphabet.index(sym), t)] * copies)
-    return EventDataset(reference_canonical(sequences, alphabet), alphabet)
+    return event_dataset(reference_canonical(sequences, alphabet), alphabet)
 
 
 # --- Frozen per-event implementations ---------------------------------------
@@ -831,9 +858,7 @@ def triples_decode(table: EncodingTable) -> EventDataset:
 # they stood before events were held as arrays, kept as oracles of the array
 # code.  ``reference_load_events`` inlines ``EventDataset.from_tuples`` and the
 # constructor's canonical sort (``reference_canonical``), so that no array
-# code runs in any of them.
-
-_new_event = partial(tuple.__new__, Event)
+# code runs in any of them but the final ``event_dataset``.
 
 
 def reference_load_events(handle) -> EventDataset:
@@ -862,7 +887,7 @@ def reference_load_events(handle) -> EventDataset:
         tuple(map(_new_event, [(alphabet.index(name), int(t)) for t, name in seq]))
         for seq in sequences
     )
-    return EventDataset(reference_canonical(seqs, alphabet), alphabet)
+    return event_dataset(reference_canonical(seqs, alphabet), alphabet)
 
 
 def reference_axis(data: EventDataset, max_gap: int) -> SimpleNamespace:
@@ -872,7 +897,8 @@ def reference_axis(data: EventDataset, max_gap: int) -> SimpleNamespace:
     if max_gap < 1:
         raise ValueError("max_gap must be >= 1")
     # No gap outgrows the longest sequence; a shorter max_gap keeps the axis short.
-    longest = max((seq[-1].time - seq[0].time for seq in data.sequences if seq), default=0)
+    seqs = event_tuples(data)
+    longest = max((seq[-1].time - seq[0].time for seq in seqs if seq), default=0)
     self.max_gap = max_gap = min(max_gap, max(longest, 1))
     self.alphabet = data.alphabet
     # axis time -> (sequence index, time in that sequence)
@@ -880,9 +906,9 @@ def reference_axis(data: EventDataset, max_gap: int) -> SimpleNamespace:
     times: list[int] = []  # per slot, in time order
     types: list[int] = []
     first: list[int] = []  # the slot's first event, indexed among all events
-    ends = np.cumsum([len(seq) for seq in data.sequences], dtype=np.int64)
+    ends = np.cumsum([len(seq) for seq in seqs], dtype=np.int64)
     g = -max_gap - 1
-    for seq_idx, seq in enumerate(data.sequences):
+    for seq_idx, seq in enumerate(seqs):
         prev = None
         for k, ev in enumerate(seq, int(ends[seq_idx]) - len(seq)):
             if ev.time != prev:
@@ -962,4 +988,4 @@ def reference_decode(table: EncodingTable) -> EventDataset:
     del rank, t_rank, key, order, first, copies, one_node, size, m, bad
     events = list(map(_new_event, zip(sym[at].tolist(), map(times.__getitem__, at.tolist()))))
     ends = np.cumsum(np.bincount(seq[at], minlength=n)).tolist()
-    return EventDataset(tuple(tuple(events[a:z]) for a, z in zip([0, *ends], ends)), alphabet)
+    return event_dataset([events[a:z] for a, z in zip([0, *ends], ends)], alphabet)

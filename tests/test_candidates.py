@@ -8,7 +8,6 @@ import pytest
 from episodeseq import (
     Alphabet,
     hmm,
-    Event,
     EventDataset,
     FrequencyMode,
     decode,
@@ -30,6 +29,7 @@ from oracles import (
     per_sequence_starts,
     random_planted_dataset,
     raw_events,
+    raw_sequences,
     reference_distinct_starts,
 )
 
@@ -47,7 +47,7 @@ def test_candidates_contain_frequent_episode(sample_data):
 
 def test_candidates_empty_dataset():
     data = EventDataset.from_tuples([[(1, "A")]])
-    empty = EventDataset(((),), data.alphabet)
+    empty = EventDataset([0, 0], [], [], data.alphabet)
     assert len(generate_candidates(empty, 3)) == 0
 
 
@@ -92,7 +92,7 @@ def _multi_sequence_dataset(rng):
     planted = []
     for shift in (0, -25, 0):
         data, _ = random_planted_dataset(rng)
-        seq = [(t + shift, name) for t, name in data.named_sequences()[0]]
+        seq = [(t + shift, name) for t, name in raw_events(data)]
         planted.append(seq + rng.sample(seq, 2))
     return EventDataset.from_tuples(
         [[], planted[0], [], planted[1], planted[2], []], Alphabet(tuple("ABCDE"))
@@ -179,7 +179,7 @@ def test_candidates_equal_dfs_oracle():
                 ]
                 for search in (generate_candidates, dfs_candidates)
             )
-            assert got == want, (data.named_sequences(), max_gap, mode)
+            assert got == want, (data, max_gap, mode)
 
 
 def test_positive_search_equals_positive_dfs_candidates():
@@ -203,7 +203,7 @@ def test_positive_search_equals_positive_dfs_candidates():
                 for c in dfs_candidates(data, max_gap, mode)
                 if c.score > 0
             ]
-            assert got == want, (data.named_sequences(), max_gap, mode)
+            assert got == want, (data, max_gap, mode)
             positive += len(got)
     assert positive > 1000
 
@@ -230,9 +230,7 @@ def test_candidate_search_memory_does_not_grow_with_time_scale():
     beta = parse_serial_episode("D -> B -> E")
     model = hmm.build_model(alpha, beta, hmm.default_pair_alphabet(alpha, beta, 9), 0.25)
     data = hmm.trajectory_dataset(model, hmm.simulate(model, 10_000, 0))
-    scaled = EventDataset(
-        tuple(tuple(Event(x, 1000 * t) for x, t in seq) for seq in data.sequences), data.alphabet
-    )
+    scaled = EventDataset(data.offsets, data.types, 1000 * data.times, data.alphabet)
     want = [
         (c.episode.event_types, tuple(1000 * g for g in c.episode.gaps), c.frequency, c.score)
         for c in generate_candidates(data, 3)
@@ -304,7 +302,7 @@ def test_candidates_equal_dfs_oracle_on_wide_gaps():
     for _ in range(100):
         data = _oracle_dataset(rng)
         wide = EventDataset.from_tuples(
-            [[(100 * t, name) for t, name in seq] for seq in data.named_sequences()],
+            [[(100 * t, name) for t, name in seq] for seq in raw_sequences(data)],
             data.alphabet,
         )
         max_gap = 100 * rng.randint(1, 4)
@@ -353,12 +351,12 @@ def test_searches_equal_dfs_oracle_on_deep_paths():
                 (c.key, c.frequency, c.score, c.occurrences.starts)
                 for c in generate_candidates(data, max_gap, mode)
             ]
-            assert got == want, (data.named_sequences(), max_gap, mode)
+            assert got == want, (data, max_gap, mode)
             positive = [
                 (c.key, c.frequency, c.score, c.occurrences.starts)
                 for c in _search(axis, slice(None), mode is FrequencyMode.NON_OVERLAPPED, True)
             ]
-            assert positive == [c for c in want if c[2] > 0], (data.named_sequences(), max_gap)
+            assert positive == [c for c in want if c[2] > 0], (data, max_gap)
             deep += sum(c[0].count("->") >= 3 for c in positive)
     assert deep > 1000
 

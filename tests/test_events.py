@@ -1,16 +1,19 @@
+import copy
 import io
+import pickle
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import episodeseq
 from episodeseq import (
     Alphabet,
     DataValidationError,
     EpisodeSyntaxError,
-    Event,
     EventDataset,
     FixedIntervalEpisode,
     SerialEpisode,
@@ -133,13 +136,12 @@ def test_alphabet_invariants():
 
 def test_dataset_sorts_and_validates():
     alphabet = Alphabet(("A", "B"))
-    data = EventDataset(((Event(1, 9), Event(0, 2), Event(1, 2)),), alphabet)
-    times = [ev.time for ev in data.sequences[0]]
-    assert times == sorted(times)
+    data = EventDataset([0, 3], [1, 0, 1], [9, 2, 2], alphabet)
+    assert data.times.tolist() == [2, 2, 9]
     # ties ordered by symbol name
-    assert [data.event_name(ev) for ev in data.sequences[0]] == ["A", "B", "B"]
+    assert list(map(alphabet.name, data.types.tolist())) == ["A", "B", "B"]
     with pytest.raises(DataValidationError):
-        EventDataset(((Event(7, 1),),), alphabet)
+        EventDataset([0, 1], [7], [1], alphabet)
 
 
 def test_dataset_from_tuples_builds_sorted_alphabet():
@@ -163,7 +165,7 @@ def test_event_file_multi_sequence():
     text = "1\tA\n2\tB\n\n3\tA\n"
     data = load_events(io.StringIO(text))
     assert data.n_sequences == 2
-    assert [len(s) for s in data.sequences] == [2, 1]
+    assert data.offsets.tolist() == [0, 2, 3]
     out = io.StringIO()
     dump_events(data, out)
     assert out.getvalue() == text
@@ -173,10 +175,8 @@ def test_event_file_blank_line_runs():
     # leading, repeated and trailing blank lines never make empty sequences
     text = "\n\n1\tA\n2\tB\n\n\n\n-3\tA\n-3\tA\n\n5\tC\n\n\n"
     data = load_events(io.StringIO(text))
-    assert data.named_sequences() == (
-        ((1, "A"), (2, "B")),
-        ((-3, "A"), (-3, "A")),
-        ((5, "C"),),
+    assert data == EventDataset.from_tuples(
+        [[(1, "A"), (2, "B")], [(-3, "A"), (-3, "A")], [(5, "C")]]
     )
     out = io.StringIO()
     dump_events(data, out)
@@ -247,11 +247,89 @@ def test_dump_events_refuses_what_the_file_cannot_carry(sequences):
 
 
 def test_dump_events_ignores_alphabet_symbols_no_event_uses():
-    data = EventDataset(((Event(0, 1),),), Alphabet(("a", "b ")))
+    data = EventDataset([0, 1], [0], [1], Alphabet(("a", "b ")))
     out = io.StringIO()
     dump_events(data, out)
     again = load_events(io.StringIO(out.getvalue()))
-    assert [
-        [(ev.time, again.alphabet.name(ev.event_type)) for ev in seq]
-        for seq in again.sequences
-    ] == [[(1, "a")]]
+    assert again == data and again.alphabet.symbols == ("a",)
+
+
+_AB = Alphabet(("A", "B"))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: EventDataset([0, 2], [0, 1], [1], _AB), id="a-time-short"),
+        pytest.param(lambda: EventDataset([0, 1], [0], [1, 2], _AB), id="an-id-short"),
+        pytest.param(lambda: EventDataset([0, 2, 1], [0, 1], [1, 2], _AB), id="offsets-fall-short"),
+        pytest.param(lambda: EventDataset([0, 2, 1, 2], [0, 1], [1, 2], _AB), id="offsets-fall"),
+        pytest.param(lambda: EventDataset([1, 2], [0, 1], [1, 2], _AB), id="offsets-start-at-1"),
+        pytest.param(lambda: EventDataset([0, 3], [0, 1], [1, 2], _AB), id="offsets-run-past"),
+        pytest.param(lambda: EventDataset([0, 1], [0, 1], [1, 2], _AB), id="offsets-end-early"),
+        pytest.param(lambda: EventDataset([], [], [], _AB), id="no-offset"),
+        pytest.param(lambda: EventDataset([0, 2], [0, 1], [0.5, 1.9], _AB), id="float-times"),
+        pytest.param(
+            lambda: EventDataset([0, 2], [0, 1], np.array([0.5, 1.5]), _AB), id="float-time-array"
+        ),
+        pytest.param(lambda: EventDataset([0, 2], [0.0, 1.0], [1, 2], _AB), id="float-ids"),
+        pytest.param(lambda: EventDataset([0.0, 2.0], [0, 1], [1, 2], _AB), id="float-offsets"),
+        pytest.param(lambda: EventDataset([0, 2], [0, 1], [1, 2.0**64], _AB), id="float-past-2^63"),
+        pytest.param(lambda: EventDataset([0, 2], [0, 1], [1, "2"], _AB), id="text-time"),
+        pytest.param(
+            lambda: EventDataset.from_tuples([[(1, "A"), (1.9, "B")]]), id="from-tuples-float"
+        ),
+    ],
+)
+def test_constructor_refuses_what_it_cannot_hold(build):
+    with pytest.raises(DataValidationError):
+        build()
+
+
+@pytest.mark.parametrize("times", [[3, 1, 2], [3, 1, 10**30]])
+def test_datasets_stay_read_only_through_pickle_and_deepcopy(times):
+    arrays = np.array([0, 2, 3]), np.array([0, 1, 0])
+    data = EventDataset(*arrays, times, _AB)
+    assert all(a.flags.writeable for a in arrays)  # the caller's arrays are not frozen
+    for copied in (copy.deepcopy(data), pickle.loads(pickle.dumps(data))):
+        assert copied == data and copied.times.dtype == data.times.dtype
+        assert not any(a.flags.writeable for a in (copied.offsets, copied.types, copied.times))
+
+
+def test_equal_datasets_hash_equal_whatever_their_alphabets():
+    pairs = [[(2, "B"), (1, "A"), (2, "A")], [], [(-(10**30), "C")]]
+    one = EventDataset.from_tuples(pairs, Alphabet(("A", "B", "C")))
+    two = EventDataset.from_tuples(pairs, Alphabet(("C", "B", "A")))
+    assert not np.array_equal(one.types, two.types)
+    assert one == two and hash(one) == hash(two) and len({one, two}) == 1
+    renamed = EventDataset(one.offsets, one.types, one.times, Alphabet(("A", "B", "D")))
+    assert renamed != one and len({one, renamed}) == 2
+
+
+def test_repr_rebuilds_the_dataset():
+    data = EventDataset.from_tuples([[(3, "b"), (1, "a")], [(2**70, "a")]])
+    assert eval(repr(data), {"EventDataset": EventDataset, "Alphabet": Alphabet}) == data
+
+
+def test_public_names_are_pinned():
+    assert episodeseq.__all__ == [
+        "Alphabet", "Candidate", "Corpus", "DataValidationError", "EncodingTable",
+        "EpisodePairModel", "EpisodeSyntaxError", "EventDataset", "FeatureMatrix",
+        "FixedIntervalEpisode", "FrequencyMode", "NBModel", "OccurrenceList",
+        "PairComparison", "PairStats", "PreprocessOptions", "SelectedEpisode",
+        "SelectionState", "SerialEpisode", "StateId", "StateKind", "TableFormatError",
+        "TableRow", "Trajectory", "build_dictionary_I", "build_dictionary_II",
+        "build_model", "candidates", "closed_form_case1", "closed_form_case2",
+        "closed_form_decomposed", "compare_pairs", "compute_idf", "corpus_to_events",
+        "count_no_general", "decode", "default_pair_alphabet", "dump_events", "encode",
+        "eta_upper_bound", "evaluate", "events", "find_distinct_starts",
+        "find_no_occurrences", "forced_selection", "format_episode",
+        "generate_candidates", "hmm", "joint_log_likelihood", "load_corpus",
+        "load_corpus_dir", "load_dictionary", "load_events", "load_table", "mdl",
+        "metrics_csv", "mine_dictionary", "model_summary", "occurrences",
+        "occurrences_for_mode", "overlap_score", "overlap_score_1", "overlap_score_2",
+        "parse_episode", "parse_serial_episode", "predict", "preprocess", "save_corpus",
+        "save_dictionary", "save_table", "score", "select", "simulate", "span",
+        "textpipe", "tfidf", "total_length", "train_nb", "trajectory_counts",
+        "trajectory_dataset", "trajectory_stats", "viterbi",
+    ]

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from episodeseq import (
     Alphabet,
-    Event,
     EventDataset,
     FixedIntervalEpisode,
     FrequencyMode,
@@ -46,10 +45,15 @@ from episodeseq.datasets import make_two_class_corpus
 from episodeseq.mdl import TableRow
 from episodeseq.occurrences import StartList
 from oracles import (
+    Event,
     all_fixed_interval_episodes,
+    event_dataset,
+    event_tuples,
     per_sequence_starts,
     random_dataset,
     random_planted_dataset,
+    raw_events,
+    raw_sequences,
     reference_canonical,
     reference_distinct_starts,
     reference_encode,
@@ -96,7 +100,7 @@ def test_overlap_score_full_cover_penalty():
 
 def test_select_empty_data():
     data = EventDataset.from_tuples([[(1, "A")]])
-    empty = EventDataset(((),), data.alphabet)
+    empty = EventDataset([0, 0], [], [], data.alphabet)
     state = select(empty, 2)
     assert state.selected == ()
 
@@ -177,7 +181,7 @@ def test_total_length_units():
     data = EventDataset.from_tuples([[(3, "X")]])
     table = encode(data, forced_selection(data, []))
     assert total_length(table) == 4  # 2*1 + 1 + 1
-    empty = EventDataset(((),), data.alphabet)
+    empty = EventDataset([0, 0], [], [], data.alphabet)
     assert total_length(encode(empty, forced_selection(empty, []))) == 0
 
 
@@ -186,7 +190,7 @@ def test_decode_single_row():
     table = load_table(io.StringIO(text))
     data = decode(table)
     assert data.n_events == 2
-    assert [(ev.time, data.event_name(ev)) for ev in data.sequences[0]] == [
+    assert raw_events(data) == [
         (3, "C"),
         (8, "C"),
     ]
@@ -296,7 +300,7 @@ def test_select_covers_bind_lowest_events_left_by_earlier_rounds():
             expected = set()
             starts = per_sequence_starts(sel.starts, data.n_sequences)
             for seq_idx, seq_starts in enumerate(starts):
-                seq = data.sequences[seq_idx]
+                seq = event_tuples(data)[seq_idx]
                 for t in seq_starts:
                     for tid, off in zip(type_ids, offsets):
                         # positions holding the event this node needs that no
@@ -344,7 +348,7 @@ def test_select_equals_reference_select():
                     reference_select(data, max_gap, top_k, mode),
                 )
             )
-            assert got == want, (data.named_sequences(), max_gap, top_k, mode)
+            assert got == want, (data, max_gap, top_k, mode)
             picks += len(got[1])
     assert picks > 4000  # the selections are not mostly empty
 
@@ -353,7 +357,7 @@ def test_selections_are_values():
     rng = random.Random(2024)
     for _ in range(30):
         data = _reference_dataset(rng)
-        twin = EventDataset.from_tuples(data.named_sequences(), data.alphabet)
+        twin = EventDataset.from_tuples(raw_sequences(data), data.alphabet)
         state = select(data, 2)
         copies = copy.deepcopy(state), pickle.loads(pickle.dumps(state))  # covers not yet built
         for other in (select(twin, 2), *copies):
@@ -390,7 +394,7 @@ def _forced_case(rng):
         ]
         sequences.append(seq + [rng.choice(seq) for _ in range(rng.randint(0, 3) if seq else 0)])
     data = EventDataset.from_tuples(sequences, Alphabet(tuple("ABCDE")))
-    longest = max((seq[-1].time - seq[0].time for seq in data.sequences if seq), default=0)
+    longest = max((seq[-1].time - seq[0].time for seq in event_tuples(data) if seq), default=0)
     beyond = (longest + 1, longest + 3, 10**30) if longest < 10**12 else (1,)
     episodes = []
     for _ in range(rng.randint(0, 4)):
@@ -415,7 +419,7 @@ def test_forced_selection_equals_reference():
                 with pytest.raises(KeyError):
                     forced_selection(data, episodes, mode)
                 continue
-            assert forced_selection(data, episodes, mode) == want, (data.named_sequences(), episodes)
+            assert forced_selection(data, episodes, mode) == want, (data, episodes)
             for episode, sel in zip(episodes, want.selected):
                 got = occurrences_for_mode(data, episode, mode)
                 assert got == OccurrenceList(episode, sel.starts)
@@ -483,8 +487,8 @@ def test_io_path_equals_reference():
     overlapping = refused = 0
     for k in range(3000):
         raw, alphabet = _io_dataset(rng)
-        data = EventDataset(raw, alphabet)
-        assert data.sequences == reference_canonical(raw, alphabet), raw
+        data = event_dataset(raw, alphabet)
+        assert event_tuples(data) == reference_canonical(raw, alphabet), raw
         selection = _io_selection(rng, data, k)
         want = reference_encode(data, selection)
         shared = [(a, b) for a, b in combinations(selection.selected, 2) if a.covered & b.covered]
@@ -504,7 +508,7 @@ def test_io_path_equals_reference():
         assert table.multiplicities == want.multiplicities
         assert table.n_sequences == want.n_sequences
         got, want = decode(table), triples_decode(table)
-        assert (got.sequences, got.alphabet) == (want.sequences, want.alphabet)
+        assert (event_tuples(got), got.alphabet) == (event_tuples(want), want.alphabet)
     assert overlapping > 120 and refused > 100
 
 
@@ -700,7 +704,7 @@ def test_table_csv_keeps_trailing_empty_sequences():
     save_table(loaded, again)
     assert again.getvalue() == text
     # only-empty data keeps its sequence count as well
-    empty = EventDataset(((), ()), data.alphabet)
+    empty = EventDataset([0, 0, 0], [], [], data.alphabet)
     out = io.StringIO()
     save_table(encode(empty, forced_selection(empty, [])), out)
     assert decode(load_table(io.StringIO(out.getvalue()))) == empty
@@ -800,7 +804,7 @@ def test_load_table_returns_the_saved_table():
     loaded = with_mult = 0
     for k in range(900):
         raw, alphabet = _io_dataset(rng)
-        data = EventDataset(raw, alphabet)
+        data = event_dataset(raw, alphabet)
         try:
             table = encode(data, _io_selection(rng, data, k))
         except TableFormatError:

@@ -232,7 +232,7 @@ def test_count_no_general_sample(sample_data):
 
 def test_count_no_general_empty():
     data = EventDataset.from_tuples([[(1, "A")]])
-    empty = EventDataset(((),), data.alphabet)
+    empty = EventDataset([0, 0], [], [], data.alphabet)
     assert count_no_general(empty, parse_serial_episode("A")) == 0
 
 

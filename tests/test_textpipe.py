@@ -38,6 +38,8 @@ from oracles import (
     dense_idf,
     dense_naive_bayes,
     dense_tfidf,
+    event_tuples,
+    raw_events,
 )
 
 
@@ -67,14 +69,14 @@ def test_corpus_to_events_positions():
     corpus = corpus_of(["a b c d e", "f g h i j"], [0, 1])
     data = corpus_to_events(corpus)
     assert data.n_sequences == 2
-    for seq in data.sequences:
+    for seq in event_tuples(data):
         assert [ev.time for ev in seq] == [1, 2, 3, 4, 5]
 
 
 def test_corpus_to_events_repeated_token():
     corpus = corpus_of(["aa bb aa"], [0])
     data = corpus_to_events(corpus)
-    assert [(ev.time, data.event_name(ev)) for ev in data.sequences[0]] == [
+    assert raw_events(data) == [
         (1, "aa"),
         (2, "bb"),
         (3, "aa"),
