@@ -24,15 +24,15 @@ print()
 episode = parse_episode("A -2-> B -1-> C")
 print(f"Episode {episode} spans {span(episode)} time units.")
 
-# Starts are (sequence, time) pairs; the sample holds one sequence.
+# Starts are a sequence-index array and a time array; the sample holds one sequence.
 occ = find_distinct_starts(data, episode)
-times = tuple(t for _, t in occ.starts)
+times = tuple(occ.starts.times.tolist())
 print(f"Distinct occurrence starts: {times}  (frequency {occ.total})")
 
 # Non-overlapped occurrences: each kept start must clear the previous
 # occurrence's end.  The greedy filter below is provably maximal.
 kept = find_no_occurrences(occ)
-times = tuple(t for _, t in kept.starts)
+times = tuple(kept.starts.times.tolist())
 print(f"Non-overlapped starts:      {times}  (frequency {kept.total})")
 print()
 

@@ -21,10 +21,9 @@ from __future__ import annotations
 import csv
 import heapq
 import io
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from itertools import groupby, zip_longest
-from operator import attrgetter, le, lt
+from operator import le, lt
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -77,41 +76,39 @@ class SelectedEpisode:
     """One selection decision, with the evidence it was based on.
 
     ``starts`` are the ``(sequence, start time)`` pairs of the occurrences
-    found in the round's residual data, as a :class:`StartList`; a tuple of
-    pairs given here is converted once.  ``events``, read-only, holds the
-    flat indices into the input data's arrays, whose ``offsets`` it shares,
-    of the events those occurrences code for; ``covered``, the same events
-    as ``(sequence, position)`` pairs, is built on first read and decides
-    equality together with the episode, starts and round.
+    found in the round's residual data.  ``events``, read-only int64, holds
+    the flat indices into the input data's arrays of the events they code
+    for, which never repeat; as a set, they decide equality together with
+    the episode, starts and round.
     """
 
     episode: FixedIntervalEpisode
     starts: StartList
     round_index: int
     events: np.ndarray
-    offsets: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.starts, StartList):
-            object.__setattr__(self, "starts", StartList.of(self.starts))
+        events = np.array(self.events, np.int64)  # a copy, so freezing spares the caller's array
+        events.flags.writeable = False
+        object.__setattr__(self, "events", events)
 
     @property
     def frequency(self) -> int:
         return len(self.starts)
 
-    @cached_property
-    def covered(self) -> frozenset[tuple[int, int]]:
-        seq = np.searchsorted(self.offsets, self.events, "right") - 1
-        return frozenset(zip(seq.tolist(), (self.events - self.offsets[seq]).tolist()))
-
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, SelectedEpisode) and _PICK_KEY(self) == _PICK_KEY(other)
+        return (
+            isinstance(other, SelectedEpisode)
+            and (self.episode, self.starts, self.round_index)
+            == (other.episode, other.starts, other.round_index)
+            and np.array_equal(np.sort(self.events), np.sort(other.events))
+        )
 
     def __hash__(self) -> int:
-        return hash(self.covered)
+        return hash((self.episode, self.starts, self.round_index))
 
-
-_PICK_KEY = attrgetter("episode", "starts", "round_index", "covered")
+    def __reduce__(self):  # through the constructor, so copies are read-only too
+        return SelectedEpisode, (self.episode, self.starts, self.round_index, self.events)
 
 
 @dataclass(frozen=True)
@@ -178,7 +175,7 @@ def select(
         for i in round_picks:
             episode, cov = candidates[i].episode, covers[i]
             starts, events = axis.pairs(episode, cov, removed[cov])
-            selected.append(SelectedEpisode(episode, starts, round_index, events, data.offsets))
+            selected.append(SelectedEpisode(episode, starts, round_index, events))
         removed += picks_at > 0
         round_index += 1
     return SelectionState(tuple(selected), round_index)
@@ -200,7 +197,7 @@ def forced_selection(
     for episode in episodes:
         cov = cover(axis, episode, mode is FrequencyMode.NON_OVERLAPPED)
         starts, events = axis.pairs(episode, cov, 0)
-        selected.append(SelectedEpisode(episode, starts, 0, events, data.offsets))
+        selected.append(SelectedEpisode(episode, starts, 0, events))
     return SelectionState(tuple(selected), 1 if selected else 0)
 
 
@@ -208,17 +205,12 @@ def forced_selection(
 class TableRow:
     """One encoding-table row: size, episode, frequency, start times.
 
-    ``starts``, the ``(sequence index, start time)`` pairs, is a
-    :class:`StartList`; a tuple of pairs given here is converted once.
+    ``starts`` holds the ``(sequence index, start time)`` pairs.
     """
 
     episode: FixedIntervalEpisode
     starts: StartList
     residual: bool
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.starts, StartList):
-            object.__setattr__(self, "starts", StartList.of(self.starts))
 
     @property
     def size(self) -> int:

@@ -4,7 +4,7 @@ For an injective fixed-interval episode, occurrences starting at different
 times are distinct, so the sorted ``(sequence index, start time)`` pairs
 describe the occurrence set completely.  Occurrence lists, selected
 episodes and encoding-table rows all hold them as a :class:`StartList`,
-two arrays that behave as the tuple of those pairs.  Two occurrences are
+one array of sequence indices and one of start times.  Two occurrences are
 non-overlapped when the later one starts strictly after the earlier one
 ends (start' > start + span); a maximal non-overlapped subset is obtained
 greedily from each sequence's sorted distinct starts, keeping each start
@@ -19,7 +19,6 @@ overlap counts deterministic and gives the pairs.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -35,26 +34,20 @@ class FrequencyMode(str, Enum):
     NON_OVERLAPPED = "non-overlapped"
 
 
-class StartList(Sequence):
+class StartList:
     """Sorted ``(sequence index, start time)`` pairs held as two read-only
-    arrays, ``seqs`` (int64) and ``times`` (kept exact by ``_exact_ints``).
-    It behaves as the tuple of those pairs, which it equals and hashes as;
-    a slice is a start list viewing the same arrays."""
+    arrays, ``seqs`` (int64) and ``times``, kept exact by ``_exact_ints``.
+    Start lists with equal arrays are equal and hash alike; a slice is a
+    start list viewing the same arrays, and no other index is taken."""
 
     __slots__ = ("_arrays",)
 
     def __init__(self, seqs, times):
-        seqs, times = np.asarray(seqs, np.int64).view(), _exact_ints(times)
+        seqs, times = np.asarray(_exact_ints(seqs, "sequence index"), np.int64), _exact_ints(times)
         if len(seqs) != len(times):
             raise ValueError("a start needs one sequence index and one time")
         seqs.flags.writeable = times.flags.writeable = False
         self._arrays = seqs, times
-
-    @classmethod
-    def of(cls, pairs) -> StartList:
-        """The start list of a tuple of pairs."""
-        pairs = np.array(pairs, object).reshape(-1, 2)
-        return cls(pairs[:, 0], pairs[:, 1])
 
     seqs = property(lambda self: self._arrays[0])
     times = property(lambda self: self._arrays[1])
@@ -62,28 +55,23 @@ class StartList(Sequence):
     def __len__(self) -> int:
         return len(self._arrays[0])
 
-    def __getitem__(self, i):
-        seqs, times = self._arrays
-        if isinstance(i, slice):  # a view of arrays already checked
-            out = StartList.__new__(StartList)
-            out._arrays = seqs[i], times[i]
-            return out
-        return int(seqs[i]), int(times[i])
-
-    def __iter__(self):
-        seqs, times = self._arrays
-        return zip(seqs.tolist(), times.tolist())
+    def __getitem__(self, i: slice) -> StartList:
+        if not isinstance(i, slice):  # nor may tuple() fall back to indexing
+            raise TypeError(f"a start list takes slices, not {type(i).__name__}")
+        out = StartList.__new__(StartList)  # a view of arrays already checked
+        out._arrays = self._arrays[0][i], self._arrays[1][i]
+        return out
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, StartList):
             return all(map(np.array_equal, self._arrays, other._arrays))
-        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+        return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(tuple(self))
+        return hash((tuple(self.seqs.tolist()), tuple(self.times.tolist())))
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({tuple(self)!r})"
+        return f"{type(self).__name__}({self.seqs.tolist()!r}, {self.times.tolist()!r})"
 
     def __reduce__(self):
         return StartList, self._arrays
@@ -92,14 +80,12 @@ class StartList(Sequence):
 @dataclass(frozen=True)
 class OccurrenceList:
     """An episode's occurrences: sorted, distinct ``(sequence, start time)``
-    pairs, as a :class:`StartList`; a tuple of pairs is converted once."""
+    pairs, as a :class:`StartList`."""
 
     episode: FixedIntervalEpisode
     starts: StartList
 
     def __post_init__(self) -> None:
-        if not isinstance(self.starts, StartList):
-            object.__setattr__(self, "starts", StartList.of(self.starts))
         s, t = self.starts.seqs, self.starts.times
         if not ((s[1:] > s[:-1]) | (s[1:] == s[:-1]) & (t[1:] > t[:-1])).all():
             raise ValueError("starts must be strictly increasing")
@@ -230,10 +216,9 @@ class _Axis:
 
     def pairs(self, episode: FixedIntervalEpisode, cov: np.ndarray, skipped):
         """The :class:`StartList` of the occurrences with slot cover ``cov``,
-        read at each occurrence's first slot, and the read-only flat indices
-        of the events ``skipped`` copies past each slot's first."""
+        read at each occurrence's first slot, and the flat indices of the
+        events ``skipped`` copies past each slot's first."""
         events = self.event[cov] + skipped
-        events.flags.writeable = False
         heads = events[:: episode.length]
         seq = np.searchsorted(self.data.offsets, heads, "right") - 1
         return StartList(seq, self.data.times[heads]), events

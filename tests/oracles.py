@@ -37,6 +37,7 @@ from episodeseq.mdl import (
     TableRow,
     row_gain,
 )
+from episodeseq.occurrences import StartList
 
 _PRUNE_FREQUENCY = 1
 
@@ -57,6 +58,24 @@ def event_tuples(data: EventDataset) -> tuple[tuple[Event, ...], ...]:
     events = list(map(_new_event, zip(data.types.tolist(), data.times.tolist())))
     ends = data.offsets.tolist()
     return tuple(tuple(events[a:z]) for a, z in zip(ends, ends[1:]))
+
+
+def pairs(starts: StartList) -> tuple[tuple[int, int], ...]:
+    """A start list as the tuple of its ``(sequence, time)`` pairs."""
+    return tuple(zip(starts.seqs.tolist(), starts.times.tolist()))
+
+
+def start_list(items: Iterable[tuple[int, int]]) -> StartList:
+    """The start list of ``(sequence, time)`` pairs."""
+    items = list(items)
+    return StartList([s for s, _ in items], [t for _, t in items])
+
+
+def covered(sel: SelectedEpisode, data: EventDataset) -> frozenset[tuple[int, int]]:
+    """A pick's events as ``(sequence, position)`` pairs in ``data``, which
+    the pick was selected on."""
+    seq = np.searchsorted(data.offsets, sel.events, "right") - 1
+    return frozenset(zip(seq.tolist(), (sel.events - data.offsets[seq]).tolist()))
 
 
 def event_dataset(seqs, alphabet: Alphabet) -> EventDataset:
@@ -88,10 +107,10 @@ def reference_no_occurrences(occ: OccurrenceList) -> OccurrenceList:
     """:func:`non_overlapped` applied to each sequence's run of starts: the
     oracle of ``find_no_occurrences``."""
     kept: list[tuple[int, int]] = []
-    for seq_idx, run in groupby(occ.starts, key=itemgetter(0)):
+    for seq_idx, run in groupby(pairs(occ.starts), key=itemgetter(0)):
         times = [t for _, t in run]
         kept.extend((seq_idx, t) for t in non_overlapped(times, span(occ.episode)))
-    return OccurrenceList(occ.episode, tuple(kept))
+    return OccurrenceList(occ.episode, start_list(kept))
 
 
 def max_nonoverlap_from_starts(starts: list[int], ep_span: int) -> int:
@@ -115,12 +134,10 @@ def max_nonoverlap_from_starts(starts: list[int], ep_span: int) -> int:
     return best(0)
 
 
-def per_sequence_starts(
-    starts: tuple[tuple[int, int], ...], n_sequences: int
-) -> tuple[tuple[int, ...], ...]:
-    """Group ``(sequence, time)`` pairs into one tuple of times per sequence."""
+def per_sequence_starts(starts: StartList, n_sequences: int) -> tuple[tuple[int, ...], ...]:
+    """Group a start list's pairs into one tuple of times per sequence."""
     out: list[list[int]] = [[] for _ in range(n_sequences)]
-    for seq_idx, t in starts:
+    for seq_idx, t in pairs(starts):
         out[seq_idx].append(t)
     return tuple(map(tuple, out))
 
@@ -598,8 +615,7 @@ def dfs_candidates(
             episode = FixedIntervalEpisode(
                 tuple(data.alphabet.name(i) for i in best_ids), best_gaps
             )
-            pairs = tuple(map(index.pair_at.__getitem__, best_starts))
-            occ = OccurrenceList(episode, pairs)
+            occ = OccurrenceList(episode, start_list(map(index.pair_at.__getitem__, best_starts)))
             if no_mode:
                 occ = reference_no_occurrences(occ)
             emitted[best_ids, best_gaps] = DfsCandidate(
@@ -657,7 +673,7 @@ def reference_distinct_starts(
         if tid == type_ids[0]
         and all((seq_idx, t + off, k) in present for k, off in nodes)
     )
-    return OccurrenceList(episode, tuple(starts))
+    return OccurrenceList(episode, start_list(starts))
 
 
 def reference_occurrences_for_mode(
@@ -682,11 +698,11 @@ def reference_cover(
     return _lowest_cover(data, episode, starts, lowest)
 
 
-def _flat_events(data: EventDataset, covered):
+def _flat_events(data: EventDataset, positions):
     """The flat indices into ``data``'s arrays of ``(sequence, position)``
-    pairs, in order, and the data's offsets: a pick's ``events, offsets``."""
+    pairs, in order: a pick's ``events``."""
     first = data.offsets.tolist()
-    return np.array(sorted(first[s] + p for s, p in covered), np.int64), data.offsets
+    return np.array(sorted(first[s] + p for s, p in positions), np.int64)
 
 
 def reference_forced_selection(
@@ -699,8 +715,8 @@ def reference_forced_selection(
     selected = []
     for episode in episodes:
         occ = reference_occurrences_for_mode(data, episode, mode)
-        cov = reference_cover(data, episode, occ.starts)
-        selected.append(SelectedEpisode(episode, occ.starts, 0, *_flat_events(data, cov)))
+        cov = reference_cover(data, episode, pairs(occ.starts))
+        selected.append(SelectedEpisode(episode, occ.starts, 0, _flat_events(data, cov)))
     return SelectionState(tuple(selected), 1 if selected else 0)
 
 
@@ -713,7 +729,8 @@ def reference_overlap_score(
     """Score minus the events each selected episode's reference cover shares
     with the episode's: the oracle of ``overlap_score``."""
     own, *others = reference_forced_selection(data, [episode, *selected], mode).selected
-    return score(episode, own.frequency) - sum(len(own.covered & o.covered) for o in others)
+    own_cover = covered(own, data)
+    return score(episode, own.frequency) - sum(len(own_cover & covered(o, data)) for o in others)
 
 
 def reference_select(
@@ -751,7 +768,7 @@ def reference_select(
         for cand in candidates:
             if cand.score <= 0:
                 continue
-            cov = _lowest_cover(res_data, cand.episode, cand.occurrences.starts, lowest)
+            cov = _lowest_cover(res_data, cand.episode, pairs(cand.occurrences.starts), lowest)
             entries.append([cand, cov, 0])  # [candidate, cover, penalty]
 
         round_picks: list[list] = []
@@ -776,13 +793,13 @@ def reference_select(
                 entry[2] += len(entry[1] & best[1])
         if not round_picks:
             break
-        for cand, covered, _ in round_picks:
+        for cand, cov, _ in round_picks:
             selected.append(
                 SelectedEpisode(
-                    cand.episode, cand.occurrences.starts, round_index, *_flat_events(data, covered)
+                    cand.episode, cand.occurrences.starts, round_index, _flat_events(data, cov)
                 )
             )
-            removed |= covered
+            removed |= cov
         round_index += 1
     return SelectionState(tuple(selected), round_index)
 
@@ -808,7 +825,7 @@ def reference_encode(data: EventDataset, selection: SelectionState) -> EncodingT
     """The encoding table built by a walk over every event, the oracle of
     ``encode``: selected rows in selection order, then one 1-node row per
     symbol with uncovered events, in symbol order."""
-    covered = set().union(*(sel.covered for sel in selection.selected))
+    coded = set().union(*(covered(sel, data) for sel in selection.selected))
     rows = [TableRow(sel.episode, sel.starts, residual=False) for sel in selection.selected]
     leftovers: dict[str, list[tuple[int, int]]] = {}
     counts: dict[tuple[int, int, str], int] = {}
@@ -816,10 +833,10 @@ def reference_encode(data: EventDataset, selection: SelectionState) -> EncodingT
         for pos, ev in enumerate(seq):
             name = data.alphabet.name(ev.event_type)
             counts[(seq_idx, ev.time, name)] = counts.get((seq_idx, ev.time, name), 0) + 1
-            if (seq_idx, pos) not in covered:
+            if (seq_idx, pos) not in coded:
                 leftovers.setdefault(name, []).append((seq_idx, ev.time))
     for name in sorted(leftovers):
-        starts = tuple(sorted(leftovers[name]))
+        starts = start_list(sorted(leftovers[name]))
         rows.append(TableRow(FixedIntervalEpisode((name,), ()), starts, residual=True))
     multiplicities = {key: m for key, m in counts.items() if m > 1}
     return EncodingTable(tuple(rows), multiplicities, data.n_sequences)
@@ -832,7 +849,7 @@ def triples_decode(table: EncodingTable) -> EventDataset:
     max_seq = -1
     for row in table.rows:
         offsets = row.episode.offsets()
-        for seq_idx, t in row.starts:
+        for seq_idx, t in pairs(row.starts):
             if seq_idx < 0:
                 raise TableFormatError(f"negative sequence index {seq_idx}")
             max_seq = max(max_seq, seq_idx)
@@ -952,8 +969,8 @@ def reference_decode(table: EncodingTable) -> EventDataset:
     for row in table.rows:
         if not row.starts:
             continue
-        t = list(map(itemgetter(1), row.starts))
-        seqs += list(map(itemgetter(0), row.starts)) * row.size
+        t = row.starts.times.tolist()
+        seqs += row.starts.seqs.tolist() * row.size
         for sym, off in zip(row.episode.event_types, row.episode.offsets()):
             times += map(off.__add__, t)
             blocks.append((len(t), alphabet.index(sym), row.size, 1))

@@ -59,6 +59,7 @@ from oracles import (
     dense_transitions,
     max_nonoverlap_from_starts,
     max_nonoverlap_intervals,
+    pairs,
     per_sequence_starts,
     random_dataset,
     random_planted_dataset,
@@ -75,7 +76,7 @@ def test_criterion_01_reference_table_reproduction():
     data = sample_dataset()
     state = forced_selection(data, sample_selection(), FrequencyMode.DISTINCT)
     table = encode(data, state)
-    rows = [(r.size, str(r.episode), r.frequency, r.starts) for r in table.rows]
+    rows = [(r.size, str(r.episode), r.frequency, pairs(r.starts)) for r in table.rows]
     assert rows == [
         (3, "A -2-> B -1-> C", 2, ((0, 2), (0, 4))),
         (3, "D -2-> E -2-> C", 2, ((0, 1), (0, 5))),
@@ -212,7 +213,7 @@ def test_criterion_05_model_structure():
 
 def test_criterion_06_closed_form_likelihoods():
     rng = random.Random(66)
-    pairs = [
+    episode_pairs = [
         ("A -> B -> C", "D -> E -> F"),  # no shared symbols
         ("A -> B -> C", "D -> B -> E"),  # shared middle symbol
     ]
@@ -220,7 +221,7 @@ def test_criterion_06_closed_form_likelihoods():
     worst = 0.0
     while checked < 500:
         for eta in (0.1, 0.3, 0.44):
-            for alpha_text, beta_text in pairs:
+            for alpha_text, beta_text in episode_pairs:
                 alpha = parse_serial_episode(alpha_text)
                 beta = parse_serial_episode(beta_text)
                 model = build_model(

@@ -26,6 +26,7 @@ from episodeseq.occurrences import _Axis
 from oracles import (
     dfs_candidates,
     fixed_interval_starts,
+    pairs,
     per_sequence_starts,
     random_planted_dataset,
     raw_events,
@@ -276,7 +277,8 @@ def test_candidates_on_gaps_near_the_int64_limit():
     apart = 25 * 10**16
     for mode in FrequencyMode:
         want = sorted(
-            (c.episode.event_types, c.episode.gaps, c.frequency, c.score, c.occurrences.starts)
+            (c.episode.event_types, c.episode.gaps, c.frequency, c.score)
+            + (pairs(c.occurrences.starts),)
             for c in generate_candidates(runs(100), 400, mode)
         )
         got = sorted(
@@ -285,7 +287,7 @@ def test_candidates_on_gaps_near_the_int64_limit():
                 tuple(near(g, apart) for g in c.episode.gaps),
                 c.frequency,
                 c.score,
-                tuple((s, near(t, apart)) for s, t in c.occurrences.starts),
+                tuple((s, near(t, apart)) for s, t in pairs(c.occurrences.starts)),
             )
             for c in generate_candidates(runs(apart), 4 * apart, mode)
         )

@@ -29,7 +29,14 @@ from episodeseq import (
 )
 from episodeseq.mdl import EncodingTable, TableRow
 from episodeseq.occurrences import _Axis
-from oracles import event_tuples, reference_axis, reference_decode, reference_load_events
+from oracles import (
+    event_tuples,
+    pairs,
+    reference_axis,
+    reference_decode,
+    reference_load_events,
+    start_list,
+)
 
 N_CASES = 3000
 _BASES = (10**30, -(10**30), 2**62 - 20, -(2**62) - 5, 2**63 - 30, -(2**63) + 5)
@@ -132,7 +139,7 @@ def _assert_axis_points_at_the_walks_events(got: _Axis, want, data: EventDataset
     at = np.array(list(want.pair_at), np.int64)
     slots = np.searchsorted(got.key, at * got.n_types)  # each axis time's first slot
     one_node = FixedIntervalEpisode((data.alphabet.symbols[0],), ())
-    assert list(got.pairs(one_node, slots, 0)[0]) == list(want.pair_at.values())
+    assert list(pairs(got.pairs(one_node, slots, 0)[0])) == list(want.pair_at.values())
 
 
 def test_axis_equals_the_per_event_walk():
@@ -180,14 +187,16 @@ def _tampered(rng: random.Random, table: EncodingTable) -> EncodingTable:
     if kind == 0 and rows:
         k = rng.randrange(len(rows))
         if rows[k].starts:
-            start = rng.choice(rows[k].starts)
-            rows[k] = TableRow(rows[k].episode, tuple(sorted((*rows[k].starts, start))), True)
+            starts = pairs(rows[k].starts)
+            starts = start_list(sorted((*starts, rng.choice(starts))))
+            rows[k] = TableRow(rows[k].episode, starts, True)
     elif kind == 1 and rows:
         k = rng.randrange(len(rows))
         if rows[k].starts:
-            s, t = rng.choice(rows[k].starts)
+            starts = pairs(rows[k].starts)
+            s, t = rng.choice(starts)
             moved = (s + rng.choice((-1, 1, 3)), t + rng.randint(-2, 2))
-            rows[k] = TableRow(rows[k].episode, tuple(sorted({*rows[k].starts, moved})), False)
+            rows[k] = TableRow(rows[k].episode, start_list(sorted({*starts, moved})), False)
     elif kind == 2:
         s = rng.randint(-1, n)
         mult[(s, rng.randint(-3, 30), rng.choice(_NAMES))] = rng.randint(2, 3)

@@ -47,8 +47,10 @@ from episodeseq.occurrences import StartList
 from oracles import (
     Event,
     all_fixed_interval_episodes,
+    covered,
     event_dataset,
     event_tuples,
+    pairs,
     per_sequence_starts,
     random_dataset,
     random_planted_dataset,
@@ -60,6 +62,7 @@ from oracles import (
     reference_forced_selection,
     reference_overlap_score,
     reference_select,
+    start_list,
     triples_decode,
 )
 
@@ -151,7 +154,7 @@ def test_encode_reproduces_reference_rows(sample_data, sample_episodes):
     state = forced_selection(sample_data, sample_episodes, FrequencyMode.DISTINCT)
     table = encode(sample_data, state)
     rows = [
-        (row.size, str(row.episode), row.frequency, row.starts, row.residual)
+        (row.size, str(row.episode), row.frequency, pairs(row.starts), row.residual)
         for row in table.rows
     ]
     assert rows == [
@@ -167,7 +170,7 @@ def test_encode_reproduces_reference_rows(sample_data, sample_episodes):
 def test_encode_no_mode_filters_row_starts(sample_data, sample_episodes):
     state = forced_selection(sample_data, sample_episodes, FrequencyMode.NON_OVERLAPPED)
     table = encode(sample_data, state)
-    assert table.rows[0].starts == ((0, 2),)
+    assert pairs(table.rows[0].starts) == ((0, 2),)
 
 
 def test_encode_without_selection_is_one_row_per_type(sample_data):
@@ -288,7 +291,7 @@ def test_select_covers_bind_lowest_events_left_by_earlier_rounds():
         state = select(data, 2, mode=mode)
         by_round: dict[int, set] = {}
         for sel in state.selected:
-            by_round.setdefault(sel.round_index, set()).update(sel.covered)
+            by_round.setdefault(sel.round_index, set()).update(covered(sel, data))
         # covers from different rounds are disjoint
         assert sum(map(len, by_round.values())) == len(set().union(*by_round.values()))
         for sel in state.selected:
@@ -312,7 +315,7 @@ def test_select_covers_bind_lowest_events_left_by_earlier_rounds():
                         ]
                         assert free, (str(sel.episode), seq_idx, t)
                         expected.add((seq_idx, free[0]))
-            assert sel.covered == expected
+            assert covered(sel, data) == expected
 
 
 def _reference_dataset(rng: random.Random) -> EventDataset:
@@ -341,7 +344,10 @@ def test_select_equals_reference_select():
             got, want = (
                 (
                     state.n_rounds,
-                    [(str(s.episode), s.starts, s.round_index, s.covered) for s in state.selected],
+                    [
+                        (str(s.episode), s.starts, s.round_index, covered(s, data))
+                        for s in state.selected
+                    ],
                 )
                 for state in (
                     select(data, max_gap, top_k, mode),
@@ -359,15 +365,43 @@ def test_selections_are_values():
         data = _reference_dataset(rng)
         twin = EventDataset.from_tuples(raw_sequences(data), data.alphabet)
         state = select(data, 2)
-        copies = copy.deepcopy(state), pickle.loads(pickle.dumps(state))  # covers not yet built
+        copies = copy.deepcopy(state), pickle.loads(pickle.dumps(state))
         for other in (select(twin, 2), *copies):
             assert other == state and hash(other) == hash(state)
     # Two picks that differ only in which copy of A they cover differ.
     data = EventDataset.from_tuples([[(1, "A"), (1, "A"), (2, "B")]])
     (sel,) = forced_selection(data, [parse_episode("A -1-> B")]).selected
     other = dataclasses.replace(sel, events=np.array([1, 2]))
-    assert (sel.covered, other.covered) == ({(0, 0), (0, 2)}, {(0, 1), (0, 2)})
+    assert (covered(sel, data), covered(other, data)) == ({(0, 0), (0, 2)}, {(0, 1), (0, 2)})
     assert sel != other and sel == dataclasses.replace(sel, events=np.array([2, 0]))
+
+
+def test_picks_compare_by_their_set_of_events():
+    data, _ = random_planted_dataset(random.Random(29), n_repetitions=7)
+    state = select(data, 2)
+    assert state.selected
+    for sel in state.selected:
+        flipped = dataclasses.replace(sel, events=sel.events[::-1])
+        assert flipped == sel and hash(flipped) == hash(sel)
+        changed = sel.events.copy()
+        changed[0] = sel.events.max() + 1  # an event the pick does not code
+        assert dataclasses.replace(sel, events=changed) != sel
+
+
+def test_picks_stay_read_only_through_pickle_and_deepcopy():
+    data, _ = random_planted_dataset(random.Random(29), n_repetitions=7)
+    state = select(data, 2)
+    assert state.selected
+    for sel in state.selected:
+        assert sel.events.dtype == np.int64 and not sel.events.flags.writeable
+        for other in (pickle.loads(pickle.dumps(sel)), copy.deepcopy(sel)):
+            assert other == sel and hash(other) == hash(sel)
+            assert other.events.dtype == np.int64 and not other.events.flags.writeable
+            assert not (other.starts.seqs.flags.writeable or other.starts.times.flags.writeable)
+    # Freezing a pick's events leaves the caller's own array writeable.
+    events = np.array([2, 0])
+    sel = dataclasses.replace(state.selected[0], events=events)
+    assert events.flags.writeable and not sel.events.flags.writeable
 
 
 def _forced_case(rng):
@@ -449,7 +483,8 @@ def test_forced_selection_refuses_a_gap_too_long_for_the_axis():
             forced_selection(data, [parse_episode("A -1-> B"), parse_episode(f"C -{gap}-> D")])
     with pytest.raises(ValueError, match="64-bit axis"):
         select(data, 10**20)
-    assert forced_selection(data, [parse_episode(f"C -{10**12}-> D")]).selected[0].starts == ()
+    (sel,) = forced_selection(data, [parse_episode(f"C -{10**12}-> D")]).selected
+    assert pairs(sel.starts) == ()
 
 
 def _io_dataset(rng):
@@ -491,7 +526,11 @@ def test_io_path_equals_reference():
         assert event_tuples(data) == reference_canonical(raw, alphabet), raw
         selection = _io_selection(rng, data, k)
         want = reference_encode(data, selection)
-        shared = [(a, b) for a, b in combinations(selection.selected, 2) if a.covered & b.covered]
+        shared = [
+            (a, b)
+            for a, b in combinations(selection.selected, 2)
+            if covered(a, data) & covered(b, data)
+        ]
         # A 1-node episode's row codes the events it shares a second time.
         if any(1 in (a.episode.length, b.episode.length) for a, b in shared):
             refused += 1
@@ -535,7 +574,6 @@ def test_select_memory_on_long_trajectory():
     # pairs, 0.59 MiB; with its starts as a StartList, 0.26 MiB.
     assert kept <= 0.35 * 2**20
     save_table(encode(data, selection), io.StringIO())
-    assert not any("covered" in sel.__dict__ for sel in selection.selected)
 
 
 def test_encode_and_decode_memory_on_long_trajectory():
@@ -576,32 +614,16 @@ def test_load_table_memory_on_long_trajectory():
     assert decode(table) == data
 
 
-def _refuse_tuples_of_pairs(monkeypatch) -> None:
-    """Make building a start list from pairs, or reading one back as pairs,
-    raise."""
-
-    def refuse(*_):
-        raise AssertionError("a tuple of (sequence, time) pairs was built")
-
-    getitem = StartList.__getitem__
-    monkeypatch.setattr(StartList, "__iter__", refuse)
-    monkeypatch.setattr(
-        StartList, "__getitem__", lambda s, i: getitem(s, i) if type(i) is slice else refuse()
-    )
-    monkeypatch.setattr(StartList, "of", refuse)
-
-
-def test_select_to_decode_builds_no_tuple_of_pairs(monkeypatch):
-    """Starts stay arrays from select to decode: the pipeline neither builds
-    a start list from pairs nor reads one back as pairs."""
+def test_select_to_decode_builds_no_tuple_of_pairs():
+    """Starts stay arrays from select to decode: a start list cannot be
+    read back as pairs."""
     data = _long_trajectory()
-    _refuse_tuples_of_pairs(monkeypatch)
     selection = select(data, 3)
     handle = io.StringIO()
     save_table(encode(data, selection), handle)
     table = load_table(io.StringIO(handle.getvalue()))
     assert decode(table) == data
-    with pytest.raises(AssertionError, match="tuple of"):
+    with pytest.raises(TypeError, match="takes slices"):
         tuple(table.rows[0].starts)
 
 
@@ -626,10 +648,10 @@ def test_forced_selection_of_the_picks_costs_less_than_selecting_them():
     assert forced_s <= 0.5 * select_s, (forced_s, select_s)
 
 
-def test_single_episode_paths_build_no_tuple_of_pairs(monkeypatch):
+def test_single_episode_paths_build_no_tuple_of_pairs():
     """The occurrences of given episodes stay start lists too: forced
     selection, overlap scores, occurrence lists, candidates' occurrences and
-    the non-overlapped subset of a start list never pass through pairs."""
+    the non-overlapped subset of a start list hold start lists."""
     data = _long_trajectory()
     picks = [sel.episode for sel in select(data, 3).selected[:6]]
     candidates = generate_candidates(data, 3)[:20]
@@ -643,9 +665,7 @@ def test_single_episode_paths_build_no_tuple_of_pairs(monkeypatch):
             [find_no_occurrences(find_distinct_starts(data, ep)) for ep in picks],
         )
 
-    with monkeypatch.context() as patch:
-        _refuse_tuples_of_pairs(patch)
-        got = run()
+    got = run()
     assert got == run()
     assert all(isinstance(occ.starts, StartList) for occ in (*got[2], *got[3], *got[4]))
 
@@ -789,11 +809,11 @@ def test_table_with_a_starts_field_longer_than_the_csv_limit_round_trips():
 
 
 def test_table_rows_hold_start_lists():
-    row = TableRow(parse_episode("A -1-> B"), ((0, 1), (2, 10**30)), residual=False)
-    assert type(row.starts) is StartList and row.starts == ((0, 1), (2, 10**30))
+    row = TableRow(parse_episode("A -1-> B"), start_list(((0, 1), (2, 10**30))), residual=False)
+    assert type(row.starts) is StartList and pairs(row.starts) == ((0, 1), (2, 10**30))
     short = dataclasses.replace(row, starts=row.starts[1:])
-    assert short.starts == ((2, 10**30),) and (short.frequency, short.cost) == (1, 6)
-    twin = TableRow(row.episode, ((2, 10**30),), residual=False)
+    assert pairs(short.starts) == ((2, 10**30),) and (short.frequency, short.cost) == (1, 6)
+    twin = TableRow(row.episode, start_list(((2, 10**30),)), residual=False)
     assert short == twin and hash(short) == hash(twin) and short != row
     assert dataclasses.replace(row) == row and copy.deepcopy(row) == row
     assert pickle.loads(pickle.dumps(row)) == row
@@ -830,7 +850,7 @@ def test_load_table_takes_a_last_row_that_never_occurs():
     save_table(table, handle)
     assert handle.getvalue().endswith("\n2,B -1-> A,0,\n")
     loaded = load_table(io.StringIO(handle.getvalue()))
-    assert loaded.rows[-1].starts == () and decode(loaded) == data
+    assert pairs(loaded.rows[-1].starts) == () and decode(loaded) == data
 
 
 @pytest.mark.parametrize(

@@ -17,13 +17,16 @@ from episodeseq import (
     EventDataset,
     forced_selection,
 )
+from episodeseq.events import DataValidationError
 from episodeseq.occurrences import StartList, _chain_members
 from oracles import (
     CoverIntegrityError,
+    covered,
     fixed_interval_starts,
     max_nonoverlap_from_starts,
     max_nonoverlap_intervals,
     non_overlapped,
+    pairs,
     per_sequence_starts,
     random_dataset,
     raw_events,
@@ -31,6 +34,7 @@ from oracles import (
     reference_cover,
     reference_distinct_starts,
     serial_occurrence_intervals,
+    start_list,
 )
 
 
@@ -62,7 +66,7 @@ def test_find_no_occurrences_sample(sample_data):
 
 def test_find_no_occurrences_empty():
     ep = parse_episode("A -1-> B")
-    occ = OccurrenceList(ep, ())
+    occ = OccurrenceList(ep, StartList([], []))
     assert per_sequence_starts(find_no_occurrences(occ).starts, 1) == ((),)
 
 
@@ -72,78 +76,101 @@ def test_occurrence_list_rejects_unsorted_or_repeated_starts():
     refused = (((0, 5), (0, 1)), ((1, 1), (0, 5)), ((0, 1), (0, 1)))
     refused += (((0, big), (0, big)), ((0, big + 1), (0, big)), ((0, -big), (0, -big - 1)))
     for starts in refused:
+        with pytest.raises(AttributeError):
+            OccurrenceList(ep, starts)  # only a start list is taken
         with pytest.raises(ValueError):
-            OccurrenceList(ep, starts)
-        with pytest.raises(ValueError):
-            OccurrenceList(ep, StartList.of(starts))
+            OccurrenceList(ep, start_list(starts))
     accepted = ((0, -big - 1), (0, -big), (0, big), (0, big + 1), (1, -big))
-    occ = OccurrenceList(ep, accepted)
-    assert occ.starts.times.dtype == object and occ.starts == accepted
+    occ = OccurrenceList(ep, start_list(accepted))
+    assert occ.starts.times.dtype == object and pairs(occ.starts) == accepted
     assert isinstance(occ.starts, StartList)
     assert isinstance(find_no_occurrences(occ).starts, StartList)
-    assert find_no_occurrences(occ).starts == ((0, -big - 1), (0, big), (1, -big))
+    assert pairs(find_no_occurrences(occ).starts) == ((0, -big - 1), (0, big), (1, -big))
 
 
 def test_find_no_occurrences_refuses_starts_past_a_64_bit_axis():
     ep = parse_episode(f"A -{10**30}-> B")
     for starts in (((0, 0), (0, 10**30 + 1)), ((0, 0), (0, 5))):
         with pytest.raises(ValueError, match="64-bit axis"):
-            find_no_occurrences(OccurrenceList(ep, starts))
+            find_no_occurrences(OccurrenceList(ep, start_list(starts)))
     # Far-apart starts keep working when the span is small.
-    near = ((0, -(10**30)), (0, 1 - 10**30), (1, 10**30))
+    near = start_list(((0, -(10**30)), (0, 1 - 10**30), (1, 10**30)))
     kept = find_no_occurrences(OccurrenceList(parse_episode("A -1-> B"), near))
-    assert kept.starts == ((0, -(10**30)), (1, 10**30))
+    assert pairs(kept.starts) == ((0, -(10**30)), (1, 10**30))
 
 
-def test_start_list_behaves_as_its_tuple_of_pairs():
-    pairs = ((0, 3), (0, 7), (2, -1))
-    starts = StartList.of(pairs)
-    assert starts == pairs and pairs == starts and starts == StartList(*zip(*pairs))
-    assert hash(starts) == hash(pairs)
-    assert starts != pairs[:2] and starts != list(pairs) and starts != StartList.of(pairs[1:])
-    assert len(starts) == 3 and starts and tuple(starts) == pairs
-    assert starts[1] == (0, 7) and starts[-1] == (2, -1)
-    assert all(type(x) is int for pair in (starts[0], *starts) for x in pair)
-    assert (2, -1) in starts and starts.index((0, 7)) == 1
-    assert repr(starts) == f"StartList({pairs!r})"
-    with pytest.raises(IndexError):
-        starts[3]
+def test_start_list_is_its_arrays():
+    starts = StartList([0, 0, 2], [3, 7, -1])
+    twin = StartList(np.array([0, 0, 2]), np.array([3, 7, -1], object))
+    assert starts == twin and hash(starts) == hash(twin)
+    assert starts != starts[:2] and starts != StartList([0, 1, 2], [3, 7, -1])
+    assert starts != StartList([0, 0, 2], [3, 7, 0])
+    as_pairs = ((0, 3), (0, 7), (2, -1))
+    assert pairs(starts) == as_pairs and start_list(as_pairs) == starts
+    assert (starts == as_pairs) is False and (as_pairs == starts) is False
+    assert starts != as_pairs and starts != list(as_pairs)
+    assert len(starts) == 3 and starts
+    for index in (0, -1, np.int64(1), (0, 1), [0]):
+        with pytest.raises(TypeError, match="takes slices"):
+            starts[index]
+    for read_back in (tuple, list, set):
+        with pytest.raises(TypeError):
+            read_back(starts)
+    with pytest.raises(TypeError):
+        (0, 3) in starts
     with pytest.raises(AttributeError):
         starts.seqs = np.zeros(3, np.int64)
     with pytest.raises(ValueError):
         starts.times[0] = 1  # the arrays are read-only
-    with pytest.raises(ValueError):
-        StartList([0, 1], [5])
+    huge = StartList([1, 4], [-(10**30), 2**61])
+    assert huge.times.dtype == object
+    for s in (starts, huge, starts[1:], StartList([], [])):
+        assert eval(repr(s), {"StartList": StartList}) == s
+    assert repr(starts) == "StartList([0, 0, 2], [3, 7, -1])"
+
+
+@pytest.mark.parametrize(
+    "seqs,times,error,match",
+    [
+        ([0, 1], [5], ValueError, "one sequence index and one time"),
+        ([0.5, 1.7], [1, 2], DataValidationError, "sequence index"),
+        (np.array([0.0, 1.0]), [1, 2], DataValidationError, "sequence index"),
+        ([0, 1], [1.0, 2.5], DataValidationError, "event time"),
+    ],
+)
+def test_start_list_refuses_arrays_that_are_not_starts(seqs, times, error, match):
+    with pytest.raises(error, match=match):
+        StartList(seqs, times)
 
 
 def test_start_list_slices_are_views():
-    starts = StartList.of(((0, 1), (0, 2), (1, 0), (1, 5)))
+    starts = start_list(((0, 1), (0, 2), (1, 0), (1, 5)))
     part = starts[1:3]
-    assert type(part) is StartList and part == ((0, 2), (1, 0))
+    assert type(part) is StartList and pairs(part) == ((0, 2), (1, 0))
     assert np.shares_memory(part.seqs, starts.seqs)
     assert np.shares_memory(part.times, starts.times)
-    assert starts[::2] == ((0, 1), (1, 0)) and starts[::-1][0] == (1, 5)
-    for empty in (starts[4:], starts[2:2], StartList.of(())):
-        assert not empty and len(empty) == 0 and list(empty) == []
-        assert empty == () and hash(empty) == hash(()) and empty == StartList([], [])
-        assert empty.seqs.dtype == np.int64 and empty[:] == ()
+    assert pairs(starts[::2]) == ((0, 1), (1, 0)) and pairs(starts[::-1])[0] == (1, 5)
+    for empty in (starts[4:], starts[2:2], StartList([], [])):
+        assert not empty and len(empty) == 0 and pairs(empty) == ()
+        assert empty == StartList([], []) and hash(empty) == hash(StartList([], []))
+        assert empty.seqs.dtype == np.int64 and pairs(empty[:]) == ()
 
 
 def test_start_list_round_trips_pickle_and_deepcopy_near_huge_times():
-    for pairs in (
+    for items in (
         ((0, -(10**30)), (0, 5), (3, 10**30)),
         ((1, 2**61 - 1), (1, 2**61)),
         ((0, 1 - 2**61), (4, 2**61 - 1)),
         (),
     ):
-        starts = StartList.of(pairs)
-        huge = any(abs(t) >= 2**61 for _, t in pairs)
+        starts = start_list(items)
+        huge = any(abs(t) >= 2**61 for _, t in items)
         assert starts.seqs.dtype == np.int64
         assert starts.times.dtype == (object if huge else np.int64)
         for other in (pickle.loads(pickle.dumps(starts)), copy.deepcopy(starts)):
-            assert type(other) is StartList and other == starts and other == pairs
+            assert type(other) is StartList and other == starts and pairs(other) == items
             assert not (other.seqs.flags.writeable or other.times.flags.writeable)
-        assert tuple(starts) == pairs and starts.times.tolist() == [t for _, t in pairs]
+        assert pairs(starts) == items and starts.times.tolist() == [t for _, t in items]
 
 
 def test_find_no_occurrences_span_four():
@@ -154,7 +181,7 @@ def test_find_no_occurrences_span_four():
         (((0, 1), (1, 2)), ((1,), (2,))),
         (((0, 1), (0, 2)), ((1,),)),
     ]:
-        occ = OccurrenceList(ep, starts)
+        occ = OccurrenceList(ep, start_list(starts))
         kept = find_no_occurrences(occ).starts
         assert per_sequence_starts(kept, len(expected)) == expected
 
@@ -173,7 +200,7 @@ def test_find_no_occurrences_equals_the_per_sequence_greedy():
                 seq, t = seq + 1, base + rng.randint(-5, 5)
             t += rng.choice((1, 1, gap, gap + 1, rng.randint(1, 10**6)))
             starts.append((seq, t))
-        occ = OccurrenceList(ep, tuple(starts))
+        occ = OccurrenceList(ep, start_list(starts))
         assert find_no_occurrences(occ) == reference_no_occurrences(occ), f"case {case}"
 
 
@@ -275,14 +302,16 @@ def test_cover_integrity_error(sample_data):
 def test_overlap_counts(sample_data):
     ep1 = parse_episode("A -2-> B -1-> C")
     ep2 = parse_episode("D -2-> E -2-> C")
-    c1 = reference_cover(sample_data, ep1, reference_distinct_starts(sample_data, ep1).starts)
-    c2 = reference_cover(sample_data, ep2, reference_distinct_starts(sample_data, ep2).starts)
+    c1, c2 = (
+        reference_cover(sample_data, ep, pairs(reference_distinct_starts(sample_data, ep).starts))
+        for ep in (ep1, ep2)
+    )
     assert len(c1 & c2) == 1  # the event (C,5) is coded by both
     assert len(c1 & c1) == 6
     c3 = reference_cover(sample_data, parse_episode("B"), ((0, 6),))
     assert len(c2 & c3) == 0
     state = forced_selection(sample_data, [ep1, ep2], FrequencyMode.DISTINCT)
-    assert [sel.covered for sel in state.selected] == [c1, c2]
+    assert [covered(sel, sample_data) for sel in state.selected] == [c1, c2]
 
 
 def test_no_covers_are_disjoint_and_full():
@@ -292,9 +321,9 @@ def test_no_covers_are_disjoint_and_full():
         ep_symbols = tuple(rng.sample(data.alphabet.symbols, 2))
         episode = parse_episode(f"{ep_symbols[0]} -{rng.randint(1,2)}-> {ep_symbols[1]}")
         (sel,) = forced_selection(data, [episode], FrequencyMode.NON_OVERLAPPED).selected
-        assert sel.covered == reference_cover(data, episode, sel.starts)
+        assert covered(sel, data) == reference_cover(data, episode, pairs(sel.starts))
         # non-overlapped occurrences never share events
-        assert len(sel.covered) == episode.length * sel.frequency
+        assert len(covered(sel, data)) == episode.length * sel.frequency
 
 
 def test_duplicate_events_bind_lowest_index():
@@ -302,7 +331,7 @@ def test_duplicate_events_bind_lowest_index():
     c = reference_cover(data, parse_episode("A -1-> B"), ((0, 1),))
     assert (0, 0) in c and (0, 1) not in c
     (sel,) = forced_selection(data, [parse_episode("A -1-> B")]).selected
-    assert sel.covered == c
+    assert covered(sel, data) == c
 
 
 def test_symbol_outside_the_alphabet_raises_key_error(sample_data):
